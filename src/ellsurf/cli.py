@@ -4,8 +4,8 @@ Config files are INI-like: ``[section]`` headers with ``key = value`` lines
 and ``#`` comments.  Sections: field, model, metadata, limits.  Model
 coefficients are comma-separated lists in t, lowest degree first; each entry
 is an integer or a parenthesized vector ``(c0 c1 ...)`` over GF(p) for
-extension fields.  Unknown sections or keys are rejected with their line
-number.
+extension fields.  Unknown sections or keys, and integers in [metadata] or
+[limits] below their minimum, are rejected with their line number.
 
 Exit statuses: 0 success, 2 configuration error, 3 unsupported model,
 4 at least one FAILed check.
@@ -26,6 +26,7 @@ from .errors import (
     CharTooSmall,
     EllsurfError,
     EulerNotTwelveDivisible,
+    NotIrreducible,
     NotPrime,
     ParseError,
     PlaceBudgetExceeded,
@@ -51,6 +52,16 @@ _SECTIONS = {
     "model": {"a1", "a2", "a3", "a4", "a6"},
     "metadata": {"mw_rank", "mw_torsion_order", "notes"},
     "limits": {"n_max", "place_degree_cap", "surplus_margin", "point_budget"},
+}
+
+# least allowed value of each integer in [metadata] and [limits]
+_MINIMUM = {
+    "mw_rank": 0,
+    "mw_torsion_order": 1,
+    "n_max": 0,
+    "place_degree_cap": 1,
+    "surplus_margin": 0,
+    "point_budget": 1,
 }
 
 
@@ -130,13 +141,10 @@ def parse_config(text: str) -> Config:
                 ]
         elif section == "model":
             cfg.a[key] = [_parse_coeff(tok, lineno) for tok in _split_top_level(value)]
-        elif section == "metadata":
-            if key == "notes":
-                cfg.notes = value
-            else:
-                setattr(cfg, key, _int_field(value, lineno))
+        elif key == "notes":
+            cfg.notes = value
         else:
-            setattr(cfg, key, _int_field(value, lineno))
+            setattr(cfg, key, _at_least_minimum(key, _int_field(value, lineno), lineno))
     if cfg.p is None:
         raise BadField("missing field characteristic p", None)
     return cfg
@@ -149,10 +157,16 @@ def _int_field(value: str, lineno: int) -> int:
         raise BadField(f"expected an integer, got {value!r}", lineno)
 
 
+def _at_least_minimum(key: str, n: int, lineno: int | None) -> int:
+    if n < _MINIMUM[key]:
+        raise BadField(f"{key} must be at least {_MINIMUM[key]}, got {n}", lineno)
+    return n
+
+
 def build_model(cfg: Config):
     try:
         fq = field_make(cfg.p, cfg.modulus)
-    except (NotPrime, CharTooSmall) as exc:
+    except (NotPrime, CharTooSmall, NotIrreducible) as exc:
         raise BadField(str(exc), None)
 
     def coeffs(key):
@@ -294,12 +308,11 @@ def _load_config(args) -> Config:
 
 
 def _apply_flags(cfg: Config, args) -> None:
-    if getattr(args, "nmax", None) is not None:
-        cfg.n_max = args.nmax
-    if getattr(args, "place_cap", None) is not None:
-        cfg.place_degree_cap = args.place_cap
-    if getattr(args, "assume_rank", None) is not None:
-        cfg.mw_rank = args.assume_rank
+    flags = (("n_max", "nmax"), ("place_degree_cap", "place_cap"), ("mw_rank", "assume_rank"))
+    for key, flag in flags:
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(cfg, key, _at_least_minimum(key, value, None))
 
 
 def _fiber_table(report: Report) -> str:

@@ -56,6 +56,10 @@ class UnsupportedModel(EllsurfError):
     pass
 
 
+class InconsistentFiberData(EllsurfError):
+    pass
+
+
 # global assembly
 class InconsistentCounts(EllsurfError):
     pass
@@ -95,10 +99,6 @@ class NotIsotropic(EllsurfError):
 
 
 class IndexInfinite(EllsurfError):
-    pass
-
-
-class NotOrthogonal(EllsurfError):
     pass
 
 

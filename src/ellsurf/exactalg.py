@@ -270,40 +270,9 @@ class SpecialValue:
             self.order - other.order,
         )
 
-    def eq(self, other: "SpecialValue") -> bool:
-        return self == other
-
-    def abs_eq(self, other: "SpecialValue") -> bool:
-        """Equality ignoring sign."""
-        return (self.num, self.den, self.log_power, self.order) == (
-            other.num,
-            other.den,
-            other.log_power,
-            other.order,
-        )
-
-    def with_order(self, order: int) -> "SpecialValue":
-        return SpecialValue(self.sign, self.num, self.den, self.log_power, order)
-
     def __repr__(self):
         s = "+" if self.sign > 0 else "-"
         return f"SV({s}{self.num}/{self.den} * log^{self.log_power}, ord {self.order})"
-
-
-SV_ONE = SpecialValue(1, 1, 1, 0, 0)
-
-
-def sv_algebra(op: str, a: SpecialValue, b: SpecialValue):
-    """Dispatch wrapper: mul/div return values, eq/abs_eq return booleans."""
-    if op == "mul":
-        return a.mul(b)
-    if op == "div":
-        return a.div(b)
-    if op == "eq":
-        return a.eq(b)
-    if op == "abs_eq":
-        return a.abs_eq(b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def newton_from_power_sums(

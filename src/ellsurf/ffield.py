@@ -271,10 +271,6 @@ def field_make(p: int, modulus=None):
     return ExtensionField(base, mod)
 
 
-def frobenius(a: FElem) -> FElem:
-    return a.frobenius()
-
-
 # ---------------------------------------------------------------------------
 # polynomials over a finite field
 

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CharTooSmall,
     GoodFiber,
     EulerNotTwelveDivisible,
+    InconsistentFiberData,
+    IndexInfinite,
     NotMinimalizable,
     UnsupportedModel,
 )
@@ -94,6 +97,17 @@ class WeierstrassModel:
 
     def coeff_list(self):
         return [self.a1, self.a2, self.a3, self.a4, self.a6]
+
+    @cached_property
+    def minimal_short(self) -> tuple[Poly, Poly]:
+        """(a4, a6) of the short model minimalized at every finite place:
+        a4_short / u^4 and a6_short / u^6 for the largest monic u with
+        u^4 | a4_short and u^6 | a6_short.  Computed on first use."""
+        a4, a6 = self.a4_short, self.a6_short
+        u = Poly(self.field, [1])
+        for pi in distinct_irreducible_factors(poly_gcd(a4, a6)):
+            u = u * pi ** min(_val(a4, pi) // 4, _val(a6, pi) // 6)
+        return a4 // u**4, a6 // u**6
 
     def __repr__(self):
         return f"WeierstrassModel(q={self.field.q})"
@@ -364,10 +378,12 @@ def synthetic_fiber(q: int, degree: int, kod: str, splitting=None, field=None) -
 
 def count_affine_points(kv, a, b) -> int:
     """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} by quadratic-character lookup."""
-    sq_keys = {kv.elem_key(x * x) for x in kv.elements()}
+    xs = list(kv.elements())
+    squares = [x * x for x in xs]
+    sq_keys = {kv.elem_key(s) for s in squares}
     count = 0
-    for x in kv.elements():
-        rhs = ((x * x) * x) + a * x + b
+    for x, xx in zip(xs, squares):
+        rhs = x * (xx + a) + b
         if not rhs:
             count += 1
         elif kv.elem_key(rhs) in sq_keys:
@@ -461,13 +477,9 @@ def _tate_at_prime(model: WeierstrassModel, pi: Poly, place: Place) -> FiberData
         abar, bbar = red(a), red(b)
         x0 = -(3 * bbar) / (2 * abar)
         split = (3 * x0).is_square()
-        kod = f"I{vD}"
-        fd = make_fiber(place, q, kod, "split" if split else "nonsplit")
-        assert fd.e_v == vD
-        return fd
-
+        fd = make_fiber(place, q, f"I{vD}", "split" if split else "nonsplit")
     # additive: the singular point of y^2 = x^3 + a x + b sits at the origin
-    if vb == 1:
+    elif vb == 1:
         fd = make_fiber(place, q, "II", None)
     elif va == 1:
         fd = make_fiber(place, q, "III", None)
@@ -500,7 +512,7 @@ def _tate_at_prime(model: WeierstrassModel, pi: Poly, place: Place) -> FiberData
             else:
                 raise NotMinimalizable("all valuations reducible: model not minimal")
     if fd.e_v != vD:
-        raise AssertionError(
+        raise InconsistentFiberData(
             f"Euler number {fd.e_v} of {fd.kodaira} differs from v(Delta) = {vD}"
         )
     return fd
@@ -579,13 +591,7 @@ class SurfaceInvariants:
     alpha: int
     chi_lie: int
     # forced by the supported class (section exists, base P^1, nonisotrivial)
-    b_order: int = 1
     dim_b: int = 0
-    dim_a: int = 0
-    delta_index: int = 1
-    alpha_index: int = 1
-    delta_v: int = 1
-    delta_v_prime: int = 1
 
 
 def distinct_irreducible_factors(f: Poly) -> list[Poly]:
@@ -794,13 +800,17 @@ def component_group_fixed_order(f: FiberData) -> int:
     pmat = Mat.zero(g, g)
     for node in idx:
         image = perm[node]
-        assert image != 0
+        if image == 0:
+            raise InconsistentFiberData(f"{f.kodaira}: Frobenius moves the identity component")
         pmat.rows[pos[image]][pos[node]] = 1
     shifted = Mat([[pmat.rows[i][j] - (1 if i == j else 0) for j in range(g)] for i in range(g)], g)
     K = preimage_kernel(shifted, gram)
     iK = lattice_index(K)
     iG = lattice_index(gram)
-    assert iK is not None and iG is not None and iG % iK == 0
+    if iK is None or iG is None:
+        raise IndexInfinite(f"{f.kodaira}: component lattice of lower rank")
+    if iG % iK:
+        raise InconsistentFiberData(f"{f.kodaira}: fixed index {iK} does not divide {iG}")
     return iG // iK
 
 

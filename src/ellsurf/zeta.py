@@ -5,12 +5,20 @@ the bad-fiber correction product.
 The two routes to P2 are kept permanently and neither is treated as the
 oracle: their coefficientwise agreement is the central factorization check.
 
+One character-sum kernel serves every base field GF(p^k) and feeds both
+routes: S(t) = sum_x chi(x^3 + A(t) x + B(t)) for the short model
+minimalized at the finite places, evaluated at one representative of each
+Frobenius orbit of GF(q^n) on numpy-coded field tables.  A good fiber over
+t has q^n + 1 + S(t) points, and a good finite place of degree d with root
+t has a_v = -S(t).  The pure-Python point count of ``tatefiber`` stays the
+independent oracle for it (``verify.check_good_place_sanity``).
+
 Route one counts points.  With first and third Betti numbers zero (the
 supported class), #X(GF(q^n)) = 1 + q^(2n) + s_n where s_n is the n-th power
 sum of the inverse roots of P2; Newton's identities plus the weight-2
-functional equation then pin P2.  Counting is exact: a vectorized
-quadratic-character sum over the affine chart plus the component counts of
-the bad fibers of the minimal regular model.
+functional equation then pin P2.  Counting is exact: the kernel's sum over
+the good fibers plus the component counts of the bad fibers of the minimal
+regular model.
 
 Route two multiplies (1 - qt)^2 * L(t) * Q(t) where L comes from the local
 factors and Q is the product over bad places of the degree-2 local factors
@@ -30,6 +38,7 @@ from .errors import (
     NoConsistentSign,
     NonPolynomial,
     NonPolynomialTail,
+    NotIrreducible,
     PlaceBudgetExceeded,
     TruncationInsufficient,
 )
@@ -42,9 +51,7 @@ from .exactalg import (
     newton_from_power_sums,
 )
 from .ffield import (
-    ExtensionField,
     PrimeField,
-    Poly,
     find_irreducible,
     place_infinity,
     places_enumerate,
@@ -74,7 +81,8 @@ class CountVector:
 
 class _CodedField:
     """GF(p^n) on integer codes 0..p^n-1 (base-p digit encoding) with numpy
-    log/exp multiplication tables and a quadratic-character table."""
+    log/exp tables for multiplication, Zech logarithms for addition and a
+    quadratic-character table."""
 
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
@@ -84,12 +92,6 @@ class _CodedField:
         if n > 1:
             mod_poly = find_irreducible(base, n)
             red = [(-c).val for c in mod_poly.coeffs[:-1]]
-        self.pvec = np.array([p**i for i in range(n)], dtype=np.int64)
-        digits = np.zeros((self.N, n), dtype=np.int16)
-        codes = np.arange(self.N)
-        for i in range(n):
-            digits[:, i] = (codes // p**i) % p
-        self.digits = digits
 
         def mul_elem(a, b):
             # a, b digit tuples -> digit tuple
@@ -106,9 +108,6 @@ class _CodedField:
                         raw[k - n + i] = (raw[k - n + i] + c * red[i]) % p
             return tuple(raw[:n])
 
-        if n == 1:
-            mul_elem = lambda a, b: ((a[0] * b[0]) % p,)
-
         def encode(d):
             return sum(int(d[i]) * p**i for i in range(n))
 
@@ -117,11 +116,12 @@ class _CodedField:
         primes = _prime_factors(order)
         gen = None
         for cand in range(2, self.N):
-            d = tuple(int(digits[cand, i]) for i in range(n))
+            d = tuple((cand // p**i) % p for i in range(n))
             if all(_pow_tuple(d, order // ell, mul_elem, n) != _one(n) for ell in primes):
                 gen = d
                 break
-        assert gen is not None
+        if gen is None:
+            raise NotIrreducible(f"GF({p}^{n}): no generator of the unit group")
         exp = np.zeros(order, dtype=np.int64)
         log = np.zeros(self.N, dtype=np.int64)
         cur = _one(n)
@@ -137,7 +137,17 @@ class _CodedField:
         exp_ext = np.zeros(4 * order + 1, dtype=np.int64)
         ks = np.arange(2 * order)
         exp_ext[ks] = exp[ks % order]
-        self.exp, self.log, self.exp_ext = exp, log, exp_ext
+        # Zech logarithms: log(a + b) = log a + log(1 + b/a).  Adding one to a
+        # code changes only its lowest digit.  The table is indexed by
+        # log b - log a + 2*order, which lies in [0, order) when a = 0 (the
+        # entry makes the sum log b), in (order, 3*order) when a, b != 0 and
+        # in (3*order, 4*order] when b = 0 (entry 0); a + b = 0 and
+        # a = b = 0 land on the zero part of exp_ext.
+        zech = log[exp - exp % p + (exp + 1) % p]
+        zech_ext = np.zeros(4 * order + 1, dtype=np.int64)
+        zech_ext[:order] = np.arange(order) - zsent
+        zech_ext[order : 3 * order] = np.tile(zech, 2)
+        self.exp, self.log, self.exp_ext, self.zech_ext = exp, log, exp_ext, zech_ext
         chi = np.zeros(self.N, dtype=np.int8)
         nz = np.arange(1, self.N)
         chi[nz] = np.where(log[nz] % 2 == 0, 1, -1)
@@ -147,36 +157,17 @@ class _CodedField:
         """Elementwise product of broadcastable code arrays."""
         return self.exp_ext[self.log[a] + self.log[b]]
 
-    def add3(self, a, b, c):
-        """Sum of three broadcastable code arrays."""
-        d = (
-            self.digits[a].astype(np.int32)
-            + self.digits[b].astype(np.int32)
-            + self.digits[c].astype(np.int32)
-        ) % self.p
-        return d @ self.pvec
-
     def add(self, a, b):
-        d = (self.digits[a].astype(np.int32) + self.digits[b].astype(np.int32)) % self.p
-        return d @ self.pvec
+        """Elementwise sum of broadcastable code arrays."""
+        la = self.log[a]
+        return self.exp_ext[la + self.zech_ext[self.log[b] - la + 2 * (self.N - 1)]]
 
-    def poly_roots(self, coeffs: list[int]):
-        """Codes of the roots of a prime-field polynomial in this field."""
-        pts = np.arange(self.N, dtype=np.int64)
-        vals = self.eval_poly(coeffs, pts)
-        return pts[vals == 0]
-
-    def embed_base(self, value: int) -> int:
-        return value % self.p
-
-    def eval_poly(self, coeffs: list[int], points):
-        """Evaluate a polynomial with prime-field coefficients (codes) at an
-        array of points, by Horner."""
+    def eval_poly(self, coeffs, points):
+        """Evaluate a polynomial with coefficient codes at an array of
+        points, by Horner."""
         acc = np.zeros_like(points)
         for c in reversed(coeffs):
-            acc = self.mul(acc, points)
-            if c:
-                acc = self.add(acc, np.full_like(points, c))
+            acc = self.add(self.mul(acc, points), c)
         return acc
 
 
@@ -209,6 +200,145 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+_CODED_CACHE: dict = {}
+
+
+def coded_field(p: int, n: int) -> _CodedField:
+    key = (p, n)
+    if key not in _CODED_CACHE:
+        _CODED_CACHE[key] = _CodedField(p, n)
+    return _CODED_CACHE[key]
+
+
+# ---------------------------------------------------------------------------
+# the good-fiber character-sum kernel
+
+# (t, x) pairs per vectorized step: bounds the kernel's temporaries
+_BLOCK = 1 << 14
+
+
+def _fiber_sums(cf: _CodedField, A, B):
+    """S = sum over x in the field of chi(x^3 + A x + B), one sum per entry
+    of the code arrays A and B."""
+    x = np.arange(cf.N, dtype=np.int64)
+    x3 = cf.mul(cf.mul(x, x), x)
+    rows = max(1, _BLOCK // cf.N)
+    out = np.empty(len(A), dtype=np.int64)
+    for s in range(0, len(A), rows):
+        u = cf.add(cf.add(x3, cf.mul(A[s : s + rows, None], x)), B[s : s + rows, None])
+        out[s : s + rows] = cf.chi[u].sum(axis=1)
+    return out
+
+
+class _Level:
+    """The codes of GF(q) in GF(q^n) (indexed by sum key[i] p^i),
+    Frobenius-orbit representatives t of GF(q^n) (one per orbit of
+    t -> t^q), their orbit lengths, whether the fiber at t is good, and
+    S(t) at the good ones (0 at the bad ones).  A plain class: a dataclass
+    would add its code generation to the import time."""
+
+    def __init__(self, cf: _CodedField, emb, t, lengths, good, S):
+        self.cf, self.emb, self.t, self.lengths, self.good, self.S = cf, emb, t, lengths, good, S
+
+
+class _CharSums:
+    """The character sums S(t) = sum_x chi(x^3 + A(t) x + B(t)) of one model,
+    level by level, feeding both the point counts and the good local factors.
+
+    y^2 = x^3 + A x + B is the short model minimalized at every finite
+    place, so its good locus is that of the minimal regular model.  Level n
+    works in GF(q^n) = coded_field(p, k n) for q = p^k, with GF(q) embedded
+    by one root of its modulus.  S is constant on Frobenius orbits (chi
+    commutes with t -> t^q and A, B have coefficients in GF(q)), so it is
+    computed once per orbit, at the member of least log."""
+
+    def __init__(self, model: WeierstrassModel):
+        field = model.field
+        self.p, self.k, self.q = field.p, field.degree, field.q
+        self.modulus = [c.val for c in field.modulus] if self.k > 1 else None
+        a4, a6 = model.minimal_short
+        delta = -16 * (4 * a4**3 + 27 * a6 * a6)
+
+        def base_code(c):
+            return sum(v * self.p**i for i, v in enumerate(field.elem_key(c)))
+
+        self.coeffs = [[base_code(c) for c in f.coeffs] for f in (a4, a6, delta)]
+        self.levels: dict[int, _Level] = {}
+        self.trace_tables: dict[int, dict] = {}
+
+    def _embedding(self, cf: _CodedField):
+        codes = np.arange(self.q, dtype=np.int64)
+        if self.k == 1:
+            return codes
+        # a root r of the modulus in the copy of GF(q)* inside cf
+        sub = cf.exp[:: (cf.N - 1) // (self.q - 1)]
+        r = int(sub[np.flatnonzero(cf.eval_poly(self.modulus, sub) == 0)[0]])
+        emb = np.zeros(self.q, dtype=np.int64)
+        power = 1
+        for i in range(self.k):
+            emb = cf.add(emb, cf.mul(codes // self.p**i % self.p, power))
+            power = int(cf.mul(power, r))
+        return emb
+
+    def level(self, n: int) -> _Level:
+        if n not in self.levels:
+            cf = coded_field(self.p, self.k * n)
+            L = cf.N - 1
+            emb = self._embedding(cf)
+            logs = np.arange(L, dtype=np.int64)
+            least = logs.copy()
+            lengths = np.full(L, n, dtype=np.int64)
+            for i in range(n - 1, 0, -1):
+                image = logs * pow(self.q, i, L) % L
+                np.minimum(least, image, out=least)
+                lengths[image == logs] = i
+            rep = least == logs
+            t = np.concatenate(([0], cf.exp[rep]))
+            lengths = np.concatenate(([1], lengths[rep]))
+            A, B, D = (cf.eval_poly(emb[c], t) for c in self.coeffs)
+            good = D != 0
+            S = np.zeros(len(t), dtype=np.int64)
+            S[good] = _fiber_sums(cf, A[good], B[good])
+            self.levels[n] = _Level(cf, emb, t, lengths, good, S)
+        return self.levels[n]
+
+    def traces(self, d: int) -> dict:
+        """{Poly.key() of the place: a_v} at every good finite place of
+        degree d; a_v = -S(t) at a root t of the place."""
+        if d not in self.trace_tables:
+            lv = self.level(d)
+            cf = lv.cf
+            L = cf.N - 1
+            pick = lv.good & (lv.lengths == d)
+            t = lv.t[pick]
+            # the minimal polynomial prod_i (X - t^(q^i)), low coefficient first
+            coeffs = [np.ones_like(t)]
+            for i in range(d):
+                conj = t if i == 0 else cf.exp[cf.log[t] * pow(self.q, i, L) % L]
+                neg = cf.mul(conj, self.p - 1)
+                coeffs = (
+                    [cf.mul(neg, coeffs[0])]
+                    + [cf.add(lo, cf.mul(neg, hi)) for lo, hi in zip(coeffs, coeffs[1:])]
+                    + [coeffs[-1]]
+                )
+            base = np.zeros(cf.N, dtype=np.int64)
+            base[lv.emb] = np.arange(self.q)
+            key_of = [tuple(b // self.p**i % self.p for i in range(self.k)) for b in range(self.q)]
+            rows = np.stack([base[c] for c in coeffs], axis=1).tolist()
+            keys = [tuple(key_of[b] for b in row) for row in rows]
+            self.trace_tables[d] = dict(zip(keys, (-lv.S[pick]).tolist()))
+        return self.trace_tables[d]
+
+
+def _char_sums(model: WeierstrassModel) -> _CharSums:
+    """The model's character-sum tables, built on first use and kept on the
+    model, so every count and local factor of one surface shares them."""
+    cs = model.__dict__.get("_char_sums")
+    if cs is None:
+        cs = model.__dict__["_char_sums"] = _CharSums(model)
+    return cs
+
+
 # ---------------------------------------------------------------------------
 # surface point counts
 
@@ -221,10 +351,10 @@ def surface_counts(
 ) -> CountVector:
     """#X(GF(q^n)) for n = 1..n_max over the minimal regular model.
 
-    Good fibers are counted on the affine Weierstrass chart by a
-    quadratic-character sum; each bad place of degree d | n is replaced by
-    the component count of its minimal regular fiber over the degree n/d
-    extension of its residue field."""
+    The good fibers over affine t contribute q^n + 1 + S(t) each, summed
+    over Frobenius orbits by the character-sum kernel; each bad place of
+    degree d | n is replaced by the component count of its minimal regular
+    fiber over the degree n/d extension of its residue field."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     q = model.field.q
@@ -235,137 +365,17 @@ def surface_counts(
         inf_fiber = tate_local(model, place_infinity())
     bad_finite = [f for f in fibers if not f.place.is_infinity and not f.is_good]
 
+    kernel = _char_sums(model)
     counts = []
     for n in range(1, n_max + 1):
-        if model.field.degree == 1:
-            good = _good_affine_count_coded(model, n)
-        else:
-            good = _good_affine_count_generic(model, n)
-        total = good
+        lv = kernel.level(n)
+        total = int((lv.lengths * (q**n + 1 + lv.S))[lv.good].sum())
         for f in bad_finite:
             if n % f.d_v == 0:
                 total += f.d_v * fiber_point_count(f, n // f.d_v)
         total += fiber_point_count(inf_fiber, n)
         counts.append(total)
     return CountVector(tuple(counts))
-
-
-_CODED_CACHE: dict = {}
-
-
-def coded_field(p: int, n: int) -> _CodedField:
-    key = (p, n)
-    if key not in _CODED_CACHE:
-        _CODED_CACHE[key] = _CodedField(p, n)
-    return _CODED_CACHE[key]
-
-
-def _poly_codes(poly: Poly, p: int) -> list[int]:
-    return [c.val % p for c in poly.coeffs]
-
-
-def _good_affine_count_coded(model: WeierstrassModel, n: int, block: int = 128) -> int:
-    """Sum of projective fiber counts over affine t with Delta(t) != 0,
-    via coded-field tables (prime base field)."""
-    p = model.field.p
-    cf = coded_field(p, n)
-    N = cf.N
-    tvals = np.arange(N, dtype=np.int64)
-    A = cf.eval_poly(_poly_codes(model.a4_short, p), tvals)
-    B = cf.eval_poly(_poly_codes(model.a6_short, p), tvals)
-    delta = cf.eval_poly(_poly_codes(model.delta, p), tvals)
-    goodmask = delta != 0
-    n_good = int(goodmask.sum())
-    total = n_good * (N + 1)
-    logA = cf.log[A]
-    chi_total = 0
-    xs = np.arange(N, dtype=np.int64)
-    x3 = cf.mul(cf.mul(xs, xs), xs)
-    digB = cf.digits[B].astype(np.int16)[None, :, :]
-    pvec16 = cf.pvec
-    for start in range(0, N, block):
-        xb = xs[start : start + block]
-        x3b = x3[start : start + block]
-        ax = cf.exp_ext[cf.log[xb][:, None] + logA[None, :]]
-        d = cf.digits[ax].astype(np.int16)
-        d += cf.digits[x3b].astype(np.int16)[:, None, :]
-        d += digB
-        d %= cf.p
-        u = d.astype(np.int64) @ pvec16
-        chi = cf.chi[u].astype(np.int64)
-        chi *= goodmask[None, :]
-        chi_total += int(chi.sum())
-    return total + chi_total
-
-
-def good_trace_coded(model: WeierstrassModel, place) -> int:
-    """Frobenius trace at a good place over a prime base field, by a
-    vectorized character sum in GF(p^d) (d = place degree).
-
-    The residue field GF(q)[t]/(pi) is identified with the coded field by a
-    root of pi found by evaluation."""
-    p = model.field.p
-    d = place.degree
-    cf = coded_field(p, d)
-    pi_codes = _poly_codes(place.poly, p)
-    roots = cf.poly_roots(pi_codes)
-    assert len(roots) == d
-    rho = np.array([int(roots[0])], dtype=np.int64)
-
-    def reduce_at(poly: Poly):
-        rem = poly % place.poly
-        acc = np.zeros(1, dtype=np.int64)
-        for c in reversed(_poly_codes(rem, p)):
-            acc = cf.mul(acc, rho)
-            if c:
-                acc = cf.add(acc, np.array([c], dtype=np.int64))
-        return int(acc[0])
-
-    a_code = reduce_at(model.a4_short)
-    b_code = reduce_at(model.a6_short)
-    xs = np.arange(cf.N, dtype=np.int64)
-    x3 = cf.mul(cf.mul(xs, xs), xs)
-    ax = cf.mul(xs, np.full_like(xs, a_code))
-    u = cf.add3(x3, ax, np.full_like(xs, b_code))
-    chi_sum = int(cf.chi[u].astype(np.int64).sum())
-    return -chi_sum
-
-
-def _good_affine_count_generic(model: WeierstrassModel, n: int) -> int:
-    """Pure-Python fallback for extension base fields."""
-    from .tatefiber import count_affine_points
-
-    field = model.field
-    if n == 1:
-        big = field
-        em = lambda c: c
-    else:
-        mod = find_irreducible(field, n)
-        big = ExtensionField(field, [c for c in mod.coeffs], check_irreducible=False)
-        em = lambda c: big.elem(c)
-
-    def ev(poly: Poly, t):
-        acc = big.elem(0)
-        for c in reversed(poly.coeffs):
-            acc = acc * t + em(c)
-        return acc
-
-    a4s, a6s = model.a4_short, model.a6_short
-    total = 0
-    sq_keys = {big.elem_key(x * x) for x in big.elements()}
-    for t in big.elements():
-        if not ev(model.delta, t):
-            continue
-        a, b = ev(a4s, t), ev(a6s, t)
-        cnt = 1  # point at infinity of the fiber
-        for x in big.elements():
-            rhs = ((x * x) * x) + a * x + b
-            if not rhs:
-                cnt += 1
-            elif big.elem_key(rhs) in sq_keys:
-                cnt += 2
-        total += cnt
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +431,8 @@ def lefschetz_counts(p2: RatPoly, q: int, n_max: int) -> list[int]:
 
 def _series_inv(poly: RatPoly, order: int) -> list[Fraction]:
     """Power-series inverse of a polynomial with constant term 1."""
-    assert poly.coeff(0) == 1
+    if poly.coeff(0) != 1:
+        raise NonPolynomialTail(f"local factor has constant term {poly.coeff(0)}, not 1")
     out = [Fraction(1)] + [Fraction(0)] * order
     for k in range(1, order + 1):
         acc = Fraction(0)
@@ -442,14 +453,17 @@ def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fracti
 
 
 def local_factor(model: WeierstrassModel, fibers: list[FiberData], place) -> RatPoly:
-    """L_v as a polynomial in the local variable T = q_v^(-s)."""
+    """L_v as a polynomial in the local variable T = q_v^(-s): the fiber's
+    factor at a bad place, 1 - a_v T + q_v T^2 with a_v from the
+    character-sum kernel at a good finite place, and Tate's algorithm at
+    infinity (or at a bad place missing from ``fibers``)."""
     for f in fibers:
         if f.place == place:
             return f.l_factor
-    # good place; use the vectorized trace when the residue field is large
-    if model.field.degree == 1 and model.field.q**place.degree > 400 and not place.is_infinity:
-        a_v = good_trace_coded(model, place)
-        return RatPoly([1, -a_v, model.field.q**place.degree])
+    if not place.is_infinity:
+        a_v = _char_sums(model).traces(place.degree).get(place.poly.key())
+        if a_v is not None:
+            return RatPoly([1, -a_v, model.field.q**place.degree])
     return tate_local(model, place).l_factor
 
 
@@ -559,16 +573,10 @@ def p2_from_product(
     correction: RatFunc,
     inv: SurfaceInvariants,
     q: int,
-    b_factors: tuple[RatPoly, RatPoly] | None = None,
 ) -> RatPoly:
     """P2 as (1 - qt)^2 * L * Q, which must simplify to an integral
-    polynomial of degree b2.
-
-    ``b_factors`` is the extension hook for a nonzero base-identity-component
-    contribution (two degree-1-cohomology polynomials); the supported surface
-    class forces both to 1 and no catalog model exercises it."""
-    b1, b2f = b_factors if b_factors is not None else (RatPoly([1]), RatPoly([1]))
-    num = RatPoly([1, -q]) * RatPoly([1, -q]) * b1 * b2f * l_poly * correction.num
+    polynomial of degree b2."""
+    num = RatPoly([1, -q]) * RatPoly([1, -q]) * l_poly * correction.num
     func = RatFunc(num, correction.den)
     if not func.is_polynomial():
         raise NonPolynomial("product fails to clear the denominator")

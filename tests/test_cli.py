@@ -70,6 +70,46 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert main(["verify", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[field]\np = 5\nmodulus = 4, 0, 1\n[model]\na4 = 0, 1\na6 = 0, 1\n",
+        "[field]\np = 5\n[model]\na6 = 0, 1\n[limits]\nn_max = -3\n",
+        "[field]\np = 5\n[model]\na6 = 0, 1\n[limits]\nplace_degree_cap = 0\n",
+        "[field]\np = 5\n[model]\na6 = 0, 1\n[metadata]\nmw_rank = -1\nmw_torsion_order = 0\n",
+        "[field]\np = 5\n[model]\na6 = 0, 1\n[limits]\nsurplus_margin = -1\n",
+        "[field]\np = 5\n[model]\na6 = 0, 1\n[limits]\npoint_budget = 0\n",
+    ],
+    ids=["reducible_modulus", "n_max", "place_degree_cap", "mw_data", "surplus_margin", "point_budget"],
+)
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_cli_bad_flag_value_exit_2(capsys):
+    assert main(["report", "--catalog", "x3_plus_t_f5", "--nmax", "-3"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_non_minimal_model_matches_its_minimal_twin(tmp_path, capsys):
+    """y^2 = x^3 + t^4 x + t^6 + t^7 is y^2 = x^3 + x + 1 + t scaled by
+    u = t; the fiber at t = 0 is good after minimalization."""
+    reports = []
+    for a4, a6 in (("0, 0, 0, 0, 1", "0, 0, 0, 0, 0, 0, 1, 1"), ("1", "1, 1")):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"[field]\np = 5\n[model]\na4 = {a4}\na6 = {a6}\n")
+        assert main(["report", "--config", str(cfg)]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    probe, twin = reports
+    assert twin["counts"][:2] == ["76", "876"]
+    for key in ("counts", "l_poly", "p2_product"):
+        assert probe[key] == twin[key]
+
+
 def test_cli_unsupported_model_exit_3(tmp_path, capsys):
     iso = tmp_path / "iso.cfg"
     iso.write_text("[field]\np = 5\n[model]\na4 = 1\na6 = 1\n")

@@ -19,9 +19,12 @@ from ellsurf.verify import (
     Metadata,
     check_flach_siebel,
     check_flach_siebel_aggregate,
+    check_good_place_sanity,
     check_q2_closed_form,
     check_special_value,
+    order_flags,
     run_verification,
+    tamagawa_product,
 )
 from ellsurf.zeta import bad_correction, surface_counts
 
@@ -131,8 +134,19 @@ def test_flach_siebel_synthetic_all_types():
             (c.name, c.lhs, c.rhs) for c in checks if c.status != PASS
         ]
         _, q2_star, _ = bad_correction(fibers, 5)
-        agg = check_flach_siebel_aggregate(fibers, q2_star, agg_value, agg_power)
+        agg = check_flach_siebel_aggregate(tamagawa_product(fibers), q2_star, agg_value, agg_power)
         assert agg.status == PASS
+
+
+def test_order_flags_exact_squares():
+    from fractions import Fraction
+
+    big = (2**60 - 1) ** 2  # a float square root misjudges it
+    assert order_flags(Fraction(big)) == "perfect square"
+    assert order_flags(Fraction(big + 1)) == "integer, not a perfect square"
+    assert order_flags(Fraction(10**400)) == "perfect square"  # above float range
+    assert order_flags(Fraction(10**400 + 1)) == "integer, not a perfect square"
+    assert order_flags(Fraction(1, 4)) == "non-integral!"
 
 
 def test_q2_closed_form_synthetic_types():
@@ -192,6 +206,9 @@ def test_mutation_a_v(x3t_parts):
     assert bad_good.a_v != 0  # true trace at t=1 is 0
     mut = fibers + [bad_good]
     assert _rerun_with(mut, counts)
+    # the good-place audit reads the same local factors as the L-function
+    assert check_good_place_sanity(X3T, mut).status == FAIL
+    assert check_good_place_sanity(X3T, fibers).status == PASS
 
 
 def test_mutation_l_factor(x3t_parts):

@@ -4,10 +4,17 @@ import pytest
 
 from ellsurf.errors import ClosedFormMismatch, InconsistentCounts, NonPolynomial
 from ellsurf.exactalg import RatFunc, RatPoly, leading_term
-from ellsurf.ffield import PrimeField, Poly, place_finite, places_enumerate
+from ellsurf.ffield import (
+    ExtensionField,
+    Poly,
+    PrimeField,
+    field_make,
+    find_irreducible,
+    places_enumerate,
+)
 from ellsurf.tatefiber import (
     WeierstrassModel,
-    bad_fibers,
+    count_affine_points,
     fiber_point_count,
     global_invariants,
     synthetic_fiber,
@@ -15,8 +22,8 @@ from ellsurf.tatefiber import (
 )
 from ellsurf.zeta import (
     CountVector,
+    _char_sums,
     bad_correction,
-    good_trace_coded,
     l_function,
     lefschetz_counts,
     p2_from_counts,
@@ -26,6 +33,7 @@ from ellsurf.zeta import (
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F25 = field_make(5, [2, 0, 1])
 
 
 def model(field, a4, a6, a1=0, a2=0, a3=0):
@@ -36,6 +44,7 @@ def model(field, a4, a6, a1=0, a2=0, a3=0):
 X3T = model(F5, 0, [0, 1])
 LEGENDRE = WeierstrassModel(F5, [0], [-1, -1], [0], [0, 1], [0])
 GENERIC_I1 = model(F5, [0, 1], [0, 1])
+GENERIC_I1_F25 = model(F25, [0, 1], [0, 1])
 
 P2_X3T = RatPoly([math.comb(10, j) * (-5) ** j for j in range(11)])  # (1-5t)^10
 
@@ -105,34 +114,75 @@ def test_counts_zero_nmax_empty():
     assert surface_counts(X3T, fibers, 0).counts == ()
 
 
-def test_generic_path_matches_coded_path():
-    inv, fibers = pipeline(LEGENDRE)
-    coded = surface_counts(LEGENDRE, fibers, 2)
-    from ellsurf import zeta as zmod
+def oracle_counts(m, fibers, n_max):
+    """Independent oracle for the character-sum kernel.  GF(q^n) is the
+    pure-Python GF(p)[x]/(f) with GF(q) embedded by a root of its modulus;
+    count_affine_points runs at one t per Frobenius orbit (t -> t^q) with
+    Delta(t) != 0, weighted by the orbit length, and the bad places and
+    infinity add their fiber counts (minimal models only)."""
+    field, q = m.field, m.field.q
+    fp = field if field.degree == 1 else field.base
+    inf = next(f for f in fibers if f.place.is_infinity)
+    out = []
+    for n in range(1, n_max + 1):
+        deg = field.degree * n
+        big = fp if deg == 1 else ExtensionField(fp, find_irreducible(fp, deg).coeffs, False)
+        if field.degree == 1:
+            embed = big.elem
+        else:
+            modulus = Poly(big, field.modulus)
+            r = next(x for x in big.elements() if not modulus.eval(x))
+            embed = lambda c: sum((r**i * big.elem(ci) for i, ci in enumerate(c.val)), big.zero)
 
-    generic = []
-    for n in (1, 2):
-        generic.append(
-            zmod._good_affine_count_generic(LEGENDRE, n)
-            + sum(
-                f.d_v * fiber_point_count(f, n // f.d_v)
-                for f in fibers
-                if not f.place.is_infinity and n % f.d_v == 0
-            )
-            + fiber_point_count([f for f in fibers if f.place.is_infinity][0], n)
-        )
-    assert coded.counts == tuple(generic)
+        a4, a6, delta = ([embed(c) for c in f.coeffs] for f in (m.a4_short, m.a6_short, m.delta))
 
+        def ev(coeffs, t):
+            acc = big.zero
+            for c in reversed(coeffs):
+                acc = acc * t + c
+            return acc
 
-def test_good_trace_coded_matches_tate_local():
-    # degree-2 and degree-3 places of x3t over F5
-    for d in (2, 3):
-        places = [v for v in places_enumerate(F5, d) if v.degree == d][:4]
-        for v in places:
-            fd = tate_local(X3T, v)
-            if not fd.is_good:
+        total, seen = 0, set()
+        for t in big.elements():
+            if big.elem_key(t) in seen:
                 continue
-            assert good_trace_coded(X3T, v) == fd.a_v
+            orbit = [t]
+            while orbit[-1] ** q != t:
+                orbit.append(orbit[-1] ** q)
+            seen.update(big.elem_key(s) for s in orbit)
+            if ev(delta, t):
+                total += len(orbit) * (1 + count_affine_points(big, ev(a4, t), ev(a6, t)))
+        for f in fibers:
+            if not f.place.is_infinity and n % f.d_v == 0:
+                total += f.d_v * fiber_point_count(f, n // f.d_v)
+        out.append(total + fiber_point_count(inf, n))
+    return tuple(out)
+
+
+def test_counts_match_pure_python_oracle():
+    for m in (LEGENDRE, GENERIC_I1_F25):
+        inv, fibers = pipeline(m)
+        assert surface_counts(m, fibers, 2).counts == oracle_counts(m, fibers, 2)
+
+
+def test_good_traces_match_tate_local():
+    """Every good a_v of the kernel against Tate's algorithm (pure-Python
+    point count in the residue field): x3t over F5 at degree <= 3, and the
+    generic I1 model over F25 at degree 1 plus a few degree-2 places."""
+    f25_deg2 = [v for v in places_enumerate(F25, 2) if v.degree == 2][::60]
+    for m, places, n_good in (
+        (X3T, places_enumerate(F5, 3), 54),
+        (GENERIC_I1_F25, places_enumerate(F25, 1) + f25_deg2, 28),
+    ):
+        checked = 0
+        for v in places:
+            if v.is_infinity:
+                continue
+            fd = tate_local(m, v)
+            if fd.is_good:
+                assert _char_sums(m).traces(v.degree)[v.poly.key()] == fd.a_v
+                checked += 1
+        assert checked == n_good
 
 
 def test_p2_from_counts_x3t():
