@@ -60,6 +60,10 @@ class InconsistentFiberData(EllsurfError):
     pass
 
 
+class InternalInconsistency(EllsurfError):
+    """An identity that exact arithmetic guarantees did not hold."""
+
+
 # global assembly
 class InconsistentCounts(EllsurfError):
     pass

@@ -1,14 +1,20 @@
 """Finite fields, polynomials over them, and places of the projective line.
 
 Fields are represented as context objects: ``PrimeField(p)`` for GF(p) and
-``ExtensionField(base, modulus)`` for quotients base[x]/(modulus).  Elements
-are lightweight wrappers supporting the usual operator syntax.  Everything is
+``ExtensionField(base, modulus)`` for quotients base[x]/(modulus).  Each
+context computes on raw values: ints in [0, p) over GF(p), and for an
+extension tuples of its base's raw values (nested tuples over an extension
+base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_values`` and
+``raw_key``.  ``FElem`` wraps a raw value only at the API boundary, for the
+usual operator syntax; hot loops such as the point count of
+``tatefiber.count_affine_points`` run on raw values directly.  Everything is
 exact and immutable; contexts can be shared freely.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
 irreducible polynomial in the coordinate t.  Enumeration is by an exhaustive
-factorization sieve, which is desk-scale (q^d_max elements) and doubles as
-the irreducibility oracle used at field construction.
+factorization sieve, which is desk-scale (q^d_max elements), runs once per
+field and degree bound, and doubles as the irreducibility oracle used at
+field construction.
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ class FElem:
 
 
 class PrimeField:
-    """GF(p).  Element values are ints in [0, p)."""
+    """GF(p).  Element values are ints in [0, p), which are also the raw
+    values that extensions of GF(p) build their coefficient tuples from."""
 
     def __init__(self, p: int, _allow_small: bool = False):
         if not _is_prime(p):
@@ -110,6 +117,29 @@ class PrimeField:
         self.zero = FElem(self, 0)
         self.one = FElem(self, 1)
         self.short_name = f"F{p}"
+
+    # raw values
+
+    def raw(self, x) -> int:
+        """The raw value of an element of this field or of an int."""
+        return self.elem(x).val
+
+    def raw_add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def raw_neg(self, a: int) -> int:
+        return -a % self.p
+
+    def raw_mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def raw_values(self):
+        return range(self.p)
+
+    def raw_key(self, a: int) -> tuple:
+        return (a,)
+
+    # elements
 
     def elem(self, x) -> FElem:
         if isinstance(x, FElem):
@@ -150,8 +180,11 @@ class PrimeField:
 class ExtensionField:
     """base[x]/(modulus) for a monic irreducible modulus over ``base``.
 
-    Element values are tuples of base elements of length deg(modulus),
-    low-degree coefficient first.
+    An element's value is a tuple of deg(modulus) raw base values, low-degree
+    coefficient first: ints in [0, p) over GF(p), and over an extension base
+    the tuples of that base.  All arithmetic runs on raw values
+    (``raw_add``, ``raw_neg``, ``raw_mul``); ``add``, ``mul``, ``pow`` and
+    the other element methods wrap each result in one FElem.
     """
 
     def __init__(self, base, modulus_coeffs, check_irreducible: bool = True):
@@ -170,85 +203,105 @@ class ExtensionField:
         self.p = base.p
         self.char = base.char
         self.q = base.q**d
-        self.zero = FElem(self, (base.zero,) * d)
-        one = [base.one] + [base.zero] * (d - 1)
-        self.one = FElem(self, tuple(one))
+        self._bzero = base.zero.val
+        self._badd, self._bmul = base.raw_add, base.raw_mul
+        # x^d = sum of _red[i] x^i, as (i, raw coefficient) with zeros dropped
+        self._red = tuple((i, base.raw_neg(c.val)) for i, c in enumerate(mod[:-1]) if c)
+        self.zero = FElem(self, (self._bzero,) * d)
+        self.one = FElem(self, (base.one.val,) + self.zero.val[1:])
         self.short_name = f"F{self.q}"
-        # negated non-leading coefficients, used by reduction
-        self._red = tuple(-c for c in mod[:-1])
         if check_irreducible and not poly_is_irreducible(Poly(base, modulus_coeffs)):
             raise NotIrreducible("modulus is reducible")
 
-    def elem(self, x) -> FElem:
+    # raw values
+
+    def raw(self, x) -> tuple:
+        """The raw value of an element of this field or of its base, of an
+        int, or of a coefficient sequence over the base."""
         if isinstance(x, FElem):
             if x.field is self:
-                return x
+                return x.val
             if x.field is self.base:
-                return self._from_base(x)
+                return (x.val,) + self.zero.val[1:]
             raise TypeError("element of a different field")
         if isinstance(x, int):
-            return self._from_base(self.base.elem(x))
-        # coefficient sequence over the base
-        vec = [self.base.elem(c) for c in x]
+            return (self.base.raw(x),) + self.zero.val[1:]
+        vec = tuple(self.base.raw(c) for c in x)
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than extension degree")
-        vec += [self.base.zero] * (self.degree - len(vec))
-        return FElem(self, tuple(vec))
+        return vec + self.zero.val[len(vec):]
 
-    def _from_base(self, c):
-        return FElem(self, (c,) + (self.base.zero,) * (self.degree - 1))
+    def raw_add(self, a: tuple, b: tuple) -> tuple:
+        return tuple(map(self._badd, a, b))
 
-    def add(self, a, b):
-        return FElem(self, tuple(x + y for x, y in zip(a.val, b.val)))
+    def raw_neg(self, a: tuple) -> tuple:
+        return tuple(map(self.base.raw_neg, a))
 
-    def neg(self, a):
-        return FElem(self, tuple(-x for x in a.val))
-
-    def mul(self, a, b):
-        d = self.degree
-        base = self.base
-        raw = [base.zero] * (2 * d - 1)
-        for i, x in enumerate(a.val):
-            if not x:
-                continue
-            for j, y in enumerate(b.val):
-                if y:
-                    raw[i + j] = raw[i + j] + x * y
+    def raw_mul(self, a: tuple, b: tuple) -> tuple:
+        d, zero, add, mul = self.degree, self._bzero, self._badd, self._bmul
+        prod = [zero] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                for j, y in enumerate(b):
+                    if y != zero:
+                        prod[i + j] = add(prod[i + j], mul(x, y))
         # reduce degrees >= d using x^d = sum(_red[i] x^i)
         for k in range(2 * d - 2, d - 1, -1):
-            c = raw[k]
-            if not c:
-                continue
-            raw[k] = base.zero
-            for i, r in enumerate(self._red):
-                if r:
-                    raw[k - d + i] = raw[k - d + i] + c * r
-        return FElem(self, tuple(raw[:d]))
+            c = prod[k]
+            if c != zero:
+                for i, r in self._red:
+                    prod[k - d + i] = add(prod[k - d + i], mul(c, r))
+        return tuple(prod[:d])
+
+    def raw_pow(self, a: tuple, n: int) -> tuple:
+        result = self.one.val
+        while n:
+            if n & 1:
+                result = self.raw_mul(result, a)
+            a = self.raw_mul(a, a)
+            n >>= 1
+        return result
+
+    def raw_values(self):
+        """Every raw value, in the order of ``elements``."""
+        return itertools.product(tuple(self.base.raw_values()), repeat=self.degree)
+
+    def raw_key(self, a: tuple) -> tuple:
+        raw_key = self.base.raw_key
+        return tuple(k for c in a for k in raw_key(c))
+
+    # elements
+
+    def elem(self, x) -> FElem:
+        if isinstance(x, FElem) and x.field is self:
+            return x
+        return FElem(self, self.raw(x))
+
+    def add(self, a, b):
+        return FElem(self, self.raw_add(a.val, b.val))
+
+    def neg(self, a):
+        return FElem(self, self.raw_neg(a.val))
+
+    def mul(self, a, b):
+        return FElem(self, self.raw_mul(a.val, b.val))
 
     def inv(self, a):
         if not a:
             raise DivisionByZero("inverse of zero")
         # Fermat: a^(q-2); fields here are tiny so this is fine
-        return self.pow(a, self.q - 2)
+        return FElem(self, self.raw_pow(a.val, self.q - 2))
 
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = self.one
-        b = a
-        while n:
-            if n & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return result
+        return FElem(self, self.raw_pow(a.val, n))
 
     def elements(self):
-        for vec in itertools.product(list(self.base.elements()), repeat=self.degree):
-            yield FElem(self, tuple(vec))
+        return (FElem(self, v) for v in self.raw_values())
 
     def elem_key(self, a) -> tuple:
-        return tuple(k for c in a.val for k in self.base.elem_key(c))
+        return self.raw_key(a.val)
 
     def __repr__(self):
         return f"ExtensionField({self.base!r}, deg {self.degree})"
@@ -529,15 +582,21 @@ def irreducibles_by_degree(field, d_max: int) -> dict[int, list[Poly]]:
 
 
 def places_enumerate(field, d_max: int) -> list[Place]:
-    """Infinity followed by all finite places of degree <= d_max, sorted."""
+    """Infinity followed by all finite places of degree <= d_max, sorted.
+
+    The sieve runs once per field and d_max; its places are kept on the
+    field object and every call returns a fresh list of them."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    places = [place_infinity()]
-    irr = irreducibles_by_degree(field, d_max)
-    for d in range(1, d_max + 1):
-        places.extend(place_finite(pi) for pi in irr[d])
-    places.sort(key=lambda v: v.sort_key())
-    return places
+    memo = field.__dict__.setdefault("_places", {})
+    if d_max not in memo:
+        places = [place_infinity()]
+        irr = irreducibles_by_degree(field, d_max)
+        for d in range(1, d_max + 1):
+            places.extend(place_finite(pi) for pi in irr[d])
+        places.sort(key=lambda v: v.sort_key())
+        memo[d_max] = tuple(places)
+    return list(memo[d_max])
 
 
 def moebius(n: int) -> int:

@@ -20,6 +20,7 @@ from .errors import (
     DegeneratePairing,
     IndexInfinite,
     InfiniteHomology,
+    InternalInconsistency,
     NotExact,
     NotIsotropic,
     NontrivialMW,
@@ -369,7 +370,8 @@ class FgGroup:
         Uinv = mat_inverse_unimodular(U)
         r = min(D.m, D.n)
         free_idx = [i for i in range(self.n_gens) if i >= r or D.rows[i][i] == 0]
-        assert len(free_idx) == rank
+        if len(free_idx) != rank:
+            raise InternalInconsistency(f"{len(free_idx)} free columns for rank {rank}")
         return Mat.from_cols([Uinv.col(i) for i in free_idx], self.n_gens)
 
 

@@ -26,11 +26,13 @@ from .errors import (
     EulerNotTwelveDivisible,
     InconsistentFiberData,
     IndexInfinite,
+    InternalInconsistency,
     NotMinimalizable,
     UnsupportedModel,
 )
 from .exactalg import RatPoly
 from .ffield import (
+    FElem,
     Place,
     Poly,
     place_finite,
@@ -76,7 +78,7 @@ class WeierstrassModel:
             + 288 * self.A2 * self.A4 * self.A6
         )
         if (self.c4 ** 3 - self.c6 * self.c6) != 1728 * self.delta:
-            raise AssertionError("c4^3 - c6^2 != 1728 Delta (internal)")
+            raise InternalInconsistency("c4^3 - c6^2 != 1728 Delta")
         if self.delta.is_zero():
             raise UnsupportedModel("discriminant vanishes identically")
         # global short form y^2 = x^3 + a4s x + a6s (x shifted by -A2/3)
@@ -93,7 +95,7 @@ class WeierstrassModel:
         )
         short_delta = -16 * (4 * self.a4_short ** 3 + 27 * self.a6_short * self.a6_short)
         if short_delta != self.delta:
-            raise AssertionError("short-form discriminant mismatch (internal)")
+            raise InternalInconsistency("short-form discriminant mismatch")
 
     def coeff_list(self):
         return [self.a1, self.a2, self.a3, self.a4, self.a6]
@@ -377,16 +379,19 @@ def synthetic_fiber(q: int, degree: int, kod: str, splitting=None, field=None) -
 
 
 def count_affine_points(kv, a, b) -> int:
-    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} by quadratic-character lookup."""
-    xs = list(kv.elements())
-    squares = [x * x for x in xs]
-    sq_keys = {kv.elem_key(s) for s in squares}
+    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} by lookup in the set of
+    squares, on raw field values."""
+    add, mul = kv.raw_add, kv.raw_mul
+    a, b, zero = a.val, b.val, kv.zero.val
+    xs = list(kv.raw_values())
+    squares = [mul(x, x) for x in xs]
+    square_set = set(squares)
     count = 0
     for x, xx in zip(xs, squares):
-        rhs = x * (xx + a) + b
-        if not rhs:
+        rhs = add(mul(x, add(xx, a)), b)
+        if rhs == zero:
             count += 1
-        elif kv.elem_key(rhs) in sq_keys:
+        elif rhs in square_set:
             count += 2
     return count
 
@@ -407,12 +412,7 @@ def _val(poly: Poly, pi: Poly) -> int:
 
 def _shift_red(poly: Poly, pi: Poly, k: int, red):
     """Reduce poly / pi^k at pi (zero if the valuation exceeds k)."""
-    for _ in range(k):
-        q, r = poly.divmod(pi)
-        if not r.is_zero():
-            raise AssertionError("inexact shift in local analysis")
-        poly = q
-    return red(poly)
+    return red(_exact_div(poly, pi, k))
 
 
 def _translate_x(A2: Poly, A4: Poly, A6: Poly, s: Poly):
@@ -443,7 +443,7 @@ def _tate_at_prime(model: WeierstrassModel, pi: Poly, place: Place) -> FiberData
     def lift(e) -> Poly:
         if kv is field:
             return Poly(field, [e])
-        return Poly(field, list(e.val))
+        return Poly(field, [FElem(field, c) for c in e.val])
 
     v4 = _val(model.c4, pi)
     v6 = _val(model.c6, pi)
@@ -460,7 +460,7 @@ def _tate_at_prime(model: WeierstrassModel, pi: Poly, place: Place) -> FiberData
     b = Poly(field, [-(c * inv864) for c in c6m.coeffs])
     deltam = _exact_div(model.delta, pi, 12 * n)
     if 1728 * deltam != c4m ** 3 - c6m * c6m:
-        raise AssertionError("minimalization broke the discriminant relation")
+        raise InconsistentFiberData("minimalization broke the discriminant relation")
 
     vD = _val(deltam, pi)
     va = _val(a, pi)
@@ -546,7 +546,7 @@ def _double_root(kv, alpha, beta):
     theta = -(3 * beta) / (2 * alpha)
     acc = ((theta * theta) * theta) + alpha * theta + beta
     if acc:
-        raise AssertionError("double-root formula failed")
+        raise InconsistentFiberData("double-root formula failed")
     return theta
 
 
@@ -631,7 +631,7 @@ def _pth_root(f: Poly) -> Poly:
         if i % p == 0:
             coeffs.append(c ** (field.q // p) if field.q > p else c)
         elif c:
-            raise AssertionError("not a p-th power polynomial")
+            raise InternalInconsistency("zero derivative but not a p-th power polynomial")
     return Poly(field, coeffs)
 
 
@@ -758,7 +758,8 @@ def component_lattice(f: FiberData) -> PairedGroup:
         raise GoodFiber("good fibers have trivial component lattice")
     M, mult, perm = geometric_gram(f.kodaira, f.splitting)
     orbits = _orbits(perm)
-    assert orbits[0] == [0]
+    if orbits[0] != [0]:
+        raise InconsistentFiberData(f"{f.kodaira}: Frobenius moves the identity component")
     rest = orbits[1:]
     gram = [
         [sum(M[i][j] for i in oa for j in ob) for ob in rest]

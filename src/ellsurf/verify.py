@@ -450,11 +450,11 @@ def run_verification(
 
     checks: list[CheckResult] = []
 
-    l_poly = compute_l(model, fibers, inv, limits)
-    l_star = leading_term(l_poly, q)
-    ord_l = l_star.order
-
+    # placeholders for the failure report when compute_l itself raises
+    l_poly, l_star = RatPoly([1]), SpecialValue(1, 1, 1, 0, 0)
     try:
+        l_poly = compute_l(model, fibers, inv, limits)
+        l_star = leading_term(l_poly, q)
         correction, q2_star, m = bad_correction(fibers, q)
         p2_product = p2_from_product(l_poly, correction, inv, q)
     except EllsurfError as exc:
@@ -483,6 +483,7 @@ def run_verification(
         )
         return rep
 
+    ord_l = l_star.order
     p2_counts = None
     if len(counts.counts) >= half:
         try:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,58 @@ def test_non_minimal_model_matches_its_minimal_twin(tmp_path, capsys):
     assert twin["counts"][:2] == ["76", "876"]
     for key in ("counts", "l_poly", "p2_product"):
         assert probe[key] == twin[key]
+
+
+VERIFY_LEGENDRE = ["verify", "--catalog", "legendre_f5"]
+
+
+def _run_python(*args):
+    """Run a fresh interpreter with ``src`` on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_compute_l_error_is_a_pipeline_fail():
+    """An EllsurfError raised inside compute_l ends in a FAIL check and exit
+    4, not a traceback: the kernel's degree-2 traces are corrupted so the
+    L-series tail does not vanish."""
+    script = (
+        "import sys\n"
+        "from ellsurf import zeta\n"
+        "from ellsurf.cli import main\n"
+        "traces = zeta._CharSums.traces\n"
+        "zeta._CharSums.traces = lambda self, d: (\n"
+        "    {k: a + 1 for k, a in traces(self, d).items()} if d == 2 else traces(self, d))\n"
+        f"sys.exit(main({VERIFY_LEGENDRE!r}))\n"
+    )
+    run = _run_python("-c", script)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stderr
+    pipeline = [ln for ln in run.stdout.splitlines() if ln.split()[1:2] == ["pipeline"]]
+    assert len(pipeline) == 1 and pipeline[0].startswith("FAIL")
+    assert "NonPolynomialTail" in pipeline[0]
+
+
+def test_verify_same_under_python_O():
+    """No runtime check of the pipeline is an assert: -O changes nothing."""
+    plain = _run_python("-m", "ellsurf.cli", *VERIFY_LEGENDRE)
+    optimized = _run_python("-O", "-m", "ellsurf.cli", *VERIFY_LEGENDRE)
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+
+
+@pytest.mark.slow
+def test_extension_base_field_surface_verifies(tmp_path, capsys):
+    """y^2 = x^3 + t x + t over GF(25) = GF(5)[x]/(x^2 + 2), end to end."""
+    cfg = tmp_path / "f25.cfg"
+    cfg.write_text("[field]\np = 5\nmodulus = 2, 0, 1\n[model]\na4 = 0, 1\na6 = 0, 1\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS         good_place_lfactor  [323 good places recounted]" in out
+    assert "FAIL" not in out
 
 
 def test_cli_unsupported_model_exit_3(tmp_path, capsys):

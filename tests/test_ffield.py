@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ellsurf.ffield import (
     Poly,
     PrimeField,
     field_make,
+    find_irreducible,
     irreducible_count,
     irreducibles_by_degree,
     places_enumerate,
@@ -161,3 +163,70 @@ def test_poly_mul_then_divide_roundtrip(ac, bc):
     prod = a * b
     q, r = prod.divmod(b)
     assert q == a and r.is_zero()
+
+
+def test_places_sieve_runs_once_per_field_and_degree(monkeypatch):
+    calls = []
+    sieve = ffield.irreducibles_by_degree
+
+    def counting_sieve(field, d_max):
+        calls.append(d_max)
+        return sieve(field, d_max)
+
+    monkeypatch.setattr(ffield, "irreducibles_by_degree", counting_sieve)
+    f7 = PrimeField(7)
+    first = places_enumerate(f7, 2)
+    second = places_enumerate(f7, 2)
+    assert calls == [2]
+    assert second == first and second is not first
+    places_enumerate(f7, 1)
+    assert calls == [2, 1]
+
+
+# ---------------------------------------------------------------------------
+# raw-value arithmetic: GF(25) = GF(5)[x]/(x^2 + 2) and a nested GF(625)
+
+F625 = ExtensionField(F25, find_irreducible(F25, 2).coeffs)
+
+
+def test_raw_values_are_base_raw_values():
+    assert F625.modulus[-1] == F25.one and len(F625.modulus) == 3
+    x = F25.elem([3, 4])
+    assert x.val == (3, 4)
+    y = F625.elem([x, 2])
+    assert y.val == ((3, 4), (2, 0))
+    assert F625.elem(x).val == ((3, 4), (0, 0))
+    assert F625.elem(7).val == ((2, 0), (0, 0))
+
+
+def test_inverses_f25_all_and_f625_sample():
+    for a in F25.elements():
+        if a:
+            assert a * F25.inv(a) == F25.one
+    rng = random.Random(1)
+    for a in rng.sample(list(F625.elements()), 60):
+        if a:
+            assert a * F625.inv(a) == F625.one
+
+
+def test_distributivity_and_key_roundtrip_f625():
+    rng = random.Random(2)
+    elems = list(F625.elements())
+    for _ in range(60):
+        a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
+        assert a * (b + c) == a * b + a * c
+        assert (a - b) + b == a
+        assert F625.elem(a.val) == a
+        key = F625.elem_key(a)
+        assert F625.elem([key[:2], key[2:]]) == a
+        assert F625.raw_key(a.val) == key
+
+
+def test_element_order_and_keys_unchanged():
+    # elements run in itertools.product order of the base elements, and
+    # elem_key flattens the base keys: both fix the report's place order
+    expected = [sum(t, ()) for t in itertools.product([F25.elem_key(c) for c in F25.elements()], repeat=2)]
+    keys = [F625.elem_key(e) for e in F625.elements()]
+    assert keys == expected
+    assert len(set(keys)) == 625
+    assert [F25.elem_key(e) for e in F25.elements()] == list(itertools.product(range(5), repeat=2))

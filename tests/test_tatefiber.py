@@ -363,3 +363,17 @@ def test_synthetic_fiber_tables_consistent():
         fd = synthetic_fiber(5, 1, kod, split)
         assert fd.geometric_component_count() == sum(r for r, _ in fd.components)
         assert component_group_fixed_order(fd) == fd.c_v, (kod, split)
+
+
+def test_count_affine_points_nested_extension_by_euler_criterion():
+    from ellsurf.ffield import ExtensionField, find_irreducible
+
+    f25 = ExtensionField(F5, [2, 0, 1])
+    f625 = ExtensionField(f25, find_irreducible(f25, 2).coeffs)
+    elems = list(f625.elements())
+    for a, b in [(elems[7], elems[300]), (f625.zero, elems[624])]:
+        euler = 0
+        for x in elems:
+            rhs = x * x * x + a * x + b
+            euler += 1 if not rhs else (2 if rhs.is_square() else 0)
+        assert count_affine_points(f625, a, b) == euler
