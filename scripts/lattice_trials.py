@@ -9,14 +9,12 @@ the z-invariant, reporting how often the signed variants disagree."""
 
 import random
 import sys
-from fractions import Fraction
 
 from ellsurf.lattice import (
     Mat,
     free_paired,
-    mat_det_fraction,
-    mat_det_int,
-    mat_inverse_unimodular,
+    mat_det,
+    mat_inverse,
     orthogonal_split_check,
     two_term,
     yun_split,
@@ -50,18 +48,18 @@ def main(argv):
         for i in range(extra):
             for j in range(i + 1):
                 G[2 + i][2 + j] = G[2 + j][2 + i] = rng.randint(-3, 3)
-        if mat_det_fraction(Mat(G, n)) == 0:
+        if mat_det(Mat(G, n)) == 0:
             continue
         k = rng.randint(1, 3)
         cols = [[k] + [0] * (n - 1)]
         tail = []
         if extra:
             T = Mat([[rng.randint(-2, 2) for _ in range(extra)] for _ in range(extra)], extra)
-            if mat_det_int(T) == 0:
+            if mat_det(T) == 0:
                 continue
             tail = [[0, 0] + c for c in T.cols()]
         S = random_unimodular(rng, n)
-        Sinv = mat_inverse_unimodular(S)
+        Sinv = mat_inverse(S)
         lam = free_paired(S.transpose().mul(Mat(G, n)).mul(S).rows)
         _, _, _, holds_abs, holds_signed = yun_split(
             lam, Sinv.mul(Mat.from_cols(cols, n)), Sinv.mul(Mat.from_cols(cols + tail, n))
@@ -83,12 +81,12 @@ def main(argv):
         for i in range(b):
             for j in range(i + 1):
                 G[a + i][a + j] = G[a + j][a + i] = rng.randint(-3, 3)
-        if mat_det_fraction(Mat(G, n)) == 0:
+        if mat_det(Mat(G, n)) == 0:
             continue
-        if mat_det_fraction(Mat([row[:a] for row in G[:a]], a)) == 0:
+        if mat_det(Mat([row[:a] for row in G[:a]], a)) == 0:
             continue
         T = Mat([[rng.randint(-2, 2) for _ in range(a)] for _ in range(a)], a)
-        if mat_det_int(T) == 0:
+        if mat_det(T) == 0:
             continue
         sub = Mat.from_cols([c + [0] * b for c in T.cols()], n)
         _, _, _, holds = orthogonal_split_check(free_paired(G), sub)
@@ -103,7 +101,7 @@ def main(argv):
         def nonsing(k):
             while True:
                 M = Mat([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)], k)
-                if mat_det_int(M):
+                if mat_det(M):
                     return M
 
         A, B = nonsing(a), nonsing(b)

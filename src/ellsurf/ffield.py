@@ -25,15 +25,22 @@ from dataclasses import dataclass
 from .errors import CharTooSmall, DivisionByZero, NotIrreducible, NotPrime
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of an integer n >= 1, by trial division."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            return False
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 class FElem:
@@ -600,18 +607,8 @@ def places_enumerate(field, d_max: int) -> list[Place]:
 
 
 def moebius(n: int) -> int:
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    exps = factorize(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 def irreducible_count(q: int, d: int) -> int:
@@ -638,8 +635,11 @@ def residue_field(field, place: Place):
 
 
 def find_irreducible(field, degree: int) -> Poly:
-    """Smallest (in enumeration order) monic irreducible of given degree."""
+    """Smallest (in enumeration order) monic irreducible of given degree.
+
+    From degree 2 on, t divides every candidate with constant term 0 (the
+    first q^(degree - 1) in enumeration order), so they are not tested."""
     for f in monic_polys(field, degree):
-        if poly_is_irreducible(f):
+        if (degree == 1 or f.coeffs[0]) and poly_is_irreducible(f):
             return f
     raise NotIrreducible(f"no irreducible of degree {degree}?")

@@ -6,6 +6,13 @@ matrix.  Discriminants follow the convention det(psi(b_i, b_j)) / (N : N')^2
 for a maximal independent subset {b_i}; the index (N : N') absorbs the full
 torsion order, so a finite group of order k has discriminant 1/k^2.
 
+Exact linear algebra on Mat has two cores: ``snf`` for everything over Z
+(kernels, spans, indices, group invariants) and ``_bareiss``, one
+fraction-free Gauss-Jordan elimination on integer rows that gives
+``mat_det`` and ``mat_inverse``; rational matrices are scaled to integers
+first.  ``symmetric_signature`` runs the same fraction-free step as a
+symmetric congruence elimination (Sylvester's law of inertia).
+
 Discriminant signs are computed and carried, but the identity checks that
 consume them compare absolute values and report sign agreement separately;
 no global sign convention is imposed.
@@ -13,6 +20,7 @@ no global sign convention is imposed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +37,10 @@ from .exactalg import SpecialValue
 
 
 class Mat:
-    """Dense integer (or Fraction) matrix; rows of equal length."""
+    """Dense integer (or Fraction) matrix; rows of equal length.
+
+    Determinants and inverses go through the one integer elimination core
+    (``mat_det``, ``mat_inverse``), which clears denominators first."""
 
     __slots__ = ("rows", "m", "n")
 
@@ -200,75 +211,68 @@ def snf(M: Mat):
     return A, U, V
 
 
-def mat_det_int(M: Mat) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    if M.m != M.n:
-        raise ValueError("square required")
-    n = M.m
-    if n == 0:
-        return 1
-    a = [r[:] for r in M.rows]
-    sign = 1
+def _cleared(M: Mat) -> tuple[list[list[int]], int]:
+    """(l M as integer rows, l) for the least common denominator l > 0 of
+    the entries of a rational matrix."""
+    l = math.lcm(1, *(x.denominator for r in M.rows for x in r))
+    return [[int(x * l) for x in r] for r in M.rows], l
+
+
+def _bareiss_step(a: list[list[int]], k: int, prev: int, rows) -> int:
+    """One fraction-free (Bareiss) step on integer rows: clear column k of
+    ``rows`` against pivot row k by row_i <- (p row_i - a[i][k] row_k) / prev,
+    p = a[k][k] and prev the previous pivot.  Every entry stays a minor of
+    the input, so the division is exact.  Returns p."""
+    rk = a[k]
+    p = rk[k]
+    for i in rows:
+        f = a[i][k]
+        a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
+    return p
+
+
+def _bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan elimination of the integer rows a = [A | B],
+    A n x n, in place; returns det A.  When det A = d != 0 the rows end as
+    [d I | d A^(-1) B]."""
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            # a swap with a negation keeps the determinant
+            a[k], a[piv] = [-x for x in a[piv]], a[k]
+        prev = _bareiss_step(a, k, prev, [i for i in range(n) if i != k])
+    return prev
 
 
-def mat_det_fraction(M: Mat) -> Fraction:
+def mat_det(M: Mat):
+    """Determinant of a square rational matrix: an int when every entry is
+    an integer, otherwise a Fraction."""
     if M.m != M.n:
         raise ValueError("square required")
-    n = M.m
-    a = [[Fraction(x) for x in r] for r in M.rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
+    a, l = _cleared(M)
+    det = _bareiss(a, M.n)
+    return det if l == 1 else Fraction(det, l**M.n)
 
 
-def mat_inverse_unimodular(U: Mat) -> Mat:
-    """Inverse of an integer matrix with determinant +-1."""
-    n = U.m
-    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(U.rows)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for r in out for x in r):
-        raise ValueError("matrix is not unimodular")
-    return Mat([[int(x) for x in r] for r in out], n)
+def mat_inverse(M: Mat) -> Mat:
+    """Inverse of a nonsingular square rational matrix: integer entries when
+    det M = +-1, Fractions otherwise."""
+    if M.m != M.n:
+        raise ValueError("square required")
+    n = M.n
+    a, l = _cleared(M)
+    # (l M)^(-1) = M^(-1) / l, so [l M | l I] ends as [d I | d M^(-1)]
+    for i, r in enumerate(a):
+        r.extend(l if i == j else 0 for j in range(n))
+    d = _bareiss(a, n)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    if abs(d) == 1:
+        return Mat([[x * d for x in r[n:]] for r in a], n)
+    return Mat([[Fraction(x, d) for x in r[n:]] for r in a], n)
 
 
 def kernel_basis(M: Mat) -> Mat:
@@ -367,7 +371,7 @@ class FgGroup:
     def free_basis(self) -> Mat:
         """Columns of Z^n_gens projecting to a basis of the free quotient."""
         D, U, rank, _ = self.smith_data()
-        Uinv = mat_inverse_unimodular(U)
+        Uinv = mat_inverse(U)
         r = min(D.m, D.n)
         free_idx = [i for i in range(self.n_gens) if i >= r or D.rows[i][i] == 0]
         if len(free_idx) != rank:
@@ -417,7 +421,7 @@ def discriminant(P: PairedGroup) -> SpecialValue:
     B = P.group.free_basis()
     torsion = P.group.torsion_order()
     G = B.transpose().mul(P.pairing).mul(B)
-    det = mat_det_fraction(Mat([[Fraction(x) for x in r] for r in G.rows], G.n))
+    det = mat_det(G)
     if det == 0:
         raise DegeneratePairing("pairing degenerate on the free quotient")
     value = det / Fraction(torsion) ** 2
@@ -603,7 +607,7 @@ def mixed_discriminant(P: PairedGroup, gamma: Mat, gamma_prime: Mat) -> Fraction
     if BG.n != BA.n:
         raise DegeneratePairing("mixed pairing is not square")
     M = BG.transpose().mul(P.pairing).mul(BA)
-    det = mat_det_fraction(M)
+    det = mat_det(M)
     if det == 0 and BG.n > 0:
         raise DegeneratePairing("mixed pairing degenerate")
     idx = Fraction(gam_grp.torsion_order() * quot.torsion_order())
@@ -625,21 +629,16 @@ def orthogonal_split_check(P: PairedGroup, sub_gens: Mat):
 
     B = _free_basis_ambient(P.group, sub_gens)  # ambient lift of N' basis
     r = B.n
-    psi_f = Mat([[Fraction(x) for x in row] for row in P.pairing.rows], n)
-    G1 = B.transpose().mul(psi_f).mul(B)
-    if r and mat_det_fraction(G1) == 0:
+    psi = P.pairing
+    G1 = B.transpose().mul(psi).mul(B)
+    if r and mat_det(G1) == 0:
         raise DegeneratePairing("no orthogonal complement: N' is degenerate")
     # projection away from N': x -> x - B G1^{-1} B^T psi x
+    proj_pairing = psi
     if r:
-        G1inv = _fraction_inverse(G1)
-        corr = B.mul(G1inv).mul(B.transpose().mul(psi_f))
-        Pm = Mat(
-            [[Fraction(int(i == j)) - corr.rows[i][j] for j in range(n)] for i in range(n)],
-            n,
-        )
-        proj_pairing = Pm.transpose().mul(psi_f).mul(Pm)
-    else:
-        proj_pairing = psi_f
+        corr = B.mul(mat_inverse(G1)).mul(B.transpose().mul(psi))
+        Pm = Mat([[int(i == j) - corr.rows[i][j] for j in range(n)] for i in range(n)], n)
+        proj_pairing = Pm.transpose().mul(psi).mul(Pm)
     quot = FgGroup(n, sub_gens.hstack(P.group.relations))
     d_quot = discriminant(PairedGroup(quot, proj_pairing, P.log_grade))
     holds = d_N.signed_value == d_sub.signed_value * d_quot.signed_value and (
@@ -648,61 +647,42 @@ def orthogonal_split_check(P: PairedGroup, sub_gens: Mat):
     return d_N, d_sub, d_quot, holds
 
 
-def _fraction_inverse(M: Mat) -> Mat:
-    n = M.m
-    a = [[Fraction(M.rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return Mat([[a[i][n + j] for j in range(n)] for i in range(n)], n)
-
-
 # ---------------------------------------------------------------------------
-# characteristic polynomial and signatures
-
-
-def char_poly(M: Mat) -> list[Fraction]:
-    """Coefficients [c_0 .. c_n] of det(lambda I - M), c_n = 1 leading,
-    via Faddeev-LeVerrier."""
-    n = M.m
-    A = Mat([[Fraction(x) for x in r] for r in M.rows], n)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    Ak = A
-    for k in range(1, n + 1):
-        ck = -sum(Ak.rows[i][i] for i in range(n)) / k
-        coeffs[n - k] = ck
-        if k < n:
-            shifted = Mat(
-                [[Ak.rows[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)],
-                n,
-            )
-            Ak = A.mul(shifted)
-    return coeffs
+# signatures
 
 
 def symmetric_signature(M: Mat):
-    """(positives, negatives, zeros) of a symmetric rational matrix, via
-    Descartes' rule on the characteristic polynomial (roots are real)."""
-    coeffs = char_poly(M)
-    zeros = 0
-    while zeros <= M.m and coeffs[zeros] == 0:
-        zeros += 1
+    """(positives, negatives, zeros) of a symmetric rational matrix.
 
-    def sign_changes(cs):
-        signs = [1 if c > 0 else -1 for c in cs if c != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    nonzero = coeffs[zeros:]
-    pos = sign_changes(nonzero)
-    neg_cs = [c if (i % 2 == 0) else -c for i, c in enumerate(nonzero)]
-    neg = sign_changes(neg_cs)
+    By Sylvester's law of inertia these are the pivot signs of a symmetric
+    congruence elimination, run with the fraction-free step: after pivots
+    p_1 .. p_k the trailing block is p_k times the Schur complement, so the
+    next Schur pivot has the sign of p_(k+1) p_k.  A pivot is a nonzero
+    diagonal entry swapped in; failing one, adding row and column j to k
+    makes the pivot 2 a[k][j]; a zero row is a zero eigenvalue."""
+    a, _ = _cleared(M)
+    n = M.m
+    pos = neg = zeros = 0
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is not None:
+            a[k], a[piv] = a[piv], a[k]
+            for r in a:
+                r[k], r[piv] = r[piv], r[k]
+        else:
+            j = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if j is None:
+                zeros += 1
+                continue
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for r in a:
+                r[k] += r[j]
+        if (a[k][k] > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        prev = _bareiss_step(a, k, prev, range(k + 1, n))
     return pos, neg, zeros
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EllsurfError, NoConsistentSign, NontrivialMW
+from .errors import EllsurfError, NoConsistentSign, NontrivialMW, PlaceBudgetExceeded
 from .exactalg import RatPoly, SpecialValue, leading_term
 from .ffield import places_enumerate
 from .lattice import discriminant, ns_lattice_build, symmetric_signature
@@ -399,22 +399,28 @@ def check_good_place_sanity(model, fibers, sample_degree=2) -> CheckResult:
     )
 
 
+def _half_expansion(inv, limits: Limits) -> bool:
+    """Whether L is expanded to half its degree and completed by the weight-2
+    functional equation: when full expansion needs places past the cap."""
+    return inv.deg_l + limits.surplus_margin > limits.place_degree_cap
+
+
 def compute_l(model, fibers, inv, limits: Limits, place_order=None):
     """L by full expansion when the places fit the degree cap, otherwise by
     half expansion plus weight-2 functional-equation completion."""
-    use_fe = inv.deg_l + limits.surplus_margin > limits.place_degree_cap
     return l_function(
         model,
         fibers,
         inv,
         surplus=limits.surplus_margin,
         place_order=place_order,
-        use_functional_equation=use_fe,
+        use_functional_equation=_half_expansion(inv, limits),
     )
 
 
 def l_places_depth(inv, limits: Limits) -> int:
-    if inv.deg_l + limits.surplus_margin > limits.place_degree_cap:
+    """The largest place degree ``compute_l`` expands over."""
+    if _half_expansion(inv, limits):
         return max(1, (inv.deg_l + 1) // 2)
     return max(1, inv.deg_l + limits.surplus_margin)
 
@@ -432,13 +438,21 @@ def run_verification(
 ) -> Report:
     """Full pipeline: fibers, counts, both P2 routes, L, special values and
     every identity check.  ``fibers`` and ``counts`` can be injected (the
-    mutation-sensitivity tests perturb them)."""
+    mutation-sensitivity tests perturb them).  Raises PlaceBudgetExceeded,
+    before any sieve or kernel work, when the L-series needs places of a
+    degree d with q^d over the point budget."""
     metadata = metadata or Metadata()
     limits = limits or Limits()
     q = model.field.q
     inv, fibers = global_invariants(
         model, fibers if fibers is not None else bad_fibers(model, limits.threads)
     )
+    depth = l_places_depth(inv, limits)
+    if q**depth > limits.point_budget:
+        raise PlaceBudgetExceeded(
+            f"deg L = {inv.deg_l} needs places of degree d = {depth}: "
+            f"q^d = {q**depth} exceeds point budget {limits.point_budget}"
+        )
 
     half = (inv.b2 + 1) // 2
     n_target = half if limits.n_max is None else limits.n_max

@@ -52,6 +52,7 @@ from .exactalg import (
 )
 from .ffield import (
     PrimeField,
+    factorize,
     find_irreducible,
     place_infinity,
     places_enumerate,
@@ -113,7 +114,7 @@ class _CodedField:
 
         # find a generator of the unit group
         order = self.N - 1
-        primes = _prime_factors(order)
+        primes = factorize(order)
         gen = None
         for cand in range(2, self.N):
             d = tuple((cand // p**i) % p for i in range(n))
@@ -184,20 +185,6 @@ def _pow_tuple(a, k, mul, n):
         b = mul(b, b)
         k >>= 1
     return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 _CODED_CACHE: dict = {}
@@ -429,27 +416,20 @@ def lefschetz_counts(p2: RatPoly, q: int, n_max: int) -> list[int]:
 # the L-function
 
 
-def _series_inv(poly: RatPoly, order: int) -> list[Fraction]:
-    """Power-series inverse of a polynomial with constant term 1."""
-    if poly.coeff(0) != 1:
-        raise NonPolynomialTail(f"local factor has constant term {poly.coeff(0)}, not 1")
-    out = [Fraction(1)] + [Fraction(0)] * order
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k, poly.degree) + 1):
-            acc += poly.coeff(j) * out[k - j]
-        out[k] = -acc
-    return out
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x:
-            for j, y in enumerate(b[: order + 1 - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
+def _divide_local_factor(series: list[int], factor: RatPoly, d: int) -> None:
+    """series <- series / factor(t^d) in place, by the integer recurrence of
+    a local factor in 1 + T Z[T]; anything else raises NonPolynomialTail."""
+    c = factor.coeffs
+    if factor.coeff(0) != 1 or any(x.denominator != 1 for x in c):
+        raise NonPolynomialTail(f"local factor {[str(x) for x in c]} is not in 1 + T Z[T]")
+    terms = [(i * d, int(x)) for i, x in enumerate(c) if i and x]
+    for k in range(len(series)):
+        acc = series[k]
+        for shift, x in terms:
+            if shift > k:
+                break
+            acc -= x * series[k - shift]
+        series[k] = acc
 
 
 def local_factor(model: WeierstrassModel, fibers: list[FiberData], place) -> RatPoly:
@@ -477,30 +457,25 @@ def l_function(
 ) -> RatPoly:
     """The L-function of the generic-fiber Jacobian as a polynomial in t.
 
-    Expands prod_v L_v(t^{d_v})^(-1) to degree deg_l + surplus; the surplus
-    coefficients must vanish and everything must be an integer.  With
-    ``use_functional_equation`` the series is only expanded to half the
-    degree and completed by the weight-2 self-duality (the remaining
-    ambiguity, if any, is resolved by the caller against point counts)."""
+    Expands prod_v L_v(t^{d_v})^(-1) to degree deg_l + surplus on integer
+    coefficients (every local factor must lie in 1 + T Z[T]); the surplus
+    coefficients must vanish.  With ``use_functional_equation`` the series
+    is only expanded to half the degree and completed by the weight-2
+    self-duality (the remaining ambiguity, if any, is resolved by the
+    caller against point counts)."""
     deg_l = inv.deg_l
     if use_functional_equation:
         order = (deg_l + 1) // 2
-        surplus = 0
     else:
         order = deg_l + surplus
     field = model.field
     if order == 0 and deg_l == 0:
         return RatPoly([1])
     places = place_order or places_enumerate(field, max(order, 1))
-    series = [Fraction(1)] + [Fraction(0)] * order
+    series = [1] + [0] * order
     for v in places:
-        if v.degree > order:
-            continue
-        lv = local_factor(model, fibers, v)
-        spread = RatPoly(
-            [lv.coeff(i // v.degree) if i % v.degree == 0 else 0 for i in range(lv.degree * v.degree + 1)]
-        )
-        series = _series_mul(series, _series_inv(spread, order), order)
+        if v.degree <= order:
+            _divide_local_factor(series, local_factor(model, fibers, v), v.degree)
     if use_functional_equation:
         partial = RatPoly(series)
         cand = functional_equation_complete(partial, deg_l, field.q, 2)
@@ -513,8 +488,6 @@ def l_function(
                 f"series coefficient t^{k} = {series[k]} does not vanish"
             )
     out = RatPoly(series[: deg_l + 1])
-    if not out.is_integral():
-        raise NonPolynomialTail("L-polynomial has non-integer coefficients")
     if out.degree != deg_l:
         raise TruncationInsufficient(
             f"L-polynomial degree {out.degree} below conductor prediction {deg_l}"

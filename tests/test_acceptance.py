@@ -18,9 +18,8 @@ from ellsurf.lattice import (
     Mat,
     discriminant,
     free_paired,
-    mat_det_fraction,
-    mat_det_int,
-    mat_inverse_unimodular,
+    mat_det,
+    mat_inverse,
     orthogonal_split_check,
     two_term,
     yun_split,
@@ -135,18 +134,18 @@ def test_criterion_5_lattice_property_suite():
         for i in range(extra):
             for j in range(i + 1):
                 G[2 + i][2 + j] = G[2 + j][2 + i] = rng.randint(-3, 3)
-        if mat_det_fraction(Mat(G, n)) == 0:
+        if mat_det(Mat(G, n)) == 0:
             continue
         k = rng.randint(1, 3)
         cols = [[k] + [0] * (n - 1)]
         tail = []
         if extra:
             T = Mat([[rng.randint(-2, 2) for _ in range(extra)] for _ in range(extra)], extra)
-            if mat_det_int(T) == 0:
+            if mat_det(T) == 0:
                 continue
             tail = [[0, 0] + c for c in T.cols()]
         S = _random_unimodular(rng, n)
-        Sinv = mat_inverse_unimodular(S)
+        Sinv = mat_inverse(S)
         lam = free_paired(S.transpose().mul(Mat(G, n)).mul(S).rows)
         _, _, _, holds_abs, _ = yun_split(
             lam, Sinv.mul(Mat.from_cols(cols, n)), Sinv.mul(Mat.from_cols(cols + tail, n))
@@ -176,14 +175,14 @@ def test_criterion_5_lattice_property_suite():
         for i in range(b):
             for j in range(b):
                 G[a + i][a + j] = B[i][j]
-        if mat_det_fraction(Mat(G, n)) == 0 or mat_det_fraction(Mat(A, a)) == 0:
+        if mat_det(Mat(G, n)) == 0 or mat_det(Mat(A, a)) == 0:
             continue
         T = Mat([[rng.randint(-2, 2) for _ in range(a)] for _ in range(a)], a)
-        if mat_det_int(T) == 0:
+        if mat_det(T) == 0:
             continue
         sub = Mat.from_cols([c + [0] * b for c in T.cols()], n)
         Uu = _random_unimodular(rng, n)
-        Uinv = mat_inverse_unimodular(Uu)
+        Uinv = mat_inverse(Uu)
         P = free_paired(Uu.transpose().mul(Mat(G, n)).mul(Uu).rows)
         _, _, _, holds = orthogonal_split_check(P, Uinv.mul(sub))
         assert holds
@@ -197,7 +196,7 @@ def test_criterion_5_lattice_property_suite():
         def nonsing(k):
             while True:
                 M = Mat([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)], k)
-                if mat_det_int(M):
+                if mat_det(M):
                     return M
 
         A, B = nonsing(a), nonsing(b)
@@ -225,14 +224,14 @@ def test_criterion_5_lattice_property_suite():
             for j in range(i + 1):
                 G[i][j] = G[j][i] = rng.randint(-3, 3)
         gram = Mat(G, n)
-        if mat_det_fraction(gram) == 0:
+        if mat_det(gram) == 0:
             continue
         sv = discriminant(free_paired(G))
         Bm = Mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], n)
-        idx = mat_det_int(Bm)
+        idx = mat_det(Bm)
         if idx == 0:
             continue
-        val = Fraction(mat_det_int(Bm.transpose().mul(gram).mul(Bm)), idx * idx)
+        val = Fraction(mat_det(Bm.transpose().mul(gram).mul(Bm)), idx * idx)
         assert val == sv.signed_value
         done += 1
     print("criterion 5 PASS: 4 x 1000 seeded lattice trials plus hand fixtures")

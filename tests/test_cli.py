@@ -117,13 +117,28 @@ def test_non_minimal_model_matches_its_minimal_twin(tmp_path, capsys):
 VERIFY_LEGENDRE = ["verify", "--catalog", "legendre_f5"]
 
 
-def _run_python(*args):
+def _run_python(*args, timeout=300):
     """Run a fresh interpreter with ``src`` on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def test_deep_l_series_exits_3_before_the_sieve(tmp_path):
+    """y^2 = x^3 + t^17 x + t over GF(5) has deg L = 49 and L depth 25:
+    q^d is far over the point budget, so it ends in exit 3 with one line
+    instead of enumerating 5^25 polynomials."""
+    cfg = tmp_path / "deep.cfg"
+    a4 = ", ".join(["0"] * 17 + ["1"])
+    cfg.write_text(f"[field]\np = 5\n[model]\na4 = {a4}\na6 = 0, 1\n")
+    run = _run_python("-m", "ellsurf.cli", "verify", "--config", str(cfg), timeout=60)
+    assert run.returncode == 3, run.stderr
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in run.stderr
+    assert "deg L = 49" in lines[0] and "d = 25" in lines[0] and f"q^d = {5**25}" in lines[0]
 
 
 def test_compute_l_error_is_a_pipeline_fail():

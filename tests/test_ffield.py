@@ -15,6 +15,7 @@ from ellsurf.ffield import (
     find_irreducible,
     irreducible_count,
     irreducibles_by_degree,
+    moebius,
     places_enumerate,
     poly_is_irreducible,
     residue_field,
@@ -230,3 +231,25 @@ def test_element_order_and_keys_unchanged():
     assert keys == expected
     assert len(set(keys)) == 625
     assert [F25.elem_key(e) for e in F25.elements()] == list(itertools.product(range(5), repeat=2))
+
+
+@pytest.mark.parametrize("field", [F5, F7], ids=["F5", "F7"])
+def test_find_irreducible_is_first_in_enumeration_order(field):
+    irr = irreducibles_by_degree(field, 4)
+    for d in range(1, 5):
+        assert find_irreducible(field, d) == irr[d][0]
+
+
+def test_moebius_and_is_prime_by_definition():
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    def is_prime(n):
+        return divisors(n) == [1, n] and n > 1
+
+    for n in range(1, 101):
+        primes = [d for d in divisors(n) if is_prime(d)]
+        squarefree = all(n % (d * d) for d in primes)
+        assert moebius(n) == ((-1) ** len(primes) if squarefree else 0)
+    for n in range(201):
+        assert ffield._is_prime(n) == is_prime(n)

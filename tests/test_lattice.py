@@ -12,9 +12,8 @@ from ellsurf.lattice import (
     discriminant,
     free_paired,
     kernel_basis,
-    mat_det_fraction,
-    mat_det_int,
-    mat_inverse_unimodular,
+    mat_det,
+    mat_inverse,
     mixed_discriminant,
     ns_lattice_build,
     orthogonal_split_check,
@@ -46,6 +45,29 @@ def random_unimodular(rng, n, steps=8):
     return U
 
 
+def fraction_gauss(rows):
+    """(det, inverse rows or None) of a square rational matrix by plain
+    Fraction Gauss-Jordan elimination."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det, [r[n:] for r in a]
+
+
 def cokernel_order_by_enumeration(A):
     """|Z^n / im(A)| for nonsingular A, by enumerating cosets.
 
@@ -53,28 +75,15 @@ def cokernel_order_by_enumeration(A):
     hence independent of the code under test.
     """
     n = A.m
-    det = abs(mat_det_int(A))
+    det = abs(mat_det(A))
     assert det != 0
-    ainv_cols = []
-    for j in range(n):
-        # solve A x = e_j by fraction Gauss
-        a = [[Fraction(A.rows[r][c]) for c in range(n)] + [Fraction(int(r == j))] for r in range(n)]
-        for k in range(n):
-            piv = next(i for i in range(k, n) if a[i][k] != 0)
-            a[k], a[piv] = a[piv], a[k]
-            inv = 1 / a[k][k]
-            a[k] = [x * inv for x in a[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        ainv_cols.append([a[r][n] for r in range(n)])
+    _, ainv = fraction_gauss(A.rows)
     seen = set()
 
     def key(v):
         out = []
         for r in range(n):
-            x = sum(ainv_cols[c][r] * v[c] for c in range(n))
+            x = sum(ainv[r][c] * v[c] for c in range(n))
             out.append(x - (x.numerator // x.denominator))
         return tuple(out)
 
@@ -105,7 +114,7 @@ def determinantal_divisors(M):
         for rows in itertools.combinations(range(M.m), k):
             for cols in itertools.combinations(range(M.n), k):
                 sub = Mat([[M.rows[i][j] for j in cols] for i in rows], k)
-                minors.append(mat_det_int(sub))
+                minors.append(mat_det(sub))
         out.append(gcd_list(minors))
     return out
 
@@ -132,7 +141,7 @@ def test_snf_randomized_against_determinantal_divisors():
         M = Mat([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)], n)
         D, U, V = snf(M)
         assert U.mul(M).mul(V) == D
-        assert abs(mat_det_int(U)) == 1 and abs(mat_det_int(V)) == 1
+        assert abs(mat_det(U)) == 1 and abs(mat_det(V)) == 1
         diag = [D.rows[i][i] for i in range(min(m, n))]
         for a, b in zip(diag, diag[1:]):
             if a and b:
@@ -151,6 +160,74 @@ def test_snf_randomized_against_determinantal_divisors():
             assert prod == dd[k] or (prod == 0 and dd[k] == 0)
 
 
+def test_det_and_inverse_match_fraction_gauss_oracle():
+    rng = random.Random(31)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        den = rng.choice([1, 1, 2, 6])
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(n)] for _ in range(n)]
+        if den == 1:
+            rows = [[int(x) for x in r] for r in rows]
+        M = Mat(rows, n)
+        det, inv = fraction_gauss(rows)
+        got = mat_det(M)
+        assert got == det
+        if den == 1:
+            assert type(got) is int
+        if det == 0:
+            singular += 1
+            with pytest.raises(ValueError):
+                mat_inverse(M)
+            continue
+        assert mat_inverse(M).rows == inv
+    assert singular > 0
+    # unimodular integer matrices invert to integer matrices
+    for _ in range(50):
+        U = random_unimodular(rng, rng.randint(1, 6))
+        Uinv = mat_inverse(U)
+        assert all(type(x) is int for r in Uinv.rows for x in r)
+        assert U.mul(Uinv) == Mat.identity(U.m)
+
+
+def test_inverse_of_singular_matrix_raises():
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[Fraction(1, 2), 1], [1, 2]]):
+        with pytest.raises(ValueError):
+            mat_inverse(Mat(rows, 2))
+
+
+def test_signature_by_inertia_oracle():
+    """M = P^T D P with P unimodular has the inertia of D.  D is block
+    diagonal in signed and zero 1 x 1 blocks and hyperbolic planes
+    [[0, 1], [1, 0]] (zero diagonal, one positive and one negative
+    eigenvalue), so singular and zero-diagonal inputs both occur."""
+    rng = random.Random(43)
+    zero_diagonal = 0
+    for _ in range(600):
+        blocks = [rng.choice("+-0h") for _ in range(rng.randint(1, 5))]
+        n = sum(2 if b == "h" else 1 for b in blocks)
+        D = Mat.zero(n, n)
+        i = 0
+        for b in blocks:
+            if b == "h":
+                D.rows[i][i + 1] = D.rows[i + 1][i] = rng.randint(1, 3)
+                i += 2
+            else:
+                D.rows[i][i] = {"+": rng.randint(1, 4), "-": -rng.randint(1, 4), "0": 0}[b]
+                i += 1
+        P = random_unimodular(rng, n) if rng.random() < 0.7 else Mat.identity(n)
+        M = P.transpose().mul(D).mul(P)
+        if rng.random() < 0.2:
+            M = Mat([[Fraction(x, 3) for x in r] for r in M.rows], n)
+        zero_diagonal += all(M.rows[k][k] == 0 for k in range(n))
+        h = blocks.count("h")
+        expected = (blocks.count("+") + h, blocks.count("-") + h, blocks.count("0"))
+        assert symmetric_signature(M) == expected
+    assert zero_diagonal > 0
+    assert symmetric_signature(Mat([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert symmetric_signature(Mat.zero(3, 3)) == (0, 0, 3)
+
+
 def test_kernel_and_preimage():
     M = Mat([[2, 4]])
     K = kernel_basis(M)
@@ -167,7 +244,7 @@ def test_cokernel_enumeration_oracle_matches_group_order():
         n = rng.randint(1, 3)
         while True:
             A = Mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)], n)
-            d = mat_det_int(A)
+            d = mat_det(A)
             if d != 0 and abs(d) <= 40:
                 break
         grp = FgGroup(n, A)
@@ -203,7 +280,7 @@ def test_discriminant_basis_independence_randomized():
             for j in range(i + 1):
                 G[i][j] = G[j][i] = rng.randint(-3, 3)
         gram = Mat(G, n)
-        if mat_det_fraction(gram) == 0:
+        if mat_det(gram) == 0:
             continue
         trials += 1
         P = free_paired(G)
@@ -216,11 +293,11 @@ def test_discriminant_basis_independence_randomized():
         # direct definition on a random finite-index independent set:
         # det(psi(b_i,b_j)) / index^2
         B = Mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], n)
-        idx = mat_det_int(B)
+        idx = mat_det(B)
         if idx == 0:
             continue
         Gb = B.transpose().mul(gram).mul(B)
-        val = Fraction(mat_det_int(Gb), idx * idx)
+        val = Fraction(mat_det(Gb), idx * idx)
         assert val == sv.signed_value
 
 
@@ -257,7 +334,7 @@ def test_z_composition_property():
         def nonsing():
             while True:
                 A = Mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], n)
-                if mat_det_int(A):
+                if mat_det(A):
                     return A
 
         f, g = nonsing(), nonsing()
@@ -291,7 +368,7 @@ def test_z_triangle_fixtures_and_randomized():
         def nonsing(k):
             while True:
                 A = Mat([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)], k)
-                if mat_det_int(A):
+                if mat_det(A):
                     return A
 
         A, B = nonsing(a), nonsing(b)
@@ -382,7 +459,7 @@ def test_yun_randomized_1000():
             for j in range(i + 1):
                 G[2 + i][2 + j] = G[2 + j][2 + i] = rng.randint(-3, 3)
         gram = Mat(G, n)
-        if mat_det_fraction(gram) == 0:
+        if mat_det(gram) == 0:
             continue
         k = rng.randint(1, 3)
         gamma_cols = [[k] + [0] * (n - 1)]
@@ -390,7 +467,7 @@ def test_yun_randomized_1000():
         tail_cols = []
         if extra:
             T = Mat([[rng.randint(-2, 2) for _ in range(extra)] for _ in range(extra)], extra)
-            if mat_det_int(T) == 0:
+            if mat_det(T) == 0:
                 continue
             for col in T.cols():
                 tail_cols.append([0, 0] + col)
@@ -398,7 +475,7 @@ def test_yun_randomized_1000():
         gamma_prime = Mat.from_cols(gamma_cols + tail_cols, n)
         # scramble coordinates
         S = random_unimodular(rng, n)
-        Sinv = mat_inverse_unimodular(S)
+        Sinv = mat_inverse(S)
         lam = free_paired(S.transpose().mul(gram).mul(S).rows)
         gam_s = Sinv.mul(gamma)
         gam_p_s = Sinv.mul(gamma_prime)
@@ -447,17 +524,17 @@ def test_orthogonal_split_randomized():
             for j in range(b):
                 G[a + i][a + j] = B[i][j]
         gram = Mat(G, n)
-        if mat_det_fraction(gram) == 0:
+        if mat_det(gram) == 0:
             continue
-        if mat_det_fraction(Mat(A, a)) == 0:
+        if mat_det(Mat(A, a)) == 0:
             continue
         # sublattice of the first block at finite index
         T = Mat([[rng.randint(-2, 2) for _ in range(a)] for _ in range(a)], a)
-        if mat_det_int(T) == 0:
+        if mat_det(T) == 0:
             continue
         sub = Mat.from_cols([c + [0] * b for c in T.cols()], n)
         U = random_unimodular(rng, n)
-        Uinv = mat_inverse_unimodular(U)
+        Uinv = mat_inverse(U)
         P = free_paired(U.transpose().mul(gram).mul(U).rows)
         d, ds, dq, holds = orthogonal_split_check(P, Uinv.mul(sub))
         assert holds

@@ -1,8 +1,15 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from ellsurf.errors import ClosedFormMismatch, InconsistentCounts, NonPolynomial
+from ellsurf import zeta
+from ellsurf.errors import (
+    ClosedFormMismatch,
+    InconsistentCounts,
+    NonPolynomial,
+    NonPolynomialTail,
+)
 from ellsurf.exactalg import RatFunc, RatPoly, leading_term
 from ellsurf.ffield import (
     ExtensionField,
@@ -254,6 +261,19 @@ def test_l_function_place_order_independent():
     L1 = l_function(GENERIC_I1, fibers, inv, place_order=places)
     L2 = l_function(GENERIC_I1, fibers, inv, place_order=list(reversed(places)))
     assert L1 == L2
+
+
+@pytest.mark.parametrize("factor", [[1, Fraction(1, 2), 5], [2, -5]], ids=["half", "constant2"])
+def test_l_function_rejects_local_factor_outside_1_plus_tZt(monkeypatch, factor):
+    inv, fibers = pipeline(GENERIC_I1)
+    good = zeta.local_factor
+
+    def corrupt(model, fibers, place):
+        return RatPoly(factor) if place.degree == 2 else good(model, fibers, place)
+
+    monkeypatch.setattr(zeta, "local_factor", corrupt)
+    with pytest.raises(NonPolynomialTail):
+        l_function(GENERIC_I1, fibers, inv)
 
 
 def test_bad_correction_x3t():
