@@ -7,8 +7,9 @@ is an integer or a parenthesized vector ``(c0 c1 ...)`` over GF(p) for
 extension fields.  Unknown sections or keys, and integers in [metadata] or
 [limits] below their minimum, are rejected with their line number.
 
-Exit statuses: 0 success, 2 configuration error, 3 unsupported model,
-4 at least one FAILed check.
+Exit statuses: 0 success, 2 configuration error (config file or command
+line), 3 unsupported model, 4 at least one FAILed check or an internal
+inconsistency.  Every status other than 0 comes with one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -33,7 +33,7 @@ from .errors import (
     UnknownKey,
     UnsupportedModel,
 )
-from .ffield import field_make, places_enumerate
+from .ffield import field_make
 from .tatefiber import WeierstrassModel
 from .verify import (
     CheckResult,
@@ -41,7 +41,6 @@ from .verify import (
     Metadata,
     Report,
     compute_l,
-    l_places_depth,
     run_verification,
 )
 
@@ -171,10 +170,10 @@ def build_model(cfg: Config):
 
     def coeffs(key):
         entries = cfg.a.get(key, [0])
-        out = []
         for e in entries:
-            out.append(fq.elem(e) if isinstance(e, list) else fq.elem(e))
-        return out
+            if isinstance(e, list) and (fq.degree == 1 or len(e) > fq.degree):
+                raise BadField(f"{key}: coefficient vector of length {len(e)} over GF({fq.q})", None)
+        return [fq.elem(e) for e in entries]
 
     model = WeierstrassModel(
         fq, coeffs("a1"), coeffs("a2"), coeffs("a3"), coeffs("a4"), coeffs("a6")
@@ -302,8 +301,12 @@ def _load_config(args) -> Config:
             raise ParseError(f"unknown catalog entry {args.catalog!r}", None)
         return parse_config(CATALOG[args.catalog].config_text)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read())
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {args.config}: {exc}", None)
+        return parse_config(text)
     raise ParseError("need --config FILE or --catalog NAME", None)
 
 
@@ -352,14 +355,9 @@ def _run_full(args):
     limits.threads = args.threads
     limits.seed = args.seed
     report = run_verification(model, metadata, limits)
-    # place-order independence of the L-function under a seeded shuffle
-    inv = report.invariants
-    rng = random.Random(limits.seed)
-    places = places_enumerate(model.field, l_places_depth(inv, limits))
-    shuffled = places[:]
-    rng.shuffle(shuffled)
+    # independence of the L-function from the order of its local factors
     try:
-        l_again = compute_l(model, report.fibers, inv, limits, shuffled)
+        l_again = compute_l(model, report.fibers, report.invariants, limits, seed=limits.seed)
         ok = l_again == report.l_poly
         report.checks.append(
             CheckResult(
@@ -409,8 +407,15 @@ def cmd_catalog(_args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a one-line configuration error."""
+
+    def error(self, message):
+        raise ParseError(message, None)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellsurf",
         description="Exact zeta and L-function special-value checks for "
         "elliptic fibrations over P^1 over a finite field",
@@ -437,8 +442,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
     except (ParseError, UnknownKey, BadField) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -451,6 +456,10 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"unsupported model: {exc}", file=sys.stderr)
         return 3
+    except EllsurfError as exc:
+        # an internal inconsistency is a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ exact and immutable; contexts can be shared freely.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
 irreducible polynomial in the coordinate t.  Enumeration is by an exhaustive
-factorization sieve, which is desk-scale (q^d_max elements), runs once per
-field and degree bound, and doubles as the irreducibility oracle used at
-field construction.
+factorization sieve, which is desk-scale (q^d_max elements); it is the
+independent place list that ``verify.check_good_place_sanity`` holds the
+Euler product's places against.
 """
 
 from __future__ import annotations
@@ -493,21 +493,30 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
+def poly_pow_mod(base: Poly, n: int, mod: Poly) -> Poly:
+    """base^n mod ``mod``, by repeated squaring."""
+    result = Poly(base.field, [1])
+    b = base % mod
+    while n:
+        if n & 1:
+            result = (result * b) % mod
+        b = (b * b) % mod
+        n >>= 1
+    return result
+
+
 def poly_is_irreducible(f: Poly) -> bool:
-    """Exhaustive trial division by monic polynomials of degree <= deg/2."""
-    d = f.degree
-    if d <= 0:
+    """Rabin's test: f of degree n >= 1 is irreducible iff f divides
+    t^(q^n) - t and is coprime to t^(q^(n/r)) - t for every prime r | n."""
+    n = f.degree
+    if n <= 0:
         return False
-    if d == 1:
-        return True
-    field = f.field
-    elems = list(field.elements())
-    for e in range(1, d // 2 + 1):
-        for tail in itertools.product(elems, repeat=e):
-            g = Poly(field, list(tail) + [field.one])
-            if (f % g).is_zero():
-                return False
-    return True
+    q = f.field.q
+    t = Poly(f.field, [0, 1])
+    for r in factorize(n):
+        if poly_gcd(poly_pow_mod(t, q ** (n // r), f) - t, f).degree > 0:
+            return False
+    return ((poly_pow_mod(t, q**n, f) - t) % f).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -589,21 +598,16 @@ def irreducibles_by_degree(field, d_max: int) -> dict[int, list[Poly]]:
 
 
 def places_enumerate(field, d_max: int) -> list[Place]:
-    """Infinity followed by all finite places of degree <= d_max, sorted.
-
-    The sieve runs once per field and d_max; its places are kept on the
-    field object and every call returns a fresh list of them."""
+    """Infinity followed by all finite places of degree <= d_max, sorted,
+    by the exhaustive sieve."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    memo = field.__dict__.setdefault("_places", {})
-    if d_max not in memo:
-        places = [place_infinity()]
-        irr = irreducibles_by_degree(field, d_max)
-        for d in range(1, d_max + 1):
-            places.extend(place_finite(pi) for pi in irr[d])
-        places.sort(key=lambda v: v.sort_key())
-        memo[d_max] = tuple(places)
-    return list(memo[d_max])
+    places = [place_infinity()]
+    irr = irreducibles_by_degree(field, d_max)
+    for d in range(1, d_max + 1):
+        places.extend(place_finite(pi) for pi in irr[d])
+    places.sort(key=lambda v: v.sort_key())
+    return places
 
 
 def moebius(n: int) -> int:

@@ -532,11 +532,6 @@ def subgroup_group(P: PairedGroup, gens: Mat) -> PairedGroup:
     return PairedGroup(FgGroup(gens.n, rels), pairing, P.log_grade)
 
 
-def quotient_group(P: PairedGroup, gens: Mat) -> FgGroup:
-    """Ambient group modulo (subgroup + relations); pairing not induced."""
-    return FgGroup(P.group.n_gens, gens.hstack(P.group.relations))
-
-
 def _free_basis_ambient(grp: FgGroup, gens: Mat) -> Mat:
     """Ambient vectors lifting a free basis of the subgroup spanned by gens
     inside the presented group (its torsion is detected modulo relations)."""

@@ -38,6 +38,7 @@ from .ffield import (
     place_finite,
     place_infinity,
     poly_gcd,
+    poly_pow_mod,
     residue_field,
 )
 from .lattice import Mat, PairedGroup, FgGroup, discriminant
@@ -490,11 +491,9 @@ def _tate_at_prime(model: WeierstrassModel, pi: Poly, place: Place) -> FiberData
         # P(T) = T^3 + (a/pi^2) T + (b/pi^3) over the residue field
         alpha = _shift_red(a, pi, 2, red)
         beta = _shift_red(b, pi, 3, red)
-        P = [beta, alpha, kv.elem(0), kv.elem(1)]  # cubic, monic
-        roots = _cubic_rational_roots(kv, P)
         disc = -4 * alpha * alpha * alpha - 27 * beta * beta
         if disc:
-            fd = make_fiber(place, q, "I0*", len(roots))
+            fd = make_fiber(place, q, "I0*", _cubic_root_count(kv, [beta, alpha, 0, 1]))
         elif alpha or beta:
             theta = _double_root(kv, alpha, beta)
             A2l, A4l, A6l = _translate_x(Poly(field, []), a, b, lift(theta) * pi)
@@ -527,16 +526,12 @@ def _exact_div(poly: Poly, pi: Poly, k: int) -> Poly:
     return poly
 
 
-def _cubic_rational_roots(kv, P) -> list:
-    """Distinct roots in kv of a monic cubic given by coefficient list."""
-    roots = []
-    for x in kv.elements():
-        acc = kv.elem(0)
-        for c in reversed(P):
-            acc = acc * x + c
-        if not acc:
-            roots.append(x)
-    return roots
+def _cubic_root_count(kv, P) -> int:
+    """Number of distinct roots in kv of a monic cubic given by its
+    coefficient list: deg gcd(T^q_v - T, P)."""
+    cubic = Poly(kv, P)
+    t = Poly(kv, [0, 1])
+    return poly_gcd(poly_pow_mod(t, kv.q, cubic) - t, cubic).degree
 
 
 def _double_root(kv, alpha, beta):
@@ -642,29 +637,19 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     out = []
     d = 1
     rest = f
-    t = Poly(field, [0, 1])
+    t = xq = Poly(field, [0, 1])
     while rest.degree > 0 and d <= rest.degree:
         if 2 * d > rest.degree:
             out.append(rest.monic())
             break
-        xq = _pow_mod(t, field.q**d, rest)
+        xq = poly_pow_mod(xq, field.q, rest)  # t^(q^d) mod rest
         g = poly_gcd(xq - t, rest)
         if g.degree > 0:
             out.extend(_equal_degree_split(g, d))
             rest = (rest // g).monic()
+            xq = xq % rest
         d += 1
     return out
-
-
-def _pow_mod(base: Poly, n: int, mod: Poly) -> Poly:
-    result = Poly(base.field, [1])
-    b = base % mod
-    while n:
-        if n & 1:
-            result = (result * b) % mod
-        b = (b * b) % mod
-        n >>= 1
-    return result
 
 
 def _equal_degree_split(f: Poly, d: int) -> list[Poly]:
@@ -672,16 +657,15 @@ def _equal_degree_split(f: Poly, d: int) -> list[Poly]:
     field = f.field
     if f.degree == d:
         return [f.monic()]
-    if d == 1:
-        roots = [x for x in field.elements() if not f.eval(x)]
-        return sorted(
-            (Poly(field, [-x, field.one]) for x in roots),
-            key=lambda h: h.key(),
-        )
     rng = _random.Random(hash((f.key(), d)) & 0xFFFFFFFF)
-    elems = sorted(field.elements(), key=field.elem_key)
+    p, k = field.p, field.degree
+
+    def draw():
+        code = rng.randrange(field.q)
+        return code if k == 1 else [code // p**i % p for i in range(k)]
+
     while True:
-        u = Poly(field, [elems[rng.randrange(len(elems))] for _ in range(f.degree)])
+        u = Poly(field, [draw() for _ in range(f.degree)])
         if u.degree < 1:
             continue
         g = poly_gcd(u, f)
@@ -690,7 +674,7 @@ def _equal_degree_split(f: Poly, d: int) -> list[Poly]:
                 _equal_degree_split(g, d) + _equal_degree_split((f // g).monic(), d),
                 key=lambda h: (h.degree,) + h.key(),
             )
-        w = _pow_mod(u, (field.q**d - 1) // 2, f) - Poly(field, [1])
+        w = poly_pow_mod(u, (field.q**d - 1) // 2, f) - Poly(field, [1])
         g = poly_gcd(w, f)
         if 0 < g.degree < f.degree:
             return sorted(

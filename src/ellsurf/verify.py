@@ -33,9 +33,9 @@ from .tatefiber import (
 )
 from .zeta import (
     bad_correction,
+    euler_factors,
     l_function,
     lefschetz_counts,
-    local_factor,
     p2_from_counts,
     p2_from_product,
     surface_counts,
@@ -118,13 +118,18 @@ def check_p2_dual_route(p2_counts, p2_product, counts, q) -> CheckResult:
         if counts:
             predicted = lefschetz_counts(p2_product, q, len(counts))
             if list(counts) == predicted:
+                reason = (
+                    "count budget below b2/2"
+                    if 2 * len(counts) < p2_product.degree
+                    else "count budget too small to fix the functional-equation sign"
+                )
                 return CheckResult(
                     name,
                     CONDITIONAL,
                     str(list(counts)),
                     str(predicted),
                     None,
-                    "count budget below b2/2; partial counts match the product route",
+                    f"{reason}; partial counts match the product route",
                 )
             return CheckResult(
                 name, FAIL, str(list(counts)), str(predicted), None, "partial counts disagree"
@@ -369,34 +374,42 @@ def predict_orders(p2_star, l_star, ns_disc, inv, c_j, rank, metadata, q):
 
 def check_good_place_sanity(model, fibers, sample_degree=2) -> CheckResult:
     """L_v(1) = #E(k(v)) at every finite place of degree <= sample_degree
-    without a bad fiber: the local factor the L-function uses (from the
-    character-sum kernel) against a pure-Python recount on the minimal short
-    model."""
+    without a bad fiber: the local factor the L-function uses (from
+    ``euler_factors``) against a pure-Python recount on the minimal short
+    model.  The places come from the independent sieve, which must give
+    exactly the finite places of the Euler product."""
     from .ffield import residue_field
 
+    name = "good_place_lfactor"
     field = model.field
     a4, a6 = model.minimal_short
     bad = {f.place for f in fibers if not f.is_good}
+    factors = euler_factors(model, fibers, sample_degree)
+    places = [v for v in places_enumerate(field, sample_degree) if not v.is_infinity]
+    sieved = {v.sort_key() for v in places}
+    extra = [k for k in factors if k != (0,) and k not in sieved]
+    missing = [v for v in places if v.sort_key() not in factors]
+    if extra or missing:
+        return CheckResult(
+            name,
+            FAIL,
+            str(len(factors) - 1),
+            str(len(places)),
+            None,
+            f"finite places of the Euler product against the sieve: "
+            f"{len(missing)} missing, {len(extra)} extra",
+        )
     checked = 0
-    for v in places_enumerate(field, sample_degree):
-        if v.is_infinity or v in bad:
+    for v in places:
+        if v in bad:
             continue
-        at_one = local_factor(model, fibers, v).eval(1)
+        at_one = factors[v.sort_key()][1].eval(1)
         kv, red = residue_field(field, v)
         count = curve_point_count(kv, red(a4), red(a6))
         if at_one != count:
-            return CheckResult(
-                "good_place_lfactor",
-                FAIL,
-                str(at_one),
-                str(count),
-                None,
-                f"at {v.label()}",
-            )
+            return CheckResult(name, FAIL, str(at_one), str(count), None, f"at {v.label()}")
         checked += 1
-    return CheckResult(
-        "good_place_lfactor", PASS, details=f"{checked} good places recounted"
-    )
+    return CheckResult(name, PASS, details=f"{checked} good places recounted")
 
 
 def _half_expansion(inv, limits: Limits) -> bool:
@@ -405,15 +418,16 @@ def _half_expansion(inv, limits: Limits) -> bool:
     return inv.deg_l + limits.surplus_margin > limits.place_degree_cap
 
 
-def compute_l(model, fibers, inv, limits: Limits, place_order=None):
+def compute_l(model, fibers, inv, limits: Limits, seed=None):
     """L by full expansion when the places fit the degree cap, otherwise by
-    half expansion plus weight-2 functional-equation completion."""
+    half expansion plus weight-2 functional-equation completion; ``seed``
+    shuffles the order of the local factors."""
     return l_function(
         model,
         fibers,
         inv,
         surplus=limits.surplus_margin,
-        place_order=place_order,
+        seed=seed,
         use_functional_equation=_half_expansion(inv, limits),
     )
 
@@ -440,10 +454,13 @@ def run_verification(
     every identity check.  ``fibers`` and ``counts`` can be injected (the
     mutation-sensitivity tests perturb them).  Raises PlaceBudgetExceeded,
     before any sieve or kernel work, when the L-series needs places of a
-    degree d with q^d over the point budget."""
+    degree d with q^d over the point budget, and before Tate's algorithm
+    (which counts points at a good infinity) when q itself is over it."""
     metadata = metadata or Metadata()
     limits = limits or Limits()
     q = model.field.q
+    if q > limits.point_budget:
+        raise PlaceBudgetExceeded(f"q = {q} exceeds point budget {limits.point_budget}")
     inv, fibers = global_invariants(
         model, fibers if fibers is not None else bad_fibers(model, limits.threads)
     )
@@ -499,16 +516,16 @@ def run_verification(
 
     ord_l = l_star.order
     p2_counts = None
-    if len(counts.counts) >= half:
+    while p2_counts is None and len(counts.counts) >= half:
         try:
             p2_counts = p2_from_counts(counts, inv, q)
         except NoConsistentSign:
-            # vanishing middle coefficient: one more count separates the two
+            # vanishing middle coefficients: further counts separate the two
             # self-dual completions, budget permitting
             deeper = len(counts.counts) + 1
-            if q**deeper <= limits.point_budget:
-                counts = surface_counts(model, fibers, deeper, budget=limits.point_budget)
-                p2_counts = p2_from_counts(counts, inv, q)
+            if q**deeper > limits.point_budget:
+                break
+            counts = surface_counts(model, fibers, deeper, budget=limits.point_budget)
     checks.append(check_p2_dual_route(p2_counts, p2_product, counts.counts, q))
 
     p2_star = leading_term(p2_product, q)

@@ -20,13 +20,17 @@ functional equation then pin P2.  Counting is exact: the kernel's sum over
 the good fibers plus the component counts of the bad fibers of the minimal
 regular model.
 
-Route two multiplies (1 - qt)^2 * L(t) * Q(t) where L comes from the local
-factors and Q is the product over bad places of the degree-2 local factors
-divided by (1 - q_v t^{d_v}).
+Route two multiplies (1 - qt)^2 * L(t) * Q(t) where Q is the product over
+bad places of the degree-2 local factors divided by (1 - q_v t^{d_v}), and
+L is the Euler product over the kernel's Frobenius orbits
+(``euler_factors``): a place with a fiber takes the fiber's factor, a good
+infinity Tate's algorithm, and every good finite place 1 - a_v T + q_v T^2.
+No list of places is enumerated on this route.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,11 +55,11 @@ from .exactalg import (
     newton_from_power_sums,
 )
 from .ffield import (
+    ExtensionField,
     PrimeField,
     factorize,
     find_irreducible,
     place_infinity,
-    places_enumerate,
 )
 from .tatefiber import (
     FiberData,
@@ -89,28 +93,11 @@ class _CodedField:
         self.p, self.n = p, n
         self.N = p**n
         base = PrimeField(p, _allow_small=True)
-        red = None
-        if n > 1:
-            mod_poly = find_irreducible(base, n)
-            red = [(-c).val for c in mod_poly.coeffs[:-1]]
-
-        def mul_elem(a, b):
-            # a, b digit tuples -> digit tuple
-            raw = [0] * (2 * n - 1)
-            for i in range(n):
-                if a[i]:
-                    for j in range(n):
-                        raw[i + j] = (raw[i + j] + a[i] * b[j]) % p
-            for k in range(2 * n - 2, n - 1, -1):
-                c = raw[k]
-                if c:
-                    raw[k] = 0
-                    for i in range(n):
-                        raw[k - n + i] = (raw[k - n + i] + c * red[i]) % p
-            return tuple(raw[:n])
+        # raw values of F are digit tuples, low digit first
+        F = ExtensionField(base, find_irreducible(base, n).coeffs, check_irreducible=False)
 
         def encode(d):
-            return sum(int(d[i]) * p**i for i in range(n))
+            return sum(d[i] * p**i for i in range(n))
 
         # find a generator of the unit group
         order = self.N - 1
@@ -118,19 +105,20 @@ class _CodedField:
         gen = None
         for cand in range(2, self.N):
             d = tuple((cand // p**i) % p for i in range(n))
-            if all(_pow_tuple(d, order // ell, mul_elem, n) != _one(n) for ell in primes):
+            if all(F.raw_pow(d, order // ell) != F.one.val for ell in primes):
                 gen = d
                 break
         if gen is None:
             raise NotIrreducible(f"GF({p}^{n}): no generator of the unit group")
         exp = np.zeros(order, dtype=np.int64)
         log = np.zeros(self.N, dtype=np.int64)
-        cur = _one(n)
+        cur = F.one.val
+        mul = F.raw_mul
         for k in range(order):
             code = encode(cur)
             exp[k] = code
             log[code] = k
-            cur = mul_elem(cur, gen)
+            cur = mul(cur, gen)
         # zero gets a sentinel log so that products through the extended
         # exponent table come out zero with no masking
         zsent = 2 * order
@@ -170,21 +158,6 @@ class _CodedField:
         for c in reversed(coeffs):
             acc = self.add(self.mul(acc, points), c)
         return acc
-
-
-def _one(n):
-    return (1,) + (0,) * (n - 1)
-
-
-def _pow_tuple(a, k, mul, n):
-    result = _one(n)
-    b = a
-    while k:
-        if k & 1:
-            result = mul(result, b)
-        b = mul(b, b)
-        k >>= 1
-    return result
 
 
 _CODED_CACHE: dict = {}
@@ -416,7 +389,7 @@ def lefschetz_counts(p2: RatPoly, q: int, n_max: int) -> list[int]:
 # the L-function
 
 
-def _divide_local_factor(series: list[int], factor: RatPoly, d: int) -> None:
+def _divide_euler_factor(series: list[int], factor: RatPoly, d: int) -> None:
     """series <- series / factor(t^d) in place, by the integer recurrence of
     a local factor in 1 + T Z[T]; anything else raises NonPolynomialTail."""
     c = factor.coeffs
@@ -432,19 +405,22 @@ def _divide_local_factor(series: list[int], factor: RatPoly, d: int) -> None:
         series[k] = acc
 
 
-def local_factor(model: WeierstrassModel, fibers: list[FiberData], place) -> RatPoly:
-    """L_v as a polynomial in the local variable T = q_v^(-s): the fiber's
-    factor at a bad place, 1 - a_v T + q_v T^2 with a_v from the
-    character-sum kernel at a good finite place, and Tate's algorithm at
-    infinity (or at a bad place missing from ``fibers``)."""
-    for f in fibers:
-        if f.place == place:
-            return f.l_factor
-    if not place.is_infinity:
-        a_v = _char_sums(model).traces(place.degree).get(place.poly.key())
-        if a_v is not None:
-            return RatPoly([1, -a_v, model.field.q**place.degree])
-    return tate_local(model, place).l_factor
+def euler_factors(model: WeierstrassModel, fibers: list[FiberData], order: int) -> dict:
+    """{Place.sort_key(): (d_v, L_v)} at every place of degree <= order,
+    L_v a polynomial in the local variable T = q_v^(-s): each fiber's own
+    factor (an injected fiber wins), Tate's algorithm at infinity when it
+    has no fiber, and 1 - a_v T + q_v T^2 at every good finite place, read
+    off the Frobenius orbits of the character-sum kernel."""
+    out = {f.place.sort_key(): (f.d_v, f.l_factor) for f in fibers if f.d_v <= order}
+    inf = place_infinity()
+    if inf.sort_key() not in out:
+        out[inf.sort_key()] = (1, tate_local(model, inf).l_factor)
+    kernel = _char_sums(model)
+    for d in range(1, order + 1):
+        q_v = model.field.q**d
+        for key, a_v in kernel.traces(d).items():
+            out.setdefault((1, d) + key, (d, RatPoly([1, -a_v, q_v])))
+    return out
 
 
 def l_function(
@@ -452,30 +428,32 @@ def l_function(
     fibers: list[FiberData],
     inv: SurfaceInvariants,
     surplus: int = 2,
-    place_order=None,
+    seed=None,
     use_functional_equation: bool = False,
 ) -> RatPoly:
     """The L-function of the generic-fiber Jacobian as a polynomial in t.
 
-    Expands prod_v L_v(t^{d_v})^(-1) to degree deg_l + surplus on integer
-    coefficients (every local factor must lie in 1 + T Z[T]); the surplus
-    coefficients must vanish.  With ``use_functional_equation`` the series
-    is only expanded to half the degree and completed by the weight-2
-    self-duality (the remaining ambiguity, if any, is resolved by the
-    caller against point counts)."""
+    Expands prod_v L_v(t^{d_v})^(-1) over ``euler_factors`` to degree
+    deg_l + surplus on integer coefficients (every local factor must lie in
+    1 + T Z[T]); the surplus coefficients must vanish.  With a ``seed`` the
+    factors are divided out in an order shuffled by ``random.Random(seed)``.
+    With ``use_functional_equation`` the series is only expanded to half
+    the degree and completed by the weight-2 self-duality (the remaining
+    ambiguity, if any, is resolved by the caller against point counts)."""
     deg_l = inv.deg_l
     if use_functional_equation:
         order = (deg_l + 1) // 2
     else:
         order = deg_l + surplus
     field = model.field
-    if order == 0 and deg_l == 0:
+    if order == 0:
         return RatPoly([1])
-    places = place_order or places_enumerate(field, max(order, 1))
+    factors = list(euler_factors(model, fibers, order).values())
+    if seed is not None:
+        random.Random(seed).shuffle(factors)
     series = [1] + [0] * order
-    for v in places:
-        if v.degree <= order:
-            _divide_local_factor(series, local_factor(model, fibers, v), v.degree)
+    for d, factor in factors:
+        _divide_euler_factor(series, factor, d)
     if use_functional_equation:
         partial = RatPoly(series)
         cand = functional_equation_complete(partial, deg_l, field.q, 2)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsurf.catalog import CATALOG, DIGESTS
 from ellsurf.cli import (
@@ -295,3 +299,101 @@ def test_report_validates_against_schema(capsys):
     assert main(["report", "--catalog", "generic_i1_f5"]) == 0
     data = json.loads(capsys.readouterr().out)
     jsonschema.validate(data, REPORT_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a documented exit status with at most one line
+
+
+def test_huge_characteristic_exits_3_promptly(tmp_path):
+    """GF(1000003) is far over the point budget: exit 3 with one line, not a
+    walk over the residue fields."""
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("[field]\np = 1000003\n[model]\na4 = 1\na6 = 0, 1\n")
+    run = _run_python("-m", "ellsurf.cli", "verify", "--config", str(cfg), timeout=10)
+    assert run.returncode == 3, run.stderr
+    assert len(run.stderr.splitlines()) == 1 and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "field_lines,a4",
+    [("p = 5", "(1 2)"), ("p = 5\nmodulus = 2, 0, 1", "0, (1 2 3)")],
+    ids=["vector_over_prime_field", "vector_longer_than_degree"],
+)
+def test_vector_coefficient_not_in_the_field_exits_2(tmp_path, capsys, field_lines, a4):
+    cfg = tmp_path / "vec.cfg"
+    cfg.write_text(f"[field]\n{field_lines}\n[model]\na4 = {a4}\na6 = 0, 1\n")
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: a4: ") and err.count("\n") == 1
+
+
+def test_bad_command_line_is_a_one_line_configuration_error(capsys):
+    for argv in (["verify", "--bogus"], ["verify", "--nmax", "x"], ["frobnicate"], []):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert main(["verify", "--config", str(tmp_path / "absent.cfg")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+_INT_COEFF = st.lists(st.integers(-40, 40), min_size=1, max_size=13).map(
+    lambda v: ", ".join(map(str, v))
+)
+_TOKEN = st.one_of(
+    st.integers(-40, 40).map(str),
+    st.lists(st.integers(-6, 6), max_size=3).map(lambda v: "(" + " ".join(map(str, v)) + ")"),
+    st.sampled_from(["x", "(1", "2)", "", "1.5", "(a)", "--", "0x3"]),
+)
+_MODULUS = st.one_of(
+    st.lists(st.integers(-3, 12), min_size=1, max_size=4).map(lambda v: ", ".join(map(str, v + [1]))),
+    st.sampled_from(["2, 0, 1", "1, 1", "x", "", "1, (2)"]),
+)
+_FLAG = st.tuples(
+    st.sampled_from(["--nmax", "--place-cap", "--assume-rank", "--seed", "--threads"]),
+    st.integers(-3, 8).map(str),
+)
+_BAD_FLAG = st.sampled_from([("--json",), ("--nmax", "two"), ("--bogus",)])
+_KEYS = st.sampled_from(["a1", "a2", "a3", "a4", "a6"])
+_MIXED_COEFF = st.lists(_TOKEN, min_size=1, max_size=13).map(", ".join)
+# half the inputs are well formed (integer coefficients, no modulus, valid
+# flag syntax); the rest mix in vectors, garbage tokens, moduli and bad flags
+_INPUT = st.one_of(
+    st.tuples(
+        st.none(),
+        st.dictionaries(_KEYS, _INT_COEFF, min_size=1, max_size=3),
+        st.lists(_FLAG, max_size=2),
+    ),
+    st.tuples(
+        st.one_of(st.none(), _MODULUS),
+        st.dictionaries(_KEYS, st.one_of(_INT_COEFF, _MIXED_COEFF), min_size=1, max_size=3),
+        st.lists(st.one_of(_FLAG, _BAD_FLAG), max_size=3),
+    ),
+)
+
+
+@settings(derandomize=True, deadline=20_000, max_examples=50, database=None)
+@given(
+    command=st.sampled_from(["verify", "report", "analyze"]),
+    p=st.sampled_from([5, 7, 11, 1000003]),
+    case=_INPUT,
+)
+def test_fuzz_every_input_ends_in_a_documented_status(tmp_path_factory, command, p, case):
+    """Random configs (1-3 coefficients of degree <= 12 drawn as ints,
+    vectors or garbage, sometimes a bad modulus) and random flags: main
+    returns 0, 2, 3 or 4, raises nothing and writes at most one line to
+    stderr."""
+    modulus, model, flags = case
+    lines = ["[field]", f"p = {p}"] + ([f"modulus = {modulus}"] if modulus is not None else [])
+    lines += ["[model]"] + [f"{k} = {v}" for k, v in model.items()]
+    cfg = tmp_path_factory.mktemp("fuzz") / "f.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    argv = [command, "--config", str(cfg)] + [tok for flag in flags for tok in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), (argv, cfg.read_text())
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -109,13 +109,23 @@ def test_places_f2_degree3():
     f2 = PrimeField(2, _allow_small=True)
     irr = irreducibles_by_degree(f2, 3)
     deg3 = {tuple(c.val for c in f.coeffs) for f in irr[3]}
-    # oracle: exhaustive factor test over GF(2)
+    # oracle: Rabin's irreducibility test over GF(2)
     expected = set()
     for c0, c1, c2 in itertools.product((0, 1), repeat=3):
         f = Poly(f2, [c0, c1, c2, 1])
         if poly_is_irreducible(f):
             expected.add(tuple(c.val for c in f.coeffs))
     assert deg3 == expected == {(1, 1, 0, 1), (1, 0, 1, 1)}
+
+
+def test_irreducibility_over_a_huge_prime_field():
+    """Rabin's test needs no walk over GF(1000003): -1 is a non-square
+    (p = 3 mod 4) and -2 a square there."""
+    big = PrimeField(1000003)
+    assert poly_is_irreducible(Poly(big, [1, 0, 1]))
+    assert not poly_is_irreducible(Poly(big, [2, 0, 1]))
+    assert not poly_is_irreducible(Poly(big, [1, 0, 1]) * Poly(big, [3, 0, 1]))
+    assert field_make(1000003, [1, 0, 1]).q == 1000003**2
 
 
 def test_places_f5_degree2_count():
@@ -164,24 +174,6 @@ def test_poly_mul_then_divide_roundtrip(ac, bc):
     prod = a * b
     q, r = prod.divmod(b)
     assert q == a and r.is_zero()
-
-
-def test_places_sieve_runs_once_per_field_and_degree(monkeypatch):
-    calls = []
-    sieve = ffield.irreducibles_by_degree
-
-    def counting_sieve(field, d_max):
-        calls.append(d_max)
-        return sieve(field, d_max)
-
-    monkeypatch.setattr(ffield, "irreducibles_by_degree", counting_sieve)
-    f7 = PrimeField(7)
-    first = places_enumerate(f7, 2)
-    second = places_enumerate(f7, 2)
-    assert calls == [2]
-    assert second == first and second is not first
-    places_enumerate(f7, 1)
-    assert calls == [2, 1]
 
 
 # ---------------------------------------------------------------------------

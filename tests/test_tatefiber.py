@@ -345,6 +345,31 @@ def test_factoring_higher_degree():
     assert prod.monic() == f.monic()  # squarefree here
 
 
+F_BIG = PrimeField(1000003)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,roots",
+    [(-7, 6, 3), (500001, 500001, 1), (1, 0, 1), (2, 0, 3)],
+)
+def test_i0_star_root_count_in_a_huge_residue_field(alpha, beta, roots):
+    """I0* over GF(1000003): the rational roots of T^3 + alpha T + beta,
+    counted without walking the field.  (T-1)(T-2)(T+3); (T-1)(T^2+T+1/2)
+    with -1 a non-square; T(T^2+1); T(T^2+2) with -2 a square."""
+    fd = tate_local(model(F_BIG, [0, 0, alpha], [0, 0, 0, beta]), place_t(F_BIG))
+    assert (fd.kodaira, fd.splitting) == ("I0*", roots)
+
+
+def test_linear_factors_over_a_huge_field():
+    """Equal-degree splitting at degree 1 by Cantor-Zassenhaus, with no
+    enumeration of GF(1000003)."""
+    f = Poly(F_BIG, [1, 0, 1])
+    for c in (1, 2, 3, 5, 7, 11):
+        f = f * Poly(F_BIG, [c, 1])
+    factors = distinct_irreducible_factors(f)
+    assert [g.key() for g in factors] == [((c,), (1,)) for c in (1, 2, 3, 5, 7, 11)] + [((1,), (0,), (1,))]
+
+
 def test_synthetic_fiber_tables_consistent():
     for kod, split in [
         ("I5", "split"),

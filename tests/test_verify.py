@@ -211,6 +211,30 @@ def test_mutation_a_v(x3t_parts):
     assert check_good_place_sanity(X3T, fibers).status == PASS
 
 
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_good_place_audit_checks_the_kernel_place_set(monkeypatch, change):
+    """A kernel that omits a degree-2 place, or invents one, makes
+    good_place_lfactor FAIL (not raise)."""
+    from ellsurf import zeta
+
+    m = model(F5, [0, 1], [0, 1])
+    inv, fibers = global_invariants(m)
+    traces = zeta._CharSums.traces
+
+    def corrupt(self, d):
+        out = dict(traces(self, d))
+        if d == 2 and change == "drop":
+            out.pop(next(iter(out)))
+        elif d == 2:
+            out[((0,), (0,), (0,))] = 0
+        return out
+
+    monkeypatch.setattr(zeta._CharSums, "traces", corrupt)
+    result = check_good_place_sanity(m, fibers)
+    assert result.status == FAIL
+    assert ("1 missing, 0 extra" if change == "drop" else "0 missing, 1 extra") in result.details
+
+
 def test_mutation_l_factor(x3t_parts):
     inv, fibers, counts = x3t_parts
     mut = [
@@ -249,6 +273,35 @@ def test_good_infinity_with_degree_two_bad_place():
     rep = run_verification(m, Metadata(None, None))
     assert not rep.has_failure()
     assert by_name(rep, "p2_dual_route").status == PASS
+
+
+def test_sign_not_fixed_within_budget_is_conditional():
+    """y^2 + 2t xy = x^3 + 3x + 2 over GF(5): P2 has t^4, t^5 and t^6
+    coefficients zero, so the two self-dual completions first differ at t^7,
+    past the count budget; the dual route is CONDITIONAL, not an error."""
+    m = WeierstrassModel(F5, [0, 2], [0], [0], [3], [2])
+    rep = run_verification(m, Metadata(None, None))
+    assert rep.invariants.b2 == 10 and len(rep.counts) == 6
+    dual = by_name(rep, "p2_dual_route")
+    assert dual.status == CONDITIONAL
+    assert dual.details.startswith("count budget too small to fix the functional-equation sign")
+    assert not rep.has_failure()
+
+
+def test_field_over_the_point_budget_stops_before_tate(monkeypatch):
+    """Over GF(1000003^2) a good infinity would make Tate's algorithm count
+    10^12 points: q alone is over the budget, so nothing runs."""
+    from ellsurf import verify
+    from ellsurf.errors import PlaceBudgetExceeded
+    from ellsurf.ffield import field_make
+
+    def no_tate(*args):
+        raise AssertionError("bad_fibers called")
+
+    monkeypatch.setattr(verify, "bad_fibers", no_tate)
+    m = model(field_make(1000003, [1, 0, 1]), 0, [0, 0, 0, 1, 0, 0, 1])
+    with pytest.raises(PlaceBudgetExceeded, match="q = 1000006000009 exceeds point budget"):
+        run_verification(m)
 
 
 def test_long_form_model_with_a1_a3():

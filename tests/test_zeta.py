@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -257,23 +258,33 @@ def test_l_function_generic_i1():
 
 def test_l_function_place_order_independent():
     inv, fibers = pipeline(GENERIC_I1)
-    places = places_enumerate(F5, inv.deg_l + 2)
-    L1 = l_function(GENERIC_I1, fibers, inv, place_order=places)
-    L2 = l_function(GENERIC_I1, fibers, inv, place_order=list(reversed(places)))
-    assert L1 == L2
+    L = l_function(GENERIC_I1, fibers, inv)
+    for seed in (0, 1, 7, 2024):
+        assert l_function(GENERIC_I1, fibers, inv, seed=seed) == L
 
 
 @pytest.mark.parametrize("factor", [[1, Fraction(1, 2), 5], [2, -5]], ids=["half", "constant2"])
-def test_l_function_rejects_local_factor_outside_1_plus_tZt(monkeypatch, factor):
+def test_l_function_rejects_local_factor_outside_1_plus_tZt(factor):
+    """A fiber at a degree-2 place carrying a factor outside 1 + T Z[T]
+    wins over the kernel's factor there and is rejected."""
+    from ellsurf.ffield import place_finite
+    from ellsurf.tatefiber import make_fiber
+
     inv, fibers = pipeline(GENERIC_I1)
-    good = zeta.local_factor
-
-    def corrupt(model, fibers, place):
-        return RatPoly(factor) if place.degree == 2 else good(model, fibers, place)
-
-    monkeypatch.setattr(zeta, "local_factor", corrupt)
+    place = place_finite(find_irreducible(F5, 2))
+    corrupt = dataclasses.replace(make_fiber(place, 5, "I0", None, a_v=0), l_factor=RatPoly(factor))
     with pytest.raises(NonPolynomialTail):
-        l_function(GENERIC_I1, fibers, inv)
+        l_function(GENERIC_I1, fibers + [corrupt], inv)
+
+
+def test_euler_factors_cover_every_place_once():
+    """The Euler product's places at degree <= 3 are exactly the sieve's,
+    with the fibers' own factors at the bad places."""
+    inv, fibers = pipeline(X3T)
+    factors = zeta.euler_factors(X3T, fibers, 3)
+    assert sorted(factors) == [v.sort_key() for v in places_enumerate(F5, 3)]
+    for f in fibers:
+        assert factors[f.place.sort_key()] == (f.d_v, f.l_factor)
 
 
 def test_bad_correction_x3t():
