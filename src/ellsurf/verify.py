@@ -384,7 +384,8 @@ def check_good_place_sanity(model, fibers, sample_degree=2) -> CheckResult:
     field = model.field
     a4, a6 = model.minimal_short
     bad = {f.place for f in fibers if not f.is_good}
-    factors = euler_factors(model, fibers, sample_degree)
+    # the audit's depth is fixed, not set by the point budget
+    factors = euler_factors(model, fibers, sample_degree, budget=field.q**sample_degree)
     places = [v for v in places_enumerate(field, sample_degree) if not v.is_infinity]
     sieved = {v.sort_key() for v in places}
     extra = [k for k in factors if k != (0,) and k not in sieved]
@@ -429,6 +430,7 @@ def compute_l(model, fibers, inv, limits: Limits, seed=None):
         surplus=limits.surplus_margin,
         seed=seed,
         use_functional_equation=_half_expansion(inv, limits),
+        budget=limits.point_budget,
     )
 
 

@@ -7,11 +7,18 @@ oracle: their coefficientwise agreement is the central factorization check.
 
 One character-sum kernel serves every base field GF(p^k) and feeds both
 routes: S(t) = sum_x chi(x^3 + A(t) x + B(t)) for the short model
-minimalized at the finite places, evaluated at one representative of each
-Frobenius orbit of GF(q^n) on numpy-coded field tables.  A good fiber over
-t has q^n + 1 + S(t) points, and a good finite place of degree d with root
-t has a_v = -S(t).  The pure-Python point count of ``tatefiber`` stays the
-independent oracle for it (``verify.check_good_place_sanity``).
+minimalized at the finite places, read at one representative of each
+Frobenius orbit of GF(q^n) on numpy-coded field tables.  The sums come
+from an exact transform: S(A, B) = S(u^-4 A, u^-6 B) puts A(t) in one of
+at most gcd(4, q^n - 1) scaling classes (A = 0 its own), and for each
+class the table of S over every B is a convolution over the additive
+group (Z/p)^(kn), computed by a p-point number-theoretic transform along
+each base-p digit axis modulo a prime r > 2 q^n + 1 (Pollard, "The fast
+Fourier transform in a finite field", 1971) and lifted to (-r/2, r/2].
+A good fiber over t has q^n + 1 + S(t) points, and a good finite place of
+degree d with root t has a_v = -S(t).  The pure-Python point count of
+``tatefiber`` stays the independent oracle for it
+(``verify.check_good_place_sanity``).
 
 Route one counts points.  With first and third Betti numbers zero (the
 supported class), #X(GF(q^n)) = 1 + q^(2n) + s_n where s_n is the n-th power
@@ -30,6 +37,7 @@ No list of places is enumerated on this route.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +65,7 @@ from .exactalg import (
 from .ffield import (
     ExtensionField,
     PrimeField,
+    _is_prime,
     factorize,
     find_irreducible,
     place_infinity,
@@ -86,18 +95,17 @@ class CountVector:
 
 class _CodedField:
     """GF(p^n) on integer codes 0..p^n-1 (base-p digit encoding) with numpy
-    log/exp tables for multiplication, Zech logarithms for addition and a
-    quadratic-character table."""
+    log/exp tables for multiplication, digit-wise addition, a
+    quadratic-character table and the character-sum tables of the scaling
+    classes met so far."""
 
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
         self.N = p**n
+        self.weights = p ** np.arange(n, dtype=np.int64)
         base = PrimeField(p, _allow_small=True)
         # raw values of F are digit tuples, low digit first
         F = ExtensionField(base, find_irreducible(base, n).coeffs, check_irreducible=False)
-
-        def encode(d):
-            return sum(d[i] * p**i for i in range(n))
 
         # find a generator of the unit group
         order = self.N - 1
@@ -110,46 +118,46 @@ class _CodedField:
                 break
         if gen is None:
             raise NotIrreducible(f"GF({p}^{n}): no generator of the unit group")
-        exp = np.zeros(order, dtype=np.int64)
+        # exp by doubling on digit vectors: multiplication by gen^m is the
+        # GF(p)-linear map whose row i holds the digits of gen^m x^i, so
+        # exp[m:2m] = exp[:m] gen^m is one matrix product
+        digits = np.zeros((order, n), dtype=np.int64)
+        digits[0, 0] = 1
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        filled, power = 1, gen
+        while filled < order:
+            step = min(filled, order - filled)
+            rows = np.array([F.raw_mul(power, e) for e in basis], dtype=np.int64)
+            digits[filled : filled + step] = digits[:step] @ rows % p
+            filled, power = filled + step, F.raw_mul(power, power)
+        exp = digits @ self.weights
+        del digits
         log = np.zeros(self.N, dtype=np.int64)
-        cur = F.one.val
-        mul = F.raw_mul
-        for k in range(order):
-            code = encode(cur)
-            exp[k] = code
-            log[code] = k
-            cur = mul(cur, gen)
+        log[exp] = np.arange(order)
         # zero gets a sentinel log so that products through the extended
         # exponent table come out zero with no masking
-        zsent = 2 * order
-        log[0] = zsent
+        log[0] = 2 * order
         exp_ext = np.zeros(4 * order + 1, dtype=np.int64)
-        ks = np.arange(2 * order)
-        exp_ext[ks] = exp[ks % order]
-        # Zech logarithms: log(a + b) = log a + log(1 + b/a).  Adding one to a
-        # code changes only its lowest digit.  The table is indexed by
-        # log b - log a + 2*order, which lies in [0, order) when a = 0 (the
-        # entry makes the sum log b), in (order, 3*order) when a, b != 0 and
-        # in (3*order, 4*order] when b = 0 (entry 0); a + b = 0 and
-        # a = b = 0 land on the zero part of exp_ext.
-        zech = log[exp - exp % p + (exp + 1) % p]
-        zech_ext = np.zeros(4 * order + 1, dtype=np.int64)
-        zech_ext[:order] = np.arange(order) - zsent
-        zech_ext[order : 3 * order] = np.tile(zech, 2)
-        self.exp, self.log, self.exp_ext, self.zech_ext = exp, log, exp_ext, zech_ext
+        exp_ext[:order] = exp
+        exp_ext[order : 2 * order] = exp
+        self.exp, self.log, self.exp_ext = exp, log, exp_ext
         chi = np.zeros(self.N, dtype=np.int8)
         nz = np.arange(1, self.N)
         chi[nz] = np.where(log[nz] % 2 == 0, 1, -1)
         self.chi = chi
+        # scaling class -> character-sum table (``_build_sum_tables``)
+        self.sum_tables: dict = {}
 
     def mul(self, a, b):
         """Elementwise product of broadcastable code arrays."""
         return self.exp_ext[self.log[a] + self.log[b]]
 
     def add(self, a, b):
-        """Elementwise sum of broadcastable code arrays."""
-        la = self.log[a]
-        return self.exp_ext[la + self.zech_ext[self.log[b] - la + 2 * (self.N - 1)]]
+        """Elementwise sum of broadcastable code arrays, digit by digit."""
+        out = (a + b) % self.p
+        for w in self.weights[1:]:
+            out = out + (a // w + b // w) % self.p * w
+        return out
 
     def eval_poly(self, coeffs, points):
         """Evaluate a polynomial with coefficient codes at an array of
@@ -173,20 +181,94 @@ def coded_field(p: int, n: int) -> _CodedField:
 # ---------------------------------------------------------------------------
 # the good-fiber character-sum kernel
 
-# (t, x) pairs per vectorized step: bounds the kernel's temporaries
+# transform-matrix entries per vectorized step: bounds the kernel's
+# temporaries when p is large
 _BLOCK = 1 << 14
 
 
-def _fiber_sums(cf: _CodedField, A, B):
-    """S = sum over x in the field of chi(x^3 + A x + B), one sum per entry
-    of the code arrays A and B."""
+def _transform_prime(p: int, n: int):
+    """The least prime r = 1 (mod p) with r > 2 p^n + 1, and the powers
+    w^0..w^(p-1) mod r of a primitive p-th root of unity w.  A transform
+    step sums p products of residues mod r in int64, so p r^2 < 2^63."""
+    N = p**n
+    r = (2 * N + 1) // p * p + 1
+    while r <= 2 * N + 1 or not _is_prime(r):
+        r += p
+    if p * r * r >= 1 << 63:
+        raise PlaceBudgetExceeded(
+            f"GF({p}^{n}) is too large for the exact transform: p r^2 >= 2^63 for r = {r}"
+        )
+    g = 2
+    while pow(g, (r - 1) // p, r) == 1:
+        g += 1
+    w = pow(g, (r - 1) // p, r)
+    return r, np.array([pow(w, e, r) for e in range(p)], dtype=np.int64)
+
+
+def _digit_transform(a, p: int, n: int, powers, r: int):
+    """The Fourier transform of a function on the additive group (Z/p)^n,
+    values mod r: along every base-p digit axis of the length-p^n array a,
+    out[k] = sum_j w^(j k) a[j] with w^e = powers[e]."""
+    j = np.arange(p)
+    step = max(1, _BLOCK // p)
+    for i in range(n):
+        a = a.reshape(p**i, p, -1)
+        out = np.empty_like(a)
+        for k in range(0, p, step):
+            w = powers[np.outer(j[k : k + step], j) % p]
+            out[:, k : k + step] = np.matmul(w, a) % r
+        a = out
+    return a.reshape(-1)
+
+
+def _build_sum_tables(cf: _CodedField, classes) -> None:
+    """cf.sum_tables[j] = S(a0, b) = sum_x chi(x^3 + a0 x + b) for every
+    code b, for each scaling class j in ``classes`` (a0 = gen^j for
+    j < gcd(4, N - 1), a0 = 0 for the last class).  S(a0, .) is the
+    convolution over the additive group of the histogram of -(x^3 + a0 x)
+    with chi, by the digit-axis transform modulo the prime r > 2N + 1,
+    lifted to (-r/2, r/2]."""
+    p, n = cf.p, cf.n
+    r, powers = _transform_prime(p, n)
+    inverse = powers[-np.arange(p) % p]
+    unscale = pow(cf.N, -1, r)
+    chi_hat = _digit_transform(cf.chi.astype(np.int64) % r, p, n, powers, r)
+    g = math.gcd(4, cf.N - 1)
     x = np.arange(cf.N, dtype=np.int64)
-    x3 = cf.mul(cf.mul(x, x), x)
-    rows = max(1, _BLOCK // cf.N)
-    out = np.empty(len(A), dtype=np.int64)
-    for s in range(0, len(A), rows):
-        u = cf.add(cf.add(x3, cf.mul(A[s : s + rows, None], x)), B[s : s + rows, None])
-        out[s : s + rows] = cf.chi[u].sum(axis=1)
+    for j in classes:
+        a0 = cf.exp[j] if j < g else 0
+        # -(x^3 + a0 x) = (-1) x (x^2 + a0)
+        hist = np.bincount(cf.mul(cf.mul(cf.add(cf.mul(x, x), a0), x), p - 1), minlength=cf.N)
+        spec = _digit_transform(hist, p, n, powers, r) * chi_hat % r
+        S = _digit_transform(spec, p, n, inverse, r) * unscale % r
+        # |S| <= N < r/2 < 2^31, since p r^2 < 2^63
+        cf.sum_tables[j] = np.where(S > r // 2, S - r, S).astype(np.int32)
+
+
+def _transform_sums(cf: _CodedField, A, B):
+    """S = sum over x in the field of chi(x^3 + A x + B), one sum per entry
+    of the code arrays A and B, exact.
+
+    Under x -> u^2 x, S(A, B) = S(u^-4 A, u^-6 B), so a nonzero A moves to
+    one of the g = gcd(4, N - 1) representatives gen^j, j = log A mod g,
+    and A = 0 is a class of its own.  Each S is a lookup at u^-6 B in the
+    field's table of its class, built on first use."""
+    L = cf.N - 1
+    g = math.gcd(4, L)
+    a = cf.log[A]
+    nonzero = A != 0
+    cls = np.where(nonzero, a % g, g)
+    # u = gen^l with 4 l = a - j (mod N - 1)
+    ell = (a - a % g) // g * pow(4 // g, -1, L // g) % (L // g)
+    B = np.where(nonzero, cf.mul(B, cf.exp[-6 * ell % L]), B)
+    picks = [(j, cls == j) for j in range(g + 1)]
+    picks = [(j, pick) for j, pick in picks if pick.any()]
+    missing = [j for j, _ in picks if j not in cf.sum_tables]
+    if missing:
+        _build_sum_tables(cf, missing)
+    out = np.zeros(len(A), dtype=np.int64)
+    for j, pick in picks:
+        out[pick] = cf.sum_tables[j][B[pick]]
     return out
 
 
@@ -210,7 +292,8 @@ class _CharSums:
     works in GF(q^n) = coded_field(p, k n) for q = p^k, with GF(q) embedded
     by one root of its modulus.  S is constant on Frobenius orbits (chi
     commutes with t -> t^q and A, B have coefficients in GF(q)), so it is
-    computed once per orbit, at the member of least log."""
+    read once per orbit, at the member of least log, from the transform
+    tables of ``_transform_sums``."""
 
     def __init__(self, model: WeierstrassModel):
         field = model.field
@@ -258,7 +341,7 @@ class _CharSums:
             A, B, D = (cf.eval_poly(emb[c], t) for c in self.coeffs)
             good = D != 0
             S = np.zeros(len(t), dtype=np.int64)
-            S[good] = _fiber_sums(cf, A[good], B[good])
+            S[good] = _transform_sums(cf, A[good], B[good])
             self.levels[n] = _Level(cf, emb, t, lengths, good, S)
         return self.levels[n]
 
@@ -405,19 +488,29 @@ def _divide_euler_factor(series: list[int], factor: RatPoly, d: int) -> None:
         series[k] = acc
 
 
-def euler_factors(model: WeierstrassModel, fibers: list[FiberData], order: int) -> dict:
+def euler_factors(
+    model: WeierstrassModel,
+    fibers: list[FiberData],
+    order: int,
+    budget: int = DEFAULT_BUDGET,
+) -> dict:
     """{Place.sort_key(): (d_v, L_v)} at every place of degree <= order,
     L_v a polynomial in the local variable T = q_v^(-s): each fiber's own
     factor (an injected fiber wins), Tate's algorithm at infinity when it
     has no fiber, and 1 - a_v T + q_v T^2 at every good finite place, read
-    off the Frobenius orbits of the character-sum kernel."""
+    off the Frobenius orbits of the character-sum kernel.  Raises
+    PlaceBudgetExceeded, before any kernel level is built, when
+    q^order > budget."""
+    q = model.field.q
+    if order and q**order > budget:
+        raise PlaceBudgetExceeded(f"q^order = {q**order} exceeds budget {budget}")
     out = {f.place.sort_key(): (f.d_v, f.l_factor) for f in fibers if f.d_v <= order}
     inf = place_infinity()
     if inf.sort_key() not in out:
         out[inf.sort_key()] = (1, tate_local(model, inf).l_factor)
     kernel = _char_sums(model)
     for d in range(1, order + 1):
-        q_v = model.field.q**d
+        q_v = q**d
         for key, a_v in kernel.traces(d).items():
             out.setdefault((1, d) + key, (d, RatPoly([1, -a_v, q_v])))
     return out
@@ -430,6 +523,7 @@ def l_function(
     surplus: int = 2,
     seed=None,
     use_functional_equation: bool = False,
+    budget: int = DEFAULT_BUDGET,
 ) -> RatPoly:
     """The L-function of the generic-fiber Jacobian as a polynomial in t.
 
@@ -439,7 +533,9 @@ def l_function(
     factors are divided out in an order shuffled by ``random.Random(seed)``.
     With ``use_functional_equation`` the series is only expanded to half
     the degree and completed by the weight-2 self-duality (the remaining
-    ambiguity, if any, is resolved by the caller against point counts)."""
+    ambiguity, if any, is resolved by the caller against point counts).
+    Places of degree d with q^d > budget raise PlaceBudgetExceeded before
+    any kernel work."""
     deg_l = inv.deg_l
     if use_functional_equation:
         order = (deg_l + 1) // 2
@@ -448,7 +544,7 @@ def l_function(
     field = model.field
     if order == 0:
         return RatPoly([1])
-    factors = list(euler_factors(model, fibers, order).values())
+    factors = list(euler_factors(model, fibers, order, budget).values())
     if seed is not None:
         random.Random(seed).shuffle(factors)
     series = [1] + [0] * order

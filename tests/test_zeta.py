@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ellsurf import zeta
@@ -10,12 +11,14 @@ from ellsurf.errors import (
     InconsistentCounts,
     NonPolynomial,
     NonPolynomialTail,
+    PlaceBudgetExceeded,
 )
 from ellsurf.exactalg import RatFunc, RatPoly, leading_term
 from ellsurf.ffield import (
     ExtensionField,
     Poly,
     PrimeField,
+    factorize,
     field_make,
     find_irreducible,
     places_enumerate,
@@ -193,6 +196,111 @@ def test_good_traces_match_tate_local():
         assert checked == n_good
 
 
+def _fiber_sums(cf, A, B):
+    """Direct oracle for the transform kernel at small N: S = sum over x in
+    the field of chi(x^3 + A x + B) for each entry of the code arrays A and
+    B, in blocks of zeta._BLOCK (t, x) pairs."""
+    x = np.arange(cf.N, dtype=np.int64)
+    x3 = cf.mul(cf.mul(x, x), x)
+    rows = max(1, zeta._BLOCK // cf.N)
+    out = np.empty(len(A), dtype=np.int64)
+    for s in range(0, len(A), rows):
+        u = cf.add(cf.add(x3, cf.mul(A[s : s + rows, None], x)), B[s : s + rows, None])
+        out[s : s + rows] = cf.chi[u].sum(axis=1)
+    return out
+
+
+def random_codes(cf, size, seed):
+    """Random (A, B) code arrays with A = 0 and B = 0 both present."""
+    rng = np.random.default_rng(seed)
+    A, B = rng.integers(0, cf.N, size), rng.integers(0, cf.N, size)
+    A[: size // 4] = 0
+    B[size // 8 : size // 2] = 0
+    return A, B
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    # gcd(4, N - 1) = 4: 5, 25, 625, 121; = 2: 7, 343.  GF(25) and GF(625)
+    # are levels 1 and 2 over the base GF(25); 101 and 131 are single-digit
+    # levels, 131 with the transform matrix split into blocks
+    [(5, 1), (5, 2), (5, 4), (7, 1), (7, 3), (11, 2), (101, 1), (131, 1)],
+)
+def test_transform_matches_direct_kernel(p, n):
+    cf = zeta._CodedField(p, n)  # fresh: no tables from other tests
+    A, B = random_codes(cf, min(400, 4 * cf.N), seed=p * 10 + n)
+    assert np.array_equal(zeta._transform_sums(cf, A, B), _fiber_sums(cf, A, B))
+
+
+def test_transform_in_small_blocks_matches_direct_kernel(monkeypatch):
+    """Two transform rows per step over GF(7^3), the last block partial."""
+    monkeypatch.setattr(zeta, "_BLOCK", 15)
+    cf = zeta._CodedField(7, 3)
+    A, B = random_codes(cf, 200, seed=3)
+    assert np.array_equal(zeta._transform_sums(cf, A, B), _fiber_sums(cf, A, B))
+
+
+def test_levels_match_direct_kernel():
+    """S at the good orbit representatives of whole levels, for A = 0
+    everywhere (x3t over F7), a prime base and the base GF(25)."""
+    for m, n in ((model(F7, 0, [0, 1]), 3), (GENERIC_I1, 3), (GENERIC_I1_F25, 1), (GENERIC_I1_F25, 2)):
+        kernel = _char_sums(m)
+        lv = kernel.level(n)
+        A, B = (lv.cf.eval_poly(lv.emb[c], lv.t[lv.good]) for c in kernel.coeffs[:2])
+        assert np.array_equal(lv.S[lv.good], _fiber_sums(lv.cf, A, B))
+        assert not lv.S[~lv.good].any()
+
+
+def test_transform_prime_and_int64_guard():
+    for p, n in ((5, 1), (7, 5), (5, 12), (7, 10), (131, 1)):
+        r, powers = zeta._transform_prime(p, n)
+        assert r % p == 1 and r > 2 * p**n + 1 and factorize(r) == {r: 1}
+        assert p * r * r < 2**63
+        w = int(powers[1])
+        assert w != 1 and pow(w, p, r) == 1
+        assert powers.tolist() == [pow(w, e, r) for e in range(p)]
+    # one digit more, or GF(1000003) with r > 2 * 10^6, overflows int64;
+    # GF(17^7) and GF(47^5) land between 2^63 and 2^64
+    for p, n in ((5, 13), (7, 11), (17, 7), (47, 5), (1000003, 1)):
+        with pytest.raises(PlaceBudgetExceeded, match="too large for the exact transform"):
+            zeta._transform_prime(p, n)
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (7, 1), (5, 2), (5, 4), (7, 4), (7, 5), (5, 6), (11, 4)])
+def test_coded_tables_match_generator_walk(p, n):
+    """exp, log and chi against a pure-Python walk through the powers of
+    the least generator code, and add and mul on sample pairs against the
+    pure-Python field."""
+    cf = zeta.coded_field(p, n)
+    base = PrimeField(p, _allow_small=True)
+    F = ExtensionField(base, find_irreducible(base, n).coeffs, False)
+    order = cf.N - 1
+
+    def digits(code):
+        return tuple(code // p**i % p for i in range(n))
+
+    def encode(d):
+        return sum(v * p**i for i, v in enumerate(d))
+
+    def has_full_order(d):
+        return all(F.raw_pow(d, order // ell) != F.one.val for ell in factorize(order))
+
+    gen = digits(next(c for c in range(2, cf.N) if has_full_order(digits(c))))
+    exp, cur = [], F.one.val
+    for _ in range(order):
+        exp.append(encode(cur))
+        cur = F.raw_mul(cur, gen)
+    assert cf.exp.tolist() == exp
+    assert cf.log[exp].tolist() == list(range(order))
+    chi = [0] * cf.N
+    for k, code in enumerate(exp):
+        chi[code] = 1 if k % 2 == 0 else -1
+    assert cf.chi.tolist() == chi
+    a, b = random_codes(cf, 200, seed=n)
+    assert cf.add(a, b).tolist() == [encode(F.raw_add(digits(u), digits(v))) for u, v in zip(a, b)]
+    assert cf.mul(a, b).tolist() == [encode(F.raw_mul(digits(u), digits(v))) for u, v in zip(a, b)]
+
+
 def test_p2_from_counts_x3t():
     inv, fibers = pipeline(X3T)
     counts = surface_counts(X3T, fibers, 5)
@@ -285,6 +393,36 @@ def test_euler_factors_cover_every_place_once():
     assert sorted(factors) == [v.sort_key() for v in places_enumerate(F5, 3)]
     for f in fibers:
         assert factors[f.place.sort_key()] == (f.d_v, f.l_factor)
+
+
+K3 = model(F5, 1, [0] * 7 + [1])  # y^2 = x^3 + x + t^7, b2 = 22
+
+
+def test_k3_counts_to_n8_match_the_product_route():
+    """The K3 counted to GF(5^8) by the transform kernel against the
+    Lefschetz counts of P2 = (1 - 5t)^2 L Q, L by half expansion and the
+    functional equation."""
+    inv, fibers = pipeline(K3)
+    assert inv.b2 == 22
+    counts = surface_counts(K3, fibers, 8, budget=5**8)
+    L = l_function(K3, fibers, inv, use_functional_equation=True)
+    func, _, _ = bad_correction(fibers, 5)
+    assert list(counts.counts) == lefschetz_counts(p2_from_product(L, func, inv, 5), 5, 8)
+
+
+def test_l_function_past_the_budget_raises_before_any_level(monkeypatch):
+    """Full expansion of the K3's L needs places of degree 14: 5^14 is
+    over the default budget, so no coded field is built."""
+    inv, fibers = pipeline(K3)
+
+    def no_level(*args):
+        raise AssertionError("coded_field called")
+
+    monkeypatch.setattr(zeta, "coded_field", no_level)
+    with pytest.raises(PlaceBudgetExceeded, match="q\\^order = 6103515625 exceeds budget 25000"):
+        l_function(K3, fibers, inv)
+    with pytest.raises(PlaceBudgetExceeded):
+        zeta.euler_factors(K3, fibers, 3, budget=124)
 
 
 def test_bad_correction_x3t():
