@@ -642,8 +642,12 @@ def find_irreducible(field, degree: int) -> Poly:
     """Smallest (in enumeration order) monic irreducible of given degree.
 
     From degree 2 on, t divides every candidate with constant term 0 (the
-    first q^(degree - 1) in enumeration order), so they are not tested."""
-    for f in monic_polys(field, degree):
-        if (degree == 1 or f.coeffs[0]) and poly_is_irreducible(f):
+    first q^(degree - 1) in enumeration order), so the enumeration starts
+    past them: the constant term varies slowest in ``monic_polys``."""
+    elems = sorted(field.elements(), key=field.elem_key)
+    constants = elems if degree == 1 else [c for c in elems if c]
+    for tail in itertools.product(constants, *[elems] * (degree - 1)):
+        f = Poly(field, list(tail) + [field.one])
+        if poly_is_irreducible(f):
             return f
     raise NotIrreducible(f"no irreducible of degree {degree}?")

@@ -1,9 +1,9 @@
 """Tate's algorithm at places of P^1 and the resulting fiber data.
 
 Everything here assumes residue characteristic >= 5, so a Weierstrass model
-can be completed to y^2 = x^3 + A2 x^2 + A4 x + A6 and the reduction type is
-read off the valuations of (c4, c6, Delta) of a local minimal model, with a
-short translation cascade for the starred types.  Splitting questions (split
+is its short model y^2 = x^3 + a4 x + a6 and the reduction type is read off
+the valuations of (a4, a6, Delta) of a local minimal model, with a short
+translation cascade for the starred types.  Splitting questions (split
 vs non-split multiplicative fibers, rationality of extra components) are
 decided by explicit square and root tests in the exact residue field, never
 numerically.
@@ -17,7 +17,7 @@ Euler number, local L-factor).
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .errors import (
@@ -51,7 +51,11 @@ INF = 10**9  # valuation of the zero polynomial
 
 
 class WeierstrassModel:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with a_i in GF(q)[t]."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with a_i in GF(q)[t],
+    read as its short model y^2 = x^3 + a4_short x + a6_short, where
+    (a4_short, a6_short) = (-c4/48, -c6/864).  Tate's algorithm reads the
+    valuations of a4, a6 and Delta of this pair; a1..a6 are kept only for
+    the report echo."""
 
     def __init__(self, field, a1, a2, a3, a4, a6):
         if field.char < 5:
@@ -60,43 +64,16 @@ class WeierstrassModel:
         mk = lambda c: c if isinstance(c, Poly) else Poly(field, c)
         self.a1, self.a2, self.a3 = mk(a1), mk(a2), mk(a3)
         self.a4, self.a6 = mk(a4), mk(a6)
-        half = field.one / 2
-        quarter = half * half
-        # completed square: y -> y + (a1 x + a3)/2
         b2 = self.a1 * self.a1 + 4 * self.a2
         b4 = 2 * self.a4 + self.a1 * self.a3
         b6 = self.a3 * self.a3 + 4 * self.a6
-        self.A2 = Poly(field, [c * quarter for c in b2.coeffs])
-        self.A4 = Poly(field, [c * half for c in b4.coeffs])
-        self.A6 = Poly(field, [c * quarter for c in b6.coeffs])
-        self.c4 = 16 * self.A2 * self.A2 - 48 * self.A4
-        self.c6 = -64 * self.A2 * self.A2 * self.A2 + 288 * self.A2 * self.A4 - 864 * self.A6
-        self.delta = (
-            -64 * (self.A2 ** 2) * (self.A2 * self.A6)
-            + 16 * (self.A2 * self.A4) ** 2
-            - 64 * self.A4 ** 3
-            - 432 * self.A6 * self.A6
-            + 288 * self.A2 * self.A4 * self.A6
-        )
-        if (self.c4 ** 3 - self.c6 * self.c6) != 1728 * self.delta:
-            raise InternalInconsistency("c4^3 - c6^2 != 1728 Delta")
+        c4 = b2 * b2 - 24 * b4
+        c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
+        self.a4_short = c4 * field.inv(field.elem(-48))
+        self.a6_short = c6 * field.inv(field.elem(-864))
+        self.delta = short_discriminant(self.a4_short, self.a6_short)
         if self.delta.is_zero():
             raise UnsupportedModel("discriminant vanishes identically")
-        # global short form y^2 = x^3 + a4s x + a6s (x shifted by -A2/3)
-        third = field.inv(field.elem(3))
-        A2sq = self.A2 * self.A2
-        self.a4_short = self.A4 - Poly(field, [c * third for c in A2sq.coeffs])
-        self.a6_short = (
-            self.A6
-            - Poly(field, [c * third for c in (self.A2 * self.A4).coeffs])
-            + Poly(
-                field,
-                [c * (2 * (third * third * third)) for c in (A2sq * self.A2).coeffs],
-            )
-        )
-        short_delta = -16 * (4 * self.a4_short ** 3 + 27 * self.a6_short * self.a6_short)
-        if short_delta != self.delta:
-            raise InternalInconsistency("short-form discriminant mismatch")
 
     def coeff_list(self):
         return [self.a1, self.a2, self.a3, self.a4, self.a6]
@@ -112,23 +89,28 @@ class WeierstrassModel:
             u = u * pi ** min(_val(a4, pi) // 4, _val(a6, pi) // 6)
         return a4 // u**4, a6 // u**6
 
+    @cached_property
+    def infinity_fiber(self) -> FiberData:
+        """Tate's algorithm at the place at infinity, computed on first use."""
+        return tate_local(self, place_infinity())
+
     def __repr__(self):
         return f"WeierstrassModel(q={self.field.q})"
 
 
-def model_at_infinity(model: WeierstrassModel) -> WeierstrassModel:
-    """Integral model in the coordinate s = 1/t whose place s = 0 is the
-    place at infinity.  Uses the smallest scaling (x,y) -> (u^2 x, u^3 y)
-    with u = s^k clearing all denominators; minimality at s = 0 is not
-    required (the local analysis minimalizes)."""
-    weights = [1, 2, 3, 4, 6]
-    k = 0
-    for a, w in zip(model.coeff_list(), weights):
-        if not a.is_zero():
-            need = -(-a.degree // w)  # ceil
-            k = max(k, need)
-    new = [a.reverse(w * k) if not a.is_zero() else a for a, w in zip(model.coeff_list(), weights)]
-    return WeierstrassModel(model.field, *new)
+def short_discriminant(a4: Poly, a6: Poly) -> Poly:
+    """Delta of y^2 = x^3 + a4 x + a6: -16 (4 a4^3 + 27 a6^2)."""
+    return -16 * (4 * a4 ** 3 + 27 * a6 * a6)
+
+
+def short_at_infinity(model: WeierstrassModel) -> tuple[Poly, Poly]:
+    """The short pair in the coordinate s = 1/t, so that s = 0 is the place
+    at infinity: (s^(4k) a4(1/s), s^(6k) a6(1/s)) for the least k >= 0 with
+    deg a4 <= 4k and deg a6 <= 6k.  Minimality at s = 0 is not required
+    (the local analysis minimalizes)."""
+    a4, a6 = model.a4_short, model.a6_short
+    k = max(-(-a4.degree // 4), -(-a6.degree // 6), 0)  # ceil; deg 0 = -1
+    return a4.reverse(4 * k), a6.reverse(6 * k)
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +408,17 @@ def _translate_x(A2: Poly, A4: Poly, A6: Poly, s: Poly):
 
 def tate_local(model: WeierstrassModel, place: Place) -> FiberData:
     """Kodaira type and local data of the minimal regular model at a place."""
-    if place.is_infinity:
-        import dataclasses
-
-        local = model_at_infinity(model)
-        pi = Poly(local.field, [0, 1])
-        fd = _tate_at_prime(local, pi, place_finite(pi))
-        return dataclasses.replace(fd, place=place_infinity())
-    return _tate_at_prime(model, place.poly, place)
-
-
-def _tate_at_prime(model: WeierstrassModel, pi: Poly, place: Place) -> FiberData:
     field = model.field
+    if place.is_infinity:
+        s = Poly(field, [0, 1])
+        fd = _tate_at_prime(field, *short_at_infinity(model), s, place_finite(s))
+        return replace(fd, place=place)
+    return _tate_at_prime(field, model.a4_short, model.a6_short, place.poly, place)
+
+
+def _tate_at_prime(field, a4: Poly, a6: Poly, pi: Poly, place: Place) -> FiberData:
+    """Tate's algorithm on y^2 = x^3 + a4 x + a6 at the prime pi, after
+    minimalizing by pi^n with n = min(v(a4) // 4, v(a6) // 6)."""
     q = field.q
     kv, red = residue_field(field, place)
 
@@ -446,26 +427,11 @@ def _tate_at_prime(model: WeierstrassModel, pi: Poly, place: Place) -> FiberData
             return Poly(field, [e])
         return Poly(field, [FElem(field, c) for c in e.val])
 
-    v4 = _val(model.c4, pi)
-    v6 = _val(model.c6, pi)
-    vD = _val(model.delta, pi)
-    n = min(v4 // 4, v6 // 6, vD // 12)
-    if n < 0:
-        raise NotMinimalizable("negative scaling exponent")
-
-    inv48 = field.inv(field.elem(48))
-    inv864 = field.inv(field.elem(864))
-    c4m = _exact_div(model.c4, pi, 4 * n)
-    c6m = _exact_div(model.c6, pi, 6 * n)
-    a = Poly(field, [-(c * inv48) for c in c4m.coeffs])
-    b = Poly(field, [-(c * inv864) for c in c6m.coeffs])
-    deltam = _exact_div(model.delta, pi, 12 * n)
-    if 1728 * deltam != c4m ** 3 - c6m * c6m:
-        raise InconsistentFiberData("minimalization broke the discriminant relation")
-
-    vD = _val(deltam, pi)
-    va = _val(a, pi)
-    vb = _val(b, pi)
+    va, vb = _val(a4, pi), _val(a6, pi)
+    n = min(va // 4, vb // 6)
+    a, b = _exact_div(a4, pi, 4 * n), _exact_div(a6, pi, 6 * n)
+    va, vb = va - 4 * n, vb - 6 * n
+    vD = _val(short_discriminant(a, b), pi)
 
     if vD == 0:
         abar, bbar = red(a), red(b)
@@ -495,21 +461,21 @@ def _tate_at_prime(model: WeierstrassModel, pi: Poly, place: Place) -> FiberData
         if disc:
             fd = make_fiber(place, q, "I0*", _cubic_root_count(kv, [beta, alpha, 0, 1]))
         elif alpha or beta:
-            theta = _double_root(kv, alpha, beta)
+            # the double root of P (disc = 0 and P != T^3 force alpha != 0)
+            theta = -(3 * beta) / (2 * alpha)
             A2l, A4l, A6l = _translate_x(Poly(field, []), a, b, lift(theta) * pi)
             m, far_split = _istar_loop(field, pi, kv, red, lift, A2l, A4l, A6l, vD)
             fd = make_fiber(place, q, f"I{m}*", "split" if far_split else "nonsplit")
         else:
-            # triple root at the origin: v(a) >= 3, v(b) >= 4
+            # triple root at the origin: v(a) >= 3, v(b) >= 4, and the model
+            # is minimal (v(a) < 4 or v(b) < 6), so the last case is v(b) = 5
             if vb == 4:
                 split = _shift_red(b, pi, 4, red).is_square()
                 fd = make_fiber(place, q, "IV*", "split" if split else "nonsplit")
             elif va == 3:
                 fd = make_fiber(place, q, "III*", None)
-            elif vb == 5:
-                fd = make_fiber(place, q, "II*", None)
             else:
-                raise NotMinimalizable("all valuations reducible: model not minimal")
+                fd = make_fiber(place, q, "II*", None)
     if fd.e_v != vD:
         raise InconsistentFiberData(
             f"Euler number {fd.e_v} of {fd.kodaira} differs from v(Delta) = {vD}"
@@ -532,17 +498,6 @@ def _cubic_root_count(kv, P) -> int:
     cubic = Poly(kv, P)
     t = Poly(kv, [0, 1])
     return poly_gcd(poly_pow_mod(t, kv.q, cubic) - t, cubic).degree
-
-
-def _double_root(kv, alpha, beta):
-    """The (rational) double root of T^3 + alpha T + beta with distinct-root
-    discriminant zero but (alpha, beta) != 0: theta = -3 beta / (2 alpha)."""
-    # gcd(P, P') is linear: P' = 3T^2 + alpha; elimination gives theta
-    theta = -(3 * beta) / (2 * alpha)
-    acc = ((theta * theta) * theta) + alpha * theta + beta
-    if acc:
-        raise InconsistentFiberData("double-root formula failed")
-    return theta
 
 
 def _istar_loop(field, pi, kv, red, lift, A2, A4, A6, vD):
@@ -687,7 +642,6 @@ def bad_fibers(model: WeierstrassModel, threads: int = 0) -> list[FiberData]:
     """Fiber data at every place of bad reduction (finite factors of Delta
     plus infinity), sorted in the canonical place order."""
     places = [place_finite(piq) for piq in distinct_irreducible_factors(model.delta)]
-    places.append(place_infinity())
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -695,6 +649,7 @@ def bad_fibers(model: WeierstrassModel, threads: int = 0) -> list[FiberData]:
             results = list(pool.map(lambda v: tate_local(model, v), places))
     else:
         results = [tate_local(model, v) for v in places]
+    results.append(model.infinity_fiber)
     fibers = [fd for fd in results if not fd.is_good]
     fibers.sort(key=lambda fd: fd.place.sort_key())
     return fibers

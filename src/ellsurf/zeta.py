@@ -68,14 +68,13 @@ from .ffield import (
     _is_prime,
     factorize,
     find_irreducible,
-    place_infinity,
 )
 from .tatefiber import (
     FiberData,
     SurfaceInvariants,
     WeierstrassModel,
     fiber_point_count,
-    tate_local,
+    short_discriminant,
 )
 
 DEFAULT_BUDGET = 25_000
@@ -300,7 +299,7 @@ class _CharSums:
         self.p, self.k, self.q = field.p, field.degree, field.q
         self.modulus = [c.val for c in field.modulus] if self.k > 1 else None
         a4, a6 = model.minimal_short
-        delta = -16 * (4 * a4**3 + 27 * a6 * a6)
+        delta = short_discriminant(a4, a6)
 
         def base_code(c):
             return sum(v * self.p**i for i, v in enumerate(field.elem_key(c)))
@@ -382,6 +381,15 @@ def _char_sums(model: WeierstrassModel) -> _CharSums:
     return cs
 
 
+def _infinity_fiber(model: WeierstrassModel, fibers: list[FiberData]) -> FiberData:
+    """The fiber at infinity: one injected in ``fibers`` wins over the
+    model's own (Tate's algorithm, computed once per model)."""
+    for f in fibers:
+        if f.place.is_infinity:
+            return f
+    return model.infinity_fiber
+
+
 # ---------------------------------------------------------------------------
 # surface point counts
 
@@ -403,9 +411,7 @@ def surface_counts(
     q = model.field.q
     if n_max and q**n_max > budget:
         raise PlaceBudgetExceeded(f"q^n_max = {q**n_max} exceeds budget {budget}")
-    inf_fiber = next((f for f in fibers if f.place.is_infinity), None)
-    if inf_fiber is None:
-        inf_fiber = tate_local(model, place_infinity())
+    inf_fiber = _infinity_fiber(model, fibers)
     bad_finite = [f for f in fibers if not f.place.is_infinity and not f.is_good]
 
     kernel = _char_sums(model)
@@ -504,10 +510,8 @@ def euler_factors(
     q = model.field.q
     if order and q**order > budget:
         raise PlaceBudgetExceeded(f"q^order = {q**order} exceeds budget {budget}")
-    out = {f.place.sort_key(): (f.d_v, f.l_factor) for f in fibers if f.d_v <= order}
-    inf = place_infinity()
-    if inf.sort_key() not in out:
-        out[inf.sort_key()] = (1, tate_local(model, inf).l_factor)
+    everywhere = [*fibers, _infinity_fiber(model, fibers)]
+    out = {f.place.sort_key(): (f.d_v, f.l_factor) for f in everywhere if f.d_v <= order}
     kernel = _char_sums(model)
     for d in range(1, order + 1):
         q_v = q**d
@@ -532,8 +536,9 @@ def l_function(
     1 + T Z[T]); the surplus coefficients must vanish.  With a ``seed`` the
     factors are divided out in an order shuffled by ``random.Random(seed)``.
     With ``use_functional_equation`` the series is only expanded to half
-    the degree and completed by the weight-2 self-duality (the remaining
-    ambiguity, if any, is resolved by the caller against point counts).
+    the degree and completed by the weight-2 self-duality.  When the middle
+    coefficient vanishes both signs complete it; the + completion is taken
+    and nothing checks it against point counts, so it can be the wrong one.
     Places of degree d with q^d > budget raise PlaceBudgetExceeded before
     any kernel work."""
     deg_l = inv.deg_l

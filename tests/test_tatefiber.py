@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from ellsurf.errors import GoodFiber, UnsupportedModel
 from ellsurf.exactalg import RatPoly
-from ellsurf.ffield import Place, Poly, PrimeField, place_finite, place_infinity
+from ellsurf.ffield import Place, Poly, PrimeField, field_make, place_finite, place_infinity
 from ellsurf.lattice import discriminant
 from ellsurf.tatefiber import (
     WeierstrassModel,
@@ -15,7 +17,8 @@ from ellsurf.tatefiber import (
     global_invariants,
     bad_fibers,
     make_fiber,
-    model_at_infinity,
+    short_at_infinity,
+    short_discriminant,
     synthetic_fiber,
     tate_local,
 )
@@ -44,35 +47,85 @@ def place_at(field, c):
 
 
 # ---------------------------------------------------------------------------
+# the long -> short map
+
+
+def _random_long_models(field, count, seed):
+    """Seeded long-form models with a1, a2, a3 nonzero, degrees <= 3."""
+    rng = random.Random(seed)
+    elems = list(field.elements())
+    out = []
+    while len(out) < count:
+        coeffs = []
+        for i in range(5):
+            while True:
+                c = Poly(field, [rng.choice(elems) for _ in range(rng.randrange(1, 5))])
+                if i >= 3 or c:
+                    break
+            coeffs.append(c)
+        try:
+            out.append(WeierstrassModel(field, *coeffs))
+        except UnsupportedModel:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("field", [F5, F7, field_make(5, [2, 0, 1])], ids=["F5", "F7", "F25"])
+def test_short_pair_has_the_long_discriminant(field):
+    for m in _random_long_models(field, 25, field.q):
+        a1, a2, a3, a4, a6 = m.coeff_list()
+        b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        # Silverman, AEC III.1
+        delta = -(b2 * b2 * b8) - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        assert short_discriminant(m.a4_short, m.a6_short) == delta == m.delta
+        c4, c6 = -48 * m.a4_short, -864 * m.a6_short
+        assert c4 ** 3 - c6 * c6 == 1728 * delta
+
+
+@pytest.mark.parametrize("field", [F5, F7], ids=["F5", "F7"])
+def test_short_pair_counts_like_the_long_form(field):
+    p = field.p
+    for m in _random_long_models(field, 25, 100 + p):
+        for c in field.elements():
+            a1, a2, a3, a4, a6 = (f.eval(c).val for f in m.coeff_list())
+            long_count = sum(
+                1
+                for x in range(p)
+                for y in range(p)
+                if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+            )
+            assert long_count == count_affine_points(field, m.a4_short.eval(c), m.a6_short.eval(c))
+
+
+# ---------------------------------------------------------------------------
 # model at infinity
 
 
 def _infinity_consistency(m):
-    """The transformed invariants must equal the reversed originals."""
-    minf = model_at_infinity(m)
-    # infer k from degrees: c4 scales by s^(4k)
-    for k in range(0, 8):
-        if m.c4.is_zero() or m.c4.degree <= 4 * k:
-            if m.c6.is_zero() or m.c6.degree <= 6 * k:
-                if m.delta.degree <= 12 * k:
-                    break
-    assert minf.delta == m.delta.reverse(12 * k)
-    if not m.c4.is_zero():
-        assert minf.c4 == m.c4.reverse(4 * k)
-    assert minf.c6 == m.c6.reverse(6 * k)
+    """The short pair at infinity and its discriminant must be the reversed
+    originals, for the least k with deg a4 <= 4k and deg a6 <= 6k."""
+    a4, a6 = short_at_infinity(m)
+    k = next(
+        k for k in range(8)
+        if m.a4_short.degree <= 4 * k and m.a6_short.degree <= 6 * k
+    )
+    assert short_discriminant(a4, a6) == m.delta.reverse(12 * k)
+    assert a4 == m.a4_short.reverse(4 * k)
+    assert a6 == m.a6_short.reverse(6 * k)
 
 
 def test_model_at_infinity_x3t():
-    minf = model_at_infinity(X3T_F5)
+    a4, a6 = short_at_infinity(X3T_F5)
     # smallest scaling: a6 = t becomes s^6 * (1/s) = s^5
-    assert list(c.val for c in minf.a6.coeffs) == [0, 0, 0, 0, 0, 1]
+    assert list(c.val for c in a6.coeffs) == [0, 0, 0, 0, 0, 1]
+    assert a4.is_zero()
     _infinity_consistency(X3T_F5)
 
 
 def test_model_at_infinity_constant_model():
     m = model(F5, 1, 1)
-    minf = model_at_infinity(m)
-    assert minf.a4 == m.a4 and minf.a6 == m.a6
+    assert short_at_infinity(m) == (m.a4_short, m.a6_short)
 
 
 def test_model_at_infinity_legendre_symbolic():
