@@ -7,7 +7,8 @@ Runs every config of `bench/pool.json`, the built-in catalog and a seeded
 draw of random long-form models (a1, a2, a3 nonzero) over GF(5), GF(7),
 GF(11) and GF(25) through `ellsurf report` in one process per tree (the two
 run side by side), and compares stdout, stderr and the exit status of each.
-Prints one line per difference and a summary; exits 1 if anything differs.
+Prints one line per difference and a summary with each tree's total
+seconds; exits 1 if anything differs.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -80,6 +82,7 @@ def worker(jobs_path: str, out_path: str) -> None:
 
     signal.signal(signal.SIGALRM, _alarm)
     results = {}
+    start = time.perf_counter()
     for name, argv in json.loads(Path(jobs_path).read_text()):
         out, err = io.StringIO(), io.StringIO()
         signal.alarm(TIMEOUT_S)
@@ -93,7 +96,8 @@ def worker(jobs_path: str, out_path: str) -> None:
         finally:
             signal.alarm(0)
         results[name] = [status, out.getvalue(), err.getvalue()]
-    Path(out_path).write_text(json.dumps(results))
+    seconds = time.perf_counter() - start
+    Path(out_path).write_text(json.dumps({"seconds": seconds, "results": results}))
 
 
 def main() -> int:
@@ -122,14 +126,16 @@ def main() -> int:
             )))
         for _, proc in procs:
             proc.wait()
-        base, head = (json.loads(path.read_text()) for path, _ in procs)
+        base_run, head_run = (json.loads(path.read_text()) for path, _ in procs)
+    base, head = base_run["results"], head_run["results"]
     differ = [name for name, _ in jobs if base[name] != head[name]]
     for name in differ:
         print(f"DIFFERS {name}: exit {base[name][0]} -> {head[name][0]}")
     statuses = {}
     for name, _ in jobs:
         statuses[str(base[name][0])] = statuses.get(str(base[name][0]), 0) + 1
-    print(f"{len(jobs)} reports, {len(differ)} differ; base exit statuses {statuses}")
+    print(f"{len(jobs)} reports, {len(differ)} differ; base exit statuses {statuses}; "
+          f"base {base_run['seconds']:.1f} s, head {head_run['seconds']:.1f} s")
     return 1 if differ else 0
 
 

@@ -5,16 +5,20 @@ Fields are represented as context objects: ``PrimeField(p)`` for GF(p) and
 context computes on raw values: ints in [0, p) over GF(p), and for an
 extension tuples of its base's raw values (nested tuples over an extension
 base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_values`` and
-``raw_key``.  ``FElem`` wraps a raw value only at the API boundary, for the
-usual operator syntax; hot loops such as the point count of
-``tatefiber.count_affine_points`` run on raw values directly.  Everything is
+``raw_key``.  ``raw_key`` flattens a raw value to its base-p digits, on
+which addition is digit-wise mod p and multiplication by a fixed element is
+GF(p)-linear; ``tatefiber.affine_point_counter`` counts points on those
+digits.  ``FElem`` wraps a raw value only at the API boundary, for the
+usual operator syntax; hot loops run on raw values directly.  Everything is
 exact and immutable; contexts can be shared freely.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
 irreducible polynomial in the coordinate t.  Enumeration is by an exhaustive
 factorization sieve, which is desk-scale (q^d_max elements); it is the
 independent place list that ``verify.check_good_place_sanity`` holds the
-Euler product's places against.
+Euler product's places against.  That check reads every place of degree d
+in one model F of GF(q^d), at a root from ``roots_by_minimal_polynomial``,
+instead of building the residue field of each place.
 """
 
 from __future__ import annotations
@@ -636,6 +640,49 @@ def residue_field(field, place: Place):
         return kv.elem([c for c in r.coeffs])
 
     return kv, red
+
+
+def roots_by_minimal_polynomial(base, F) -> dict[tuple, FElem]:
+    """{key of pi: one root of pi in F} for every monic
+    irreducible pi over ``base`` of degree d = [F : base]; F is ``base``
+    itself (d = 1) or an extension of it.
+
+    Each generator theta of F is keyed by its minimal polynomial, the
+    product of (T - theta^(q^i)) over i < d, whose coefficients lie in
+    ``base``.  theta -> theta^q is base-linear, so it is applied as the sum
+    of theta's coordinates times the q-th powers of the basis 1, x, ...,
+    x^(d-1).  Conjugates of a keyed root are skipped."""
+    if F is base:
+        return {(base.raw_key(base.raw_neg(c)), base.raw_key(base.one.val)): FElem(base, c)
+                for c in base.raw_values()}
+    d, q, bzero = F.degree, base.q, base.zero.val
+    add, mul, neg, scale = F.raw_add, F.raw_mul, F.raw_neg, base.raw_mul
+    frob_basis = [F.raw_pow(F.raw([0] * i + [1]), q) for i in range(d)]
+
+    def frob(theta):
+        out = F.zero.val
+        for c, xq in zip(theta, frob_basis):
+            if c != bzero:
+                out = add(out, tuple(scale(c, e) for e in xq))
+        return out
+
+    roots: dict[tuple, FElem] = {}
+    seen = set()
+    for theta in F.raw_values():
+        if theta in seen:
+            continue
+        conj = [theta]
+        for _ in range(d - 1):
+            conj.append(frob(conj[-1]))
+        if len(set(conj)) < d:
+            continue  # theta lies in a proper subfield
+        seen.update(conj)
+        coeffs = [F.one.val]  # the product, low degree first
+        for c in conj:
+            shifted = [F.zero.val] + coeffs
+            coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero.val])]
+        roots[tuple(base.raw_key(c[0]) for c in coeffs)] = FElem(F, theta)
+    return roots
 
 
 def find_irreducible(field, degree: int) -> Poly:

@@ -16,6 +16,8 @@ Euler number, local L-factor).
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random as _random
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -361,22 +363,83 @@ def synthetic_fiber(q: int, degree: int, kod: str, splitting=None, field=None) -
 # point counting in residue fields
 
 
-def count_affine_points(kv, a, b) -> int:
-    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} by lookup in the set of
-    squares, on raw field values."""
-    add, mul = kv.raw_add, kv.raw_mul
-    a, b, zero = a.val, b.val, kv.zero.val
+def _span(start, cols, p, weights):
+    """Codes sum v_j weights[j] of the digit vectors v = start + sum of d_i
+    cols[i] mod p, for every digit vector d, indexed by sum of d_i p^i."""
+    digits = [[s] for s in start]  # one list per digit of v
+    for col in cols:
+        digits = [[(v + d * c) % p for d in range(p) for v in vs] for vs, c in zip(digits, col)]
+    codes = [0] * len(digits[0])
+    for vs, w in zip(digits, weights):
+        codes = list(map(operator.add, codes, [v * w for v in vs]))
+    return codes
+
+
+def affine_point_counter(kv):
+    """(A, B) -> #{(x,y) in kv^2 : y^2 = x^3 + A x + B} on raw values of
+    kv, with kv's tables built once.
+
+    An element is its vector of k base-p digits (``raw_key``), and its code
+    sum d_j p^j.  x -> A x is GF(p)-linear, so A x + B over all x is one
+    half table of A times the low digits plus B and one of A times the high
+    digits, each of about sqrt(q_v) entries, built from the columns A e_j.
+    Every digit of cube + low + high is below 3p, so their sum read in base
+    3p, without reduction, indexes a table of the number of square roots
+    of its reduction mod p.  The x sharing their high digits form one block
+    that reads the table shifted by its high entry: the loop over x is an
+    int addition and a lookup.
+    """
+    p, mul, key = kv.p, kv.raw_mul, kv.raw_key
     xs = list(kv.raw_values())
-    squares = [mul(x, x) for x in xs]
-    square_set = set(squares)
-    count = 0
-    for x, xx in zip(xs, squares):
-        rhs = add(mul(x, add(xx, a)), b)
-        if rhs == zero:
-            count += 1
-        elif rhs in square_set:
-            count += 2
+    k = len(key(xs[0]))
+    radix = 3 * p
+    by_p = [p**j for j in range(k)]
+    by_radix = [radix**j for j in range(k)]
+
+    def code(digits, weights):
+        return sum(map(operator.mul, digits, weights))
+
+    units = [None] * k
+    cubes = [0] * len(xs)
+    root_counts: dict[int, int] = {}  # square (base-3p code) -> its number of roots
+    for x in xs:
+        digits = key(x)
+        if sum(digits) == 1:
+            units[digits.index(1)] = x
+        xx = mul(x, x)
+        cubes[code(digits, by_p)] = code(key(mul(x, xx)), by_radix)
+        square = code(key(xx), by_radix)
+        root_counts[square] = root_counts.get(square, 0) + 1
+    low_digits = (k + 1) // 2
+    block = p**low_digits
+    cube_blocks = [tuple(cubes[i : i + block]) for i in range(0, len(xs), block)]
+    # the roots of z at every unreduced digit vector z + m p, m in {0, 1, 2}^k
+    offsets = [code(m, by_radix) * p for m in itertools.product(range(3), repeat=k)]
+    table = bytearray(radix**k)
+    for square, n in root_counts.items():
+        for off in offsets:
+            table[square + off] = n
+    roots_at = memoryview(table)
+    zero = (0,) * k
+
+    def count(a, b) -> int:
+        cols = [key(mul(a, u)) for u in units]
+        lows = _span(key(b), cols[:low_digits], p, by_radix)
+        highs = _span(zero, cols[low_digits:], p, by_radix)
+        return sum(
+            sum(map(roots_at[high:].__getitem__, map(operator.add, cubes, lows)))
+            for high, cubes in zip(highs, cube_blocks)
+        )
+
     return count
+
+
+def count_affine_points(kv, a, b) -> int:
+    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} for elements a, b of kv: one
+    count with a fresh ``affine_point_counter(kv)``, whose tables (cubes
+    and square roots on base-p digits, O(q_v) field products) a caller
+    counting many (a, b) over one field builds once instead."""
+    return affine_point_counter(kv)(a.val, b.val)
 
 
 def curve_point_count(kv, a, b) -> int:

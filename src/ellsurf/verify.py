@@ -17,18 +17,30 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EllsurfError, NoConsistentSign, NontrivialMW, PlaceBudgetExceeded
+from .errors import (
+    EllsurfError,
+    InternalInconsistency,
+    NoConsistentSign,
+    NontrivialMW,
+    PlaceBudgetExceeded,
+)
 from .exactalg import RatPoly, SpecialValue, leading_term
-from .ffield import places_enumerate
+from .ffield import (
+    ExtensionField,
+    Poly,
+    find_irreducible,
+    places_enumerate,
+    roots_by_minimal_polynomial,
+)
 from .lattice import discriminant, ns_lattice_build, symmetric_signature
 from .tatefiber import (
     FiberData,
     SurfaceInvariants,
     WeierstrassModel,
+    affine_point_counter,
     arithmetic_component_discriminant,
     bad_fibers,
     component_lattice_base_gram,
-    curve_point_count,
     global_invariants,
 )
 from .zeta import (
@@ -373,9 +385,13 @@ def check_good_place_sanity(model, fibers, sample_degree=2) -> CheckResult:
     without a bad fiber: the local factor the L-function uses (from
     ``euler_factors``) against a pure-Python recount on the minimal short
     model.  The places come from the independent sieve, which must give
-    exactly the finite places of the Euler product."""
-    from .ffield import residue_field
+    exactly the finite places of the Euler product.
 
+    All places of one degree d share one model F of GF(q^d): the base field
+    at d = 1, else ``find_irreducible(field, d)``.  A place's residue field
+    is F through t -> theta, a root of its pi keyed by minimal polynomial
+    (``roots_by_minimal_polynomial``), so a4 and a6 reduce to their values at
+    theta and one ``affine_point_counter`` per degree counts every place."""
     name = "good_place_lfactor"
     field = model.field
     a4, a6 = model.minimal_short
@@ -397,15 +413,25 @@ def check_good_place_sanity(model, fibers, sample_degree=2) -> CheckResult:
             f"{len(missing)} missing, {len(extra)} extra",
         )
     checked = 0
-    for v in places:
-        if v in bad:
-            continue
-        at_one = factors[v.sort_key()][1].eval(1)
-        kv, red = residue_field(field, v)
-        count = curve_point_count(kv, red(a4), red(a6))
-        if at_one != count:
-            return CheckResult(name, FAIL, str(at_one), str(count), None, f"at {v.label()}")
-        checked += 1
+    for d in range(1, sample_degree + 1):
+        if d == 1:
+            F = field
+        else:
+            F = ExtensionField(field, find_irreducible(field, d).coeffs, check_irreducible=False)
+        roots = roots_by_minimal_polynomial(field, F)
+        count = affine_point_counter(F)
+        a4_F, a6_F = Poly(F, a4.coeffs), Poly(F, a6.coeffs)
+        for v in places:
+            if v.degree != d or v in bad:
+                continue
+            theta = roots.get(v.poly.key())
+            if theta is None:
+                raise InternalInconsistency(f"sieve place {v.label()} has no root in GF({F.q})")
+            at_one = factors[v.sort_key()][1].eval(1)
+            points = count(a4_F.eval(theta).val, a6_F.eval(theta).val) + 1
+            if at_one != points:
+                return CheckResult(name, FAIL, str(at_one), str(points), None, f"at {v.label()}")
+            checked += 1
     return CheckResult(name, PASS, details=f"{checked} good places recounted")
 
 

@@ -19,6 +19,7 @@ from ellsurf.ffield import (
     places_enumerate,
     poly_is_irreducible,
     residue_field,
+    roots_by_minimal_polynomial,
 )
 
 F5 = PrimeField(5)
@@ -245,3 +246,16 @@ def test_moebius_and_is_prime_by_definition():
         assert moebius(n) == ((-1) ** len(primes) if squarefree else 0)
     for n in range(201):
         assert ffield._is_prime(n) == is_prime(n)
+
+
+@pytest.mark.parametrize("field", [F5, PrimeField(11), F25], ids=["F5", "F11", "F25"])
+def test_roots_by_minimal_polynomial_cover_the_sieve(field):
+    """Every sieve place of degree <= 2 gets a root theta with pi(theta) = 0
+    in the shared model of its degree, and nothing else is keyed."""
+    for d in (1, 2):
+        F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs)
+        roots = roots_by_minimal_polynomial(field, F)
+        places = [v for v in places_enumerate(field, d) if v.degree == d and not v.is_infinity]
+        assert sorted(roots) == sorted(v.poly.key() for v in places)
+        for v in places:
+            assert not Poly(F, v.poly.coeffs).eval(roots[v.poly.key()])

@@ -8,6 +8,7 @@ from ellsurf.ffield import Place, Poly, PrimeField, field_make, place_finite, pl
 from ellsurf.lattice import discriminant
 from ellsurf.tatefiber import (
     WeierstrassModel,
+    affine_point_counter,
     arithmetic_component_discriminant,
     component_group_fixed_order,
     component_lattice,
@@ -455,3 +456,58 @@ def test_count_affine_points_nested_extension_by_euler_criterion():
             rhs = x * x * x + a * x + b
             euler += 1 if not rhs else (2 if rhs.is_square() else 0)
         assert count_affine_points(f625, a, b) == euler
+
+
+def _counter_fields():
+    from ellsurf.ffield import ExtensionField, find_irreducible
+
+    f11 = PrimeField(11)
+    f25 = ExtensionField(F5, [2, 0, 1])
+    return {
+        "F5": F5,
+        "F11": f11,
+        "F121/F11": ExtensionField(f11, find_irreducible(f11, 2).coeffs),
+        "F625/F25": ExtensionField(f25, find_irreducible(f25, 2).coeffs),
+    }
+
+
+@pytest.mark.parametrize("name", ["F5", "F11", "F121/F11", "F625/F25"])
+def test_affine_point_counter_matches_the_double_loop(name):
+    """One counter per field against #{(x, y) : y^2 = x^3 + A x + B} by a
+    double loop over kv^2, on seeded draws of (A, B) with A = 0 and B = 0
+    among them."""
+    kv = _counter_fields()[name]
+    add, mul = kv.raw_add, kv.raw_mul
+    xs = list(kv.raw_values())
+    squares = [mul(y, y) for y in xs]
+    count = affine_point_counter(kv)
+    zero = kv.zero.val
+    rng = random.Random(len(xs))
+    draws = [(rng.choice(xs), rng.choice(xs)) for _ in range(3)]
+    draws += [(zero, rng.choice(xs)), (rng.choice(xs), zero), (zero, zero)]
+    for a, b in draws:
+        naive = 0
+        for x in xs:
+            rhs = add(mul(x, add(mul(x, x), a)), b)
+            naive += sum(1 for yy in squares if yy == rhs)
+        assert count(a, b) == naive, (name, a, b)
+
+
+def test_point_count_oracle_loads_neither_numpy_nor_the_kernel():
+    """The good-place oracle (tatefiber's counter, ffield's roots) stays
+    independent of the character-sum kernel and its numpy tables."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "import ellsurf.tatefiber, ellsurf.ffield\n"
+        "print(sorted(m for m in ('numpy', 'ellsurf.zeta') if m in sys.modules))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -224,6 +224,37 @@ def test_mutation_a_v(x3t_parts):
     assert check_good_place_sanity(X3T, fibers).status == PASS
 
 
+def test_mutation_a_v_at_a_degree_2_place(x3t_parts):
+    """A wrong trace at the good degree-2 place t^2 + 2, which the audit
+    recounts in its shared GF(25) model: the audit FAILs at that place."""
+    from ellsurf.ffield import Poly, place_finite
+    from ellsurf.tatefiber import make_fiber
+
+    inv, fibers, counts = x3t_parts
+    bad_good = make_fiber(place_finite(Poly(F5, [2, 0, 1])), 5, "I0", None, a_v=9)
+    mut = fibers + [bad_good]  # the true trace there is 10
+    assert _rerun_with(mut, counts)
+    result = check_good_place_sanity(X3T, mut)
+    assert (result.status, result.lhs, result.rhs) == (FAIL, "17", "16")
+    assert result.details == "at (t^2 + 2)"
+    assert check_good_place_sanity(X3T, fibers).status == PASS
+
+
+def test_good_place_audit_without_a_root_raises_a_typed_error(monkeypatch, capsys):
+    """A sieve place with no root in the shared model is an internal
+    inconsistency: exit 4 with one line, not a KeyError."""
+    from ellsurf import verify
+    from ellsurf.cli import main
+    from ellsurf.errors import InternalInconsistency
+
+    monkeypatch.setattr(verify, "roots_by_minimal_polynomial", lambda base, F: {})
+    with pytest.raises(InternalInconsistency, match="has no root in GF"):
+        check_good_place_sanity(GENERIC_I1, global_invariants(GENERIC_I1)[1])
+    assert main(["verify", "--catalog", "x3_plus_t_f5"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("internal error: InternalInconsistency: sieve place")
+
+
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_good_place_audit_checks_the_kernel_place_set(monkeypatch, change):
     """A kernel that omits a degree-2 place, or invents one, makes

@@ -25,7 +25,7 @@ from ellsurf.ffield import (
 )
 from ellsurf.tatefiber import (
     WeierstrassModel,
-    count_affine_points,
+    affine_point_counter,
     fiber_point_count,
     global_invariants,
     synthetic_fiber,
@@ -128,9 +128,9 @@ def test_counts_zero_nmax_empty():
 def oracle_counts(m, fibers, n_max):
     """Independent oracle for the character-sum kernel.  GF(q^n) is the
     pure-Python GF(p)[x]/(f) with GF(q) embedded by a root of its modulus;
-    count_affine_points runs at one t per Frobenius orbit (t -> t^q) with
-    Delta(t) != 0, weighted by the orbit length, and the bad places and
-    infinity add their fiber counts (minimal models only)."""
+    one affine_point_counter per GF(q^n) runs at one t per Frobenius orbit
+    (t -> t^q) with Delta(t) != 0, weighted by the orbit length, and the bad
+    places and infinity add their fiber counts (minimal models only)."""
     field, q = m.field, m.field.q
     fp = field if field.degree == 1 else field.base
     inf = next(f for f in fibers if f.place.is_infinity)
@@ -146,6 +146,7 @@ def oracle_counts(m, fibers, n_max):
             embed = lambda c: sum((r**i * big.elem(ci) for i, ci in enumerate(c.val)), big.zero)
 
         a4, a6, delta = ([embed(c) for c in f.coeffs] for f in (m.a4_short, m.a6_short, m.delta))
+        count = affine_point_counter(big)
 
         def ev(coeffs, t):
             acc = big.zero
@@ -162,7 +163,7 @@ def oracle_counts(m, fibers, n_max):
                 orbit.append(orbit[-1] ** q)
             seen.update(big.elem_key(s) for s in orbit)
             if ev(delta, t):
-                total += len(orbit) * (1 + count_affine_points(big, ev(a4, t), ev(a6, t)))
+                total += len(orbit) * (1 + count(ev(a4, t).val, ev(a6, t).val))
         for f in fibers:
             if not f.place.is_infinity and n % f.d_v == 0:
                 total += f.d_v * fiber_point_count(f, n // f.d_v)
