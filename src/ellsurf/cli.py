@@ -72,10 +72,10 @@ class Config:
     mw_rank: int | None = None
     mw_torsion_order: int | None = None
     notes: str = ""
-    n_max: int | None = None
-    place_degree_cap: int = 8
-    surplus_margin: int = 2
-    point_budget: int = 25_000
+    n_max: int | None = Limits.n_max
+    place_degree_cap: int = Limits.place_degree_cap
+    surplus_margin: int = Limits.surplus_margin
+    point_budget: int = Limits.point_budget
 
 
 def _parse_coeff(tok: str, lineno: int):

@@ -13,12 +13,12 @@ usual operator syntax; hot loops run on raw values directly.  Everything is
 exact and immutable; contexts can be shared freely.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
-irreducible polynomial in the coordinate t.  Enumeration is by an exhaustive
-factorization sieve, which is desk-scale (q^d_max elements); it is the
-independent place list that ``verify.check_good_place_sanity`` holds the
-Euler product's places against.  That check reads every place of degree d
-in one model F of GF(q^d), at a root from ``roots_by_minimal_polynomial``,
-instead of building the residue field of each place.
+irreducible polynomial in the coordinate t.  ``roots_by_minimal_polynomial``
+lists every finite place of degree d, each with a root in one model F of
+GF(q^d), by walking F and taking minimal polynomials.  It is the independent
+place list that ``verify.check_good_place_sanity`` holds the Euler product's
+places against, and that check reads every place of degree d in F at its
+root instead of building the residue field of each place.
 """
 
 from __future__ import annotations
@@ -539,9 +539,6 @@ class Place:
     def is_infinity(self) -> bool:
         return self.kind == "infinity"
 
-    def qv(self, q: int) -> int:
-        return q**self.degree
-
     def sort_key(self) -> tuple:
         if self.is_infinity:
             return (0,)
@@ -573,47 +570,6 @@ def place_finite(pi: Poly) -> Place:
     return Place("finite", pi.monic(), pi.degree)
 
 
-def monic_polys(field, degree: int):
-    """All monic polynomials of the given degree, in deterministic order."""
-    elems = sorted(field.elements(), key=field.elem_key)
-    for tail in itertools.product(elems, repeat=degree):
-        yield Poly(field, list(tail) + [field.one])
-
-
-def irreducibles_by_degree(field, d_max: int) -> dict[int, list[Poly]]:
-    """Sieve of monic irreducibles of degree <= d_max over ``field``.
-
-    Marks every monic polynomial divisible by a lower-degree irreducible;
-    the survivors are irreducible.  Exhaustive, hence also the test oracle.
-    """
-    by_degree = {d: list(monic_polys(field, d)) for d in range(1, d_max + 1)}
-    reducible: set[tuple] = set()
-    out: dict[int, list[Poly]] = {}
-    for d in range(1, d_max + 1):
-        found = [f for f in by_degree[d] if f.key() not in reducible]
-        out[d] = found
-        # mark multiples; cofactors of degree < d carry a smaller irreducible
-        # factor and were marked in an earlier pass
-        for pi in found:
-            for e in range(d, d_max - d + 1):
-                for g in by_degree[e]:
-                    reducible.add((pi * g).key())
-    return out
-
-
-def places_enumerate(field, d_max: int) -> list[Place]:
-    """Infinity followed by all finite places of degree <= d_max, sorted,
-    by the exhaustive sieve."""
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
-    places = [place_infinity()]
-    irr = irreducibles_by_degree(field, d_max)
-    for d in range(1, d_max + 1):
-        places.extend(place_finite(pi) for pi in irr[d])
-    places.sort(key=lambda v: v.sort_key())
-    return places
-
-
 def moebius(n: int) -> int:
     exps = factorize(n).values()
     return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
@@ -642,10 +598,10 @@ def residue_field(field, place: Place):
     return kv, red
 
 
-def roots_by_minimal_polynomial(base, F) -> dict[tuple, FElem]:
-    """{key of pi: one root of pi in F} for every monic
-    irreducible pi over ``base`` of degree d = [F : base]; F is ``base``
-    itself (d = 1) or an extension of it.
+def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, FElem]]:
+    """(place of pi, one root of pi in F) for every monic irreducible pi
+    over ``base`` of degree d = [F : base], in ``Place.sort_key`` order; F
+    is ``base`` itself (d = 1) or an extension of it.
 
     Each generator theta of F is keyed by its minimal polynomial, the
     product of (T - theta^(q^i)) over i < d, whose coefficients lie in
@@ -653,8 +609,9 @@ def roots_by_minimal_polynomial(base, F) -> dict[tuple, FElem]:
     of theta's coordinates times the q-th powers of the basis 1, x, ...,
     x^(d-1).  Conjugates of a keyed root are skipped."""
     if F is base:
-        return {(base.raw_key(base.raw_neg(c)), base.raw_key(base.one.val)): FElem(base, c)
-                for c in base.raw_values()}
+        roots = [(Place("finite", Poly(base, [FElem(base, base.raw_neg(c)), base.one]), 1),
+                  FElem(base, c)) for c in base.raw_values()]
+        return sorted(roots, key=lambda r: r[0].sort_key())
     d, q, bzero = F.degree, base.q, base.zero.val
     add, mul, neg, scale = F.raw_add, F.raw_mul, F.raw_neg, base.raw_mul
     frob_basis = [F.raw_pow(F.raw([0] * i + [1]), q) for i in range(d)]
@@ -666,7 +623,7 @@ def roots_by_minimal_polynomial(base, F) -> dict[tuple, FElem]:
                 out = add(out, tuple(scale(c, e) for e in xq))
         return out
 
-    roots: dict[tuple, FElem] = {}
+    roots = []
     seen = set()
     for theta in F.raw_values():
         if theta in seen:
@@ -681,16 +638,17 @@ def roots_by_minimal_polynomial(base, F) -> dict[tuple, FElem]:
         for c in conj:
             shifted = [F.zero.val] + coeffs
             coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero.val])]
-        roots[tuple(base.raw_key(c[0]) for c in coeffs)] = FElem(F, theta)
-    return roots
+        pi = Poly(base, [FElem(base, c[0]) for c in coeffs])
+        roots.append((Place("finite", pi, d), FElem(F, theta)))
+    return sorted(roots, key=lambda r: r[0].sort_key())
 
 
 def find_irreducible(field, degree: int) -> Poly:
-    """Smallest (in enumeration order) monic irreducible of given degree.
+    """Smallest monic irreducible of given degree in ``Place.sort_key``
+    order, which compares coefficients from the constant term up.
 
     From degree 2 on, t divides every candidate with constant term 0 (the
-    first q^(degree - 1) in enumeration order), so the enumeration starts
-    past them: the constant term varies slowest in ``monic_polys``."""
+    first q^(degree - 1) in that order), so the search starts past them."""
     elems = sorted(field.elements(), key=field.elem_key)
     constants = elems if degree == 1 else [c for c in elems if c]
     for tail in itertools.product(constants, *[elems] * (degree - 1)):

@@ -29,7 +29,7 @@ from .ffield import (
     ExtensionField,
     Poly,
     find_irreducible,
-    places_enumerate,
+    irreducible_count,
     roots_by_minimal_polynomial,
 )
 from .lattice import discriminant, ns_lattice_build, symmetric_signature
@@ -44,6 +44,8 @@ from .tatefiber import (
     global_invariants,
 )
 from .zeta import (
+    DEFAULT_BUDGET,
+    DEFAULT_SURPLUS,
     bad_correction,
     euler_factors,
     l_function,
@@ -70,8 +72,8 @@ class CheckResult:
 class Limits:
     n_max: int | None = None
     place_degree_cap: int = 8
-    surplus_margin: int = 2
-    point_budget: int = 25_000
+    surplus_margin: int = DEFAULT_SURPLUS
+    point_budget: int = DEFAULT_BUDGET
     threads: int = 0
     seed: int = 0
 
@@ -380,28 +382,45 @@ def predict_orders(p2_star, l_star, ns_disc, inv, c_j, rank, metadata, q):
     )
 
 
-def check_good_place_sanity(model, fibers, sample_degree=2) -> CheckResult:
-    """L_v(1) = #E(k(v)) at every finite place of degree <= sample_degree
+AUDIT_DEGREE = 2  # the good-place audit's depth, fixed whatever the point budget
+
+
+def check_good_place_sanity(model, fibers) -> CheckResult:
+    """L_v(1) = #E(k(v)) at every finite place of degree <= AUDIT_DEGREE
     without a bad fiber: the local factor the L-function uses (from
     ``euler_factors``) against a pure-Python recount on the minimal short
-    model.  The places come from the independent sieve, which must give
-    exactly the finite places of the Euler product.
+    model.
 
     All places of one degree d share one model F of GF(q^d): the base field
-    at d = 1, else ``find_irreducible(field, d)``.  A place's residue field
-    is F through t -> theta, a root of its pi keyed by minimal polynomial
-    (``roots_by_minimal_polynomial``), so a4 and a6 reduce to their values at
-    theta and one ``affine_point_counter`` per degree counts every place."""
+    at d = 1, else ``find_irreducible(field, d)``.
+    ``roots_by_minimal_polynomial`` lists the places of degree d from F,
+    each with a root theta of its pi, and must list ``irreducible_count(q,
+    d)`` of them.  Those lists must give exactly the finite places of the
+    Euler product.  A place's residue field is F through t -> theta, so a4
+    and a6 reduce to their values at theta and one ``affine_point_counter``
+    per degree counts every place."""
     name = "good_place_lfactor"
     field = model.field
     a4, a6 = model.minimal_short
-    bad = {f.place for f in fibers if not f.is_good}
-    # the audit's depth is fixed, not set by the point budget
-    factors = euler_factors(model, fibers, sample_degree, budget=field.q**sample_degree)
-    places = [v for v in places_enumerate(field, sample_degree) if not v.is_infinity]
-    sieved = {v.sort_key() for v in places}
-    extra = [k for k in factors if k != (0,) and k not in sieved]
-    missing = [v for v in places if v.sort_key() not in factors]
+    bad = {f.place.sort_key() for f in fibers if not f.is_good}
+    factors = euler_factors(model, fibers, AUDIT_DEGREE, budget=field.q**AUDIT_DEGREE)
+    models = []
+    for d in range(1, AUDIT_DEGREE + 1):
+        if d == 1:
+            F = field
+        else:
+            F = ExtensionField(field, find_irreducible(field, d).coeffs, check_irreducible=False)
+        roots = roots_by_minimal_polynomial(field, F)
+        expected = irreducible_count(field.q, d)
+        if len(roots) != expected:
+            raise InternalInconsistency(
+                f"place list of degree {d} over GF({field.q}) holds {len(roots)} "
+                f"places, not {expected}"
+            )
+        models.append((F, roots))
+    places = {v.sort_key() for _, roots in models for v, _ in roots}
+    extra = [k for k in factors if k != (0,) and k not in places]
+    missing = [k for k in places if k not in factors]
     if extra or missing:
         return CheckResult(
             name,
@@ -409,25 +428,18 @@ def check_good_place_sanity(model, fibers, sample_degree=2) -> CheckResult:
             str(len(factors) - 1),
             str(len(places)),
             None,
-            f"finite places of the Euler product against the sieve: "
+            f"finite places of the Euler product against the place list: "
             f"{len(missing)} missing, {len(extra)} extra",
         )
     checked = 0
-    for d in range(1, sample_degree + 1):
-        if d == 1:
-            F = field
-        else:
-            F = ExtensionField(field, find_irreducible(field, d).coeffs, check_irreducible=False)
-        roots = roots_by_minimal_polynomial(field, F)
+    for F, roots in models:
         count = affine_point_counter(F)
         a4_F, a6_F = Poly(F, a4.coeffs), Poly(F, a6.coeffs)
-        for v in places:
-            if v.degree != d or v in bad:
+        for v, theta in roots:
+            key = v.sort_key()
+            if key in bad:
                 continue
-            theta = roots.get(v.poly.key())
-            if theta is None:
-                raise InternalInconsistency(f"sieve place {v.label()} has no root in GF({F.q})")
-            at_one = factors[v.sort_key()][1].eval(1)
+            at_one = factors[key][1].eval(1)
             points = count(a4_F.eval(theta).val, a6_F.eval(theta).val) + 1
             if at_one != points:
                 return CheckResult(name, FAIL, str(at_one), str(points), None, f"at {v.label()}")
@@ -477,7 +489,7 @@ def run_verification(
     """Full pipeline: fibers, counts, both P2 routes, L, special values and
     every identity check.  ``fibers`` and ``counts`` can be injected (the
     mutation-sensitivity tests perturb them).  Raises PlaceBudgetExceeded,
-    before any sieve or kernel work, when the L-series needs places of a
+    before any kernel work, when the L-series needs places of a
     degree d with q^d over the point budget, and before Tate's algorithm
     (which counts points at a good infinity) when q itself is over it."""
     metadata = metadata or Metadata()

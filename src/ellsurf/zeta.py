@@ -78,6 +78,7 @@ from .tatefiber import (
 )
 
 DEFAULT_BUDGET = 25_000
+DEFAULT_SURPLUS = 2
 
 
 @dataclass(frozen=True)
@@ -524,7 +525,7 @@ def l_function(
     model: WeierstrassModel,
     fibers: list[FiberData],
     inv: SurfaceInvariants,
-    surplus: int = 2,
+    surplus: int = DEFAULT_SURPLUS,
     seed=None,
     use_functional_equation: bool = False,
     budget: int = DEFAULT_BUDGET,

@@ -14,9 +14,7 @@ from ellsurf.ffield import (
     field_make,
     find_irreducible,
     irreducible_count,
-    irreducibles_by_degree,
     moebius,
-    places_enumerate,
     poly_is_irreducible,
     residue_field,
     roots_by_minimal_polynomial,
@@ -25,6 +23,13 @@ from ellsurf.ffield import (
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 F25 = ExtensionField(F5, [2, 0, 1])  # x^2 + 2
+
+
+def places_of_degree(field, d):
+    """roots_by_minimal_polynomial in the model of GF(q^d) the good-place
+    audit uses: ``field`` itself at d = 1, else ``find_irreducible``."""
+    F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs)
+    return roots_by_minimal_polynomial(field, F)
 
 
 def test_field_make_prime():
@@ -97,19 +102,10 @@ def test_is_square():
     assert F7.zero.is_square()
 
 
-def test_places_degree_one_count():
-    places = places_enumerate(F5, 1)
-    assert len(places) == 6  # q + 1
-    assert places[0].is_infinity
-    keys = [p.sort_key() for p in places]
-    assert keys == sorted(keys)
-
-
 def test_places_f2_degree3():
     # module-local context relaxing p >= 5
     f2 = PrimeField(2, _allow_small=True)
-    irr = irreducibles_by_degree(f2, 3)
-    deg3 = {tuple(c.val for c in f.coeffs) for f in irr[3]}
+    deg3 = {tuple(c.val for c in v.poly.coeffs) for v, _ in places_of_degree(f2, 3)}
     # oracle: Rabin's irreducibility test over GF(2)
     expected = set()
     for c0, c1, c2 in itertools.product((0, 1), repeat=3):
@@ -130,10 +126,10 @@ def test_irreducibility_over_a_huge_prime_field():
 
 
 def test_places_f5_degree2_count():
-    irr = irreducibles_by_degree(F5, 2)
-    assert len(irr[2]) == (25 - 5) // 2 == irreducible_count(5, 2)
-    for f in irr[2]:
-        assert poly_is_irreducible(f)
+    places = places_of_degree(F5, 2)
+    assert len(places) == (25 - 5) // 2 == irreducible_count(5, 2)
+    for v, _ in places:
+        assert poly_is_irreducible(v.poly)
 
 
 @pytest.mark.parametrize("q,field", [(5, F5), (9, ExtensionField(PrimeField(3, _allow_small=True), [1, 0, 1]))])
@@ -141,17 +137,11 @@ def test_degree_weighted_place_count(q, field):
     # every monic polynomial of degree n factors uniquely:
     # sum_{d | n} d * N_d = q^n
     n_max = 3
-    irr = irreducibles_by_degree(field, n_max)
+    count = {d: len(places_of_degree(field, d)) for d in range(1, n_max + 1)}
     for n in range(1, n_max + 1):
-        total = sum(d * len(irr[d]) for d in range(1, n + 1) if n % d == 0)
+        assert count[n] == irreducible_count(q, n)
+        total = sum(d * count[d] for d in range(1, n + 1) if n % d == 0)
         assert total == q**n
-
-
-def test_places_stable_and_duplicate_free():
-    a = places_enumerate(F5, 2)
-    b = places_enumerate(F5, 2)
-    assert [p.sort_key() for p in a] == [p.sort_key() for p in b]
-    assert len({p.sort_key() for p in a}) == len(a)
 
 
 def test_residue_field_reduction():
@@ -228,9 +218,9 @@ def test_element_order_and_keys_unchanged():
 
 @pytest.mark.parametrize("field", [F5, F7], ids=["F5", "F7"])
 def test_find_irreducible_is_first_in_enumeration_order(field):
-    irr = irreducibles_by_degree(field, 4)
     for d in range(1, 5):
-        assert find_irreducible(field, d) == irr[d][0]
+        first, _ = places_of_degree(field, d)[0]
+        assert find_irreducible(field, d) == first.poly
 
 
 def test_moebius_and_is_prime_by_definition():
@@ -249,13 +239,16 @@ def test_moebius_and_is_prime_by_definition():
 
 
 @pytest.mark.parametrize("field", [F5, PrimeField(11), F25], ids=["F5", "F11", "F25"])
-def test_roots_by_minimal_polynomial_cover_the_sieve(field):
-    """Every sieve place of degree <= 2 gets a root theta with pi(theta) = 0
-    in the shared model of its degree, and nothing else is keyed."""
+def test_roots_by_minimal_polynomial_list_every_place(field):
+    """At degree d <= 2 the list holds irreducible_count(q, d) distinct
+    places in sort order, each of degree d with a root theta, pi(theta) = 0,
+    in the shared model of its degree."""
     for d in (1, 2):
         F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs)
         roots = roots_by_minimal_polynomial(field, F)
-        places = [v for v in places_enumerate(field, d) if v.degree == d and not v.is_infinity]
-        assert sorted(roots) == sorted(v.poly.key() for v in places)
-        for v in places:
-            assert not Poly(F, v.poly.coeffs).eval(roots[v.poly.key()])
+        keys = [v.sort_key() for v, _ in roots]
+        assert len(roots) == irreducible_count(field.q, d)
+        assert keys == sorted(set(keys))
+        for v, theta in roots:
+            assert v.degree == v.poly.degree == d
+            assert not Poly(F, v.poly.coeffs).eval(theta)

@@ -241,18 +241,21 @@ def test_mutation_a_v_at_a_degree_2_place(x3t_parts):
 
 
 def test_good_place_audit_without_a_root_raises_a_typed_error(monkeypatch, capsys):
-    """A sieve place with no root in the shared model is an internal
-    inconsistency: exit 4 with one line, not a KeyError."""
+    """A place the root list drops is caught by the necklace count as an
+    internal inconsistency of the oracle: exit 4 with one line, not a
+    good_place_lfactor FAIL blamed on the kernel."""
     from ellsurf import verify
     from ellsurf.cli import main
     from ellsurf.errors import InternalInconsistency
 
-    monkeypatch.setattr(verify, "roots_by_minimal_polynomial", lambda base, F: {})
-    with pytest.raises(InternalInconsistency, match="has no root in GF"):
+    roots = verify.roots_by_minimal_polynomial
+    monkeypatch.setattr(verify, "roots_by_minimal_polynomial", lambda base, F: roots(base, F)[1:])
+    with pytest.raises(InternalInconsistency, match="holds 4 places, not 5"):
         check_good_place_sanity(GENERIC_I1, global_invariants(GENERIC_I1)[1])
     assert main(["verify", "--catalog", "x3_plus_t_f5"]) == 4
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("internal error: InternalInconsistency: sieve place")
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: InternalInconsistency: place list of degree 1 over GF(5)")
 
 
 @pytest.mark.parametrize("change", ["drop", "add"])
