@@ -3,10 +3,12 @@
 
     python3 scripts/compare_reports.py BASE/src HEAD/src [--random 160] [--seed 1]
 
-Runs every config of `bench/pool.json`, the built-in catalog and a seeded
+Runs every config of `bench/pool.json`, the built-in catalog, a seeded
 draw of random long-form models (a1, a2, a3 nonzero) over GF(5), GF(7),
-GF(11) and GF(25) through `ellsurf report` in one process per tree (the two
-run side by side), and compares stdout, stderr and the exit status of each.
+GF(11) and GF(25), and one model with a degree-72 discriminant over GF(11)
+(high-degree factoring and Tate, exit 3) through `ellsurf report` in one
+process per tree (the two run side by side), and compares stdout, stderr
+and the exit status of each.
 Prints one line per difference and a summary with each tree's total
 seconds; exits 1 if anything differs.
 """
@@ -29,6 +31,14 @@ TIMEOUT_S = 120
 
 # (p, modulus or None); GF(25) = GF(5)[z] / (z^2 + 2)
 FIELDS = [(5, None), (7, None), (11, None), (5, [2, 0, 1])]
+
+# Delta of degree 72 over GF(11): its factoring and Tate at places of high
+# degree run before the point budget ends the report with exit 3
+DEGREE_72 = ("degree72-gf11", "\n".join([
+    "[field]", "p = 11", "[model]",
+    "a1 = 2, -17, 6, 35, 40, 2, 11, 11, -13, 6, -9, -25, -7",
+    "a6 = -5, -2, 14, -27", "",
+]))
 
 
 def _coeff(rng, p, ext):
@@ -110,7 +120,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         jobs = [(f"catalog-{name}", ["report", "--catalog", name])
                 for name in ("legendre_f5", "x3_plus_t_f5", "x3_plus_t_f7", "generic_i1_f5")]
-        for name, text in pool_configs() + random_configs(args.random, args.seed):
+        for name, text in pool_configs() + random_configs(args.random, args.seed) + [DEGREE_72]:
             path = Path(tmp) / f"{name}.cfg"
             path.write_text(text)
             jobs.append((name, ["report", "--config", str(path)]))

@@ -2,15 +2,17 @@
 
 Fields are represented as context objects: ``PrimeField(p)`` for GF(p) and
 ``ExtensionField(base, modulus)`` for quotients base[x]/(modulus).  Each
-context computes on raw values: ints in [0, p) over GF(p), and for an
-extension tuples of its base's raw values (nested tuples over an extension
-base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_values`` and
-``raw_key``.  ``raw_key`` flattens a raw value to its base-p digits, on
-which addition is digit-wise mod p and multiplication by a fixed element is
-GF(p)-linear; ``tatefiber.affine_point_counter`` counts points on those
-digits.  ``FElem`` wraps a raw value only at the API boundary, for the
-usual operator syntax; hot loops run on raw values directly.  Everything is
-exact and immutable; contexts can be shared freely.
+context has one arithmetic, on raw values: ints in [0, p) over GF(p), and
+for an extension tuples of its base's raw values (nested tuples over an
+extension base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_inv``,
+``raw_pow``, ``raw_values`` and ``raw_key``.  ``raw_key`` flattens a raw
+value to its base-p digits, on which addition is digit-wise mod p and
+multiplication by a fixed element is GF(p)-linear;
+``tatefiber.affine_point_counter`` counts points on those digits.  ``Poly``
+holds raw coefficients.  ``FElem`` wraps a raw value only at the API
+boundary (config parsing, Tate's residue arithmetic, the tests), for the
+usual operator syntax.  Everything is exact and immutable; contexts can be
+shared freely.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
 irreducible polynomial in the coordinate t.  ``roots_by_minimal_polynomial``
@@ -48,7 +50,8 @@ def _is_prime(n: int) -> bool:
 
 
 class FElem:
-    """Element of a finite field; arithmetic delegates to the field context."""
+    """Element of a finite field: a raw value wrapped with its field, for
+    operator syntax; each operator is one raw operation of the field."""
 
     __slots__ = ("field", "val")
 
@@ -57,38 +60,47 @@ class FElem:
         self.val = val
 
     def __add__(self, other):
-        return self.field.add(self, self.field.elem(other))
+        f = self.field
+        return FElem(f, f.raw_add(self.val, f.raw(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.field.add(self, -self.field.elem(other))
+        f = self.field
+        return FElem(f, f.raw_add(self.val, f.raw_neg(f.raw(other))))
 
     def __rsub__(self, other):
-        return self.field.add(self.field.elem(other), -self)
+        f = self.field
+        return FElem(f, f.raw_add(f.raw(other), f.raw_neg(self.val)))
 
     def __mul__(self, other):
-        return self.field.mul(self, self.field.elem(other))
+        f = self.field
+        return FElem(f, f.raw_mul(self.val, f.raw(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self.field.mul(self, self.field.inv(self.field.elem(other)))
+        f = self.field
+        return FElem(f, f.raw_mul(self.val, f.raw_inv(f.raw(other))))
 
     def __rtruediv__(self, other):
-        return self.field.mul(self.field.elem(other), self.field.inv(self))
+        f = self.field
+        return FElem(f, f.raw_mul(f.raw(other), f.raw_inv(self.val)))
 
     def __neg__(self):
-        return self.field.neg(self)
+        return FElem(self.field, self.field.raw_neg(self.val))
 
     def __pow__(self, n: int):
-        return self.field.pow(self, n)
+        f = self.field
+        if n < 0:
+            return FElem(f, f.raw_pow(f.raw_inv(self.val), -n))
+        return FElem(f, f.raw_pow(self.val, n))
 
     def __eq__(self, other):
         if isinstance(other, FElem):
             return self.field is other.field and self.val == other.val
         if isinstance(other, int):
-            return self == self.field.elem(other)
+            return self.val == self.field.raw(other)
         return NotImplemented
 
     def __hash__(self):
@@ -100,21 +112,17 @@ class FElem:
     def __repr__(self):
         return f"{self.field.short_name}({self.val})"
 
-    def frobenius(self):
-        """x -> x^p, the absolute Frobenius."""
-        return self.field.pow(self, self.field.p)
-
     def is_square(self):
         """Quadratic residue test via Euler's criterion (q odd)."""
         if not self:
             return True
-        q = self.field.q
-        return self.field.pow(self, (q - 1) // 2) == self.field.one
+        f = self.field
+        return f.raw_pow(self.val, (f.q - 1) // 2) == f.one.val
 
 
 class PrimeField:
-    """GF(p).  Element values are ints in [0, p), which are also the raw
-    values that extensions of GF(p) build their coefficient tuples from."""
+    """GF(p).  Raw values are ints in [0, p), which are also the raw values
+    that extensions of GF(p) build their coefficient tuples from."""
 
     def __init__(self, p: int, _allow_small: bool = False):
         if not _is_prime(p):
@@ -129,11 +137,13 @@ class PrimeField:
         self.one = FElem(self, 1)
         self.short_name = f"F{p}"
 
-    # raw values
-
     def raw(self, x) -> int:
         """The raw value of an element of this field or of an int."""
-        return self.elem(x).val
+        if isinstance(x, FElem):
+            if x.field is self:
+                return x.val
+            raise TypeError("element of a different field")
+        return x % self.p
 
     def raw_add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -144,45 +154,28 @@ class PrimeField:
     def raw_mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
+    def raw_inv(self, a: int) -> int:
+        if a == 0:
+            raise DivisionByZero("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def raw_pow(self, a: int, n: int) -> int:
+        """a^n for n >= 0."""
+        return pow(a, n, self.p)
+
     def raw_values(self):
         return range(self.p)
 
     def raw_key(self, a: int) -> tuple:
         return (a,)
 
-    # elements
-
     def elem(self, x) -> FElem:
-        if isinstance(x, FElem):
-            if x.field is self:
-                return x
-            raise TypeError("element of a different field")
-        return FElem(self, x % self.p)
-
-    def add(self, a, b):
-        return FElem(self, (a.val + b.val) % self.p)
-
-    def neg(self, a):
-        return FElem(self, (-a.val) % self.p)
-
-    def mul(self, a, b):
-        return FElem(self, (a.val * b.val) % self.p)
-
-    def inv(self, a):
-        if a.val == 0:
-            raise DivisionByZero("inverse of zero")
-        return FElem(self, pow(a.val, self.p - 2, self.p))
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        return FElem(self, pow(a.val, n, self.p))
+        if isinstance(x, FElem) and x.field is self:
+            return x
+        return FElem(self, self.raw(x))
 
     def elements(self):
         return (FElem(self, v) for v in range(self.p))
-
-    def elem_key(self, a) -> tuple:
-        return (a.val,)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -191,22 +184,22 @@ class PrimeField:
 class ExtensionField:
     """base[x]/(modulus) for a monic irreducible modulus over ``base``.
 
-    An element's value is a tuple of deg(modulus) raw base values, low-degree
+    A raw value is a tuple of deg(modulus) raw base values, low-degree
     coefficient first: ints in [0, p) over GF(p), and over an extension base
-    the tuples of that base.  All arithmetic runs on raw values
-    (``raw_add``, ``raw_neg``, ``raw_mul``); ``add``, ``mul``, ``pow`` and
-    the other element methods wrap each result in one FElem.
+    the tuples of that base.  ``modulus`` holds raw base values too, low
+    degree first.
     """
 
     def __init__(self, base, modulus_coeffs, check_irreducible: bool = True):
-        # modulus_coeffs: sequence over base (or ints), monic, length d+1
-        mod = [base.elem(c) for c in modulus_coeffs]
-        while mod and not mod[-1]:
+        # modulus_coeffs: sequence over base (raw values, ints or elements), monic
+        bzero = base.zero.val
+        mod = [base.raw(c) for c in modulus_coeffs]
+        while mod and mod[-1] == bzero:
             mod.pop()
         d = len(mod) - 1
         if d < 1:
             raise NotIrreducible("modulus must have degree >= 1")
-        if mod[-1] != base.one:
+        if mod[-1] != base.one.val:
             raise NotIrreducible("modulus must be monic")
         self.base = base
         self.modulus = tuple(mod)
@@ -214,17 +207,15 @@ class ExtensionField:
         self.p = base.p
         self.char = base.char
         self.q = base.q**d
-        self._bzero = base.zero.val
+        self._bzero = bzero
         self._badd, self._bmul = base.raw_add, base.raw_mul
         # x^d = sum of _red[i] x^i, as (i, raw coefficient) with zeros dropped
-        self._red = tuple((i, base.raw_neg(c.val)) for i, c in enumerate(mod[:-1]) if c)
-        self.zero = FElem(self, (self._bzero,) * d)
+        self._red = tuple((i, base.raw_neg(c)) for i, c in enumerate(mod[:-1]) if c != bzero)
+        self.zero = FElem(self, (bzero,) * d)
         self.one = FElem(self, (base.one.val,) + self.zero.val[1:])
         self.short_name = f"F{self.q}"
-        if check_irreducible and not poly_is_irreducible(Poly(base, modulus_coeffs)):
+        if check_irreducible and not poly_is_irreducible(Poly(base, mod)):
             raise NotIrreducible("modulus is reducible")
-
-    # raw values
 
     def raw(self, x) -> tuple:
         """The raw value of an element of this field or of its base, of an
@@ -264,7 +255,14 @@ class ExtensionField:
                     prod[k - d + i] = add(prod[k - d + i], mul(c, r))
         return tuple(prod[:d])
 
+    def raw_inv(self, a: tuple) -> tuple:
+        if a == self.zero.val:
+            raise DivisionByZero("inverse of zero")
+        # Fermat: a^(q-2)
+        return self.raw_pow(a, self.q - 2)
+
     def raw_pow(self, a: tuple, n: int) -> tuple:
+        """a^n for n >= 0."""
         result = self.one.val
         while n:
             if n & 1:
@@ -281,38 +279,13 @@ class ExtensionField:
         raw_key = self.base.raw_key
         return tuple(k for c in a for k in raw_key(c))
 
-    # elements
-
     def elem(self, x) -> FElem:
         if isinstance(x, FElem) and x.field is self:
             return x
         return FElem(self, self.raw(x))
 
-    def add(self, a, b):
-        return FElem(self, self.raw_add(a.val, b.val))
-
-    def neg(self, a):
-        return FElem(self, self.raw_neg(a.val))
-
-    def mul(self, a, b):
-        return FElem(self, self.raw_mul(a.val, b.val))
-
-    def inv(self, a):
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        # Fermat: a^(q-2); fields here are tiny so this is fine
-        return FElem(self, self.raw_pow(a.val, self.q - 2))
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        return FElem(self, self.raw_pow(a.val, n))
-
     def elements(self):
         return (FElem(self, v) for v in self.raw_values())
-
-    def elem_key(self, a) -> tuple:
-        return self.raw_key(a.val)
 
     def __repr__(self):
         return f"ExtensionField({self.base!r}, deg {self.degree})"
@@ -327,7 +300,7 @@ def field_make(p: int, modulus=None):
     base = PrimeField(p)
     if modulus is None:
         return base
-    mod = [base.elem(c) for c in modulus]
+    mod = [base.raw(c) for c in modulus]
     while mod and not mod[-1]:
         mod.pop()
     if len(mod) - 1 == 1:
@@ -340,13 +313,17 @@ def field_make(p: int, modulus=None):
 
 
 class Poly:
-    """Dense polynomial over a finite field, trailing zeros trimmed."""
+    """Dense polynomial over a finite field on raw coefficients, low degree
+    first, trailing zeros trimmed.  The constructor takes raw values, ints,
+    ``FElem``s and coefficient vectors: whatever the field's ``raw`` reads,
+    which returns a raw value unchanged."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = [field.elem(c) for c in coeffs]
-        while cs and not cs[-1]:
+        zero = field.zero.val
+        cs = [field.raw(c) for c in coeffs]
+        while cs and cs[-1] == zero:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -377,13 +354,10 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        return Poly(self.field, list(map(self.field.raw_add, a, b)) + list(a[len(b):]))
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly(self.field, list(map(self.field.raw_neg, self.coeffs)))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -391,21 +365,21 @@ class Poly:
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
-            return Poly(self.field, ())
+            return Poly(self.field, [])
         f = self.field
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        add, mul, zero = f.raw_add, f.raw_mul, f.zero.val
+        b = other.coeffs
+        nb = len(b)
+        out = [zero] * (len(self.coeffs) + nb - 1)
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
+            if a != zero:
+                out[i : i + nb] = map(add, out[i : i + nb], [mul(a, c) for c in b])
         return Poly(f, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = Poly(self.field, [self.field.one])
+        result = Poly(self.field, [self.field.one.val])
         b = self
         while n:
             if n & 1:
@@ -423,18 +397,19 @@ class Poly:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         f = self.field
+        add, mul, zero = f.raw_add, f.raw_mul, f.zero.val
         rem = list(self.coeffs)
         db = other.degree
-        lead_inv = f.inv(other.coeffs[-1])
-        quot = [f.zero] * max(0, len(rem) - db)
+        lead_inv = f.raw_inv(other.coeffs[-1])
+        minus = [f.raw_neg(b) for b in other.coeffs]
+        quot = [zero] * max(0, len(rem) - db)
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k]
-            if not c:
+            if c == zero:
                 continue
-            factor = c * lead_inv
+            factor = mul(c, lead_inv)
             quot[k - db] = factor
-            for i, b in enumerate(other.coeffs):
-                rem[k - db + i] = rem[k - db + i] - factor * b
+            rem[k - db : k + 1] = map(add, rem[k - db : k + 1], [mul(factor, b) for b in minus])
         return Poly(f, quot), Poly(f, rem)
 
     def __mod__(self, other):
@@ -446,13 +421,17 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        inv = self.field.inv(self.coeffs[-1])
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        f = self.field
+        inv = f.raw_inv(self.coeffs[-1])
+        return Poly(f, [f.raw_mul(c, inv) for c in self.coeffs])
 
-    def eval(self, x: FElem) -> FElem:
-        acc = self.field.elem(0)
+    def eval(self, x):
+        """The raw value at a raw value x of the field, by Horner."""
+        f = self.field
+        add, mul = f.raw_add, f.raw_mul
+        acc = f.zero.val
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = add(mul(acc, x), c)
         return acc
 
     def valuation(self, pi: "Poly") -> int:
@@ -473,21 +452,17 @@ class Poly:
         """t^n * self(1/t); requires n >= degree."""
         if n < self.degree:
             raise ValueError("reversal length below degree")
-        out = [self.field.zero] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[n - i] = c
+        out = [self.field.zero.val] * (n + 1 - len(self.coeffs)) + list(self.coeffs[::-1])
         return Poly(self.field, out)
 
     def key(self) -> tuple:
-        return tuple(self.field.elem_key(c) for c in self.coeffs)
+        return tuple(map(self.field.raw_key, self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"({c.val})*t^{i}")
+        zero = self.field.zero.val
+        parts = [f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if c != zero]
         return "Poly(" + " + ".join(parts) + ")"
 
 
@@ -550,9 +525,9 @@ class Place:
         field = self.poly.field
         terms = []
         for i, c in enumerate(self.poly.coeffs):
-            if not c:
+            if c == field.zero.val:
                 continue
-            key = field.elem_key(c)
+            key = field.raw_key(c)
             v = key[0] if len(key) == 1 else key
             if i == 0:
                 terms.append(f"{v}")
@@ -587,19 +562,20 @@ def residue_field(field, place: Place):
         raise ValueError("infinity has no finite-place residue construction here")
     if place.degree == 1:
         # pi = t - c; reduction is evaluation at c
-        c = -place.poly.coeffs[0]
-        return field, (lambda f: f.eval(c))
-    kv = ExtensionField(field, [c for c in place.poly.coeffs], check_irreducible=False)
+        c = field.raw_neg(place.poly.coeffs[0])
+        return field, (lambda f: FElem(field, f.eval(c)))
+    kv = ExtensionField(field, place.poly.coeffs, check_irreducible=False)
+    pad = (field.zero.val,) * kv.degree
 
     def red(f: Poly) -> FElem:
-        r = f % place.poly
-        return kv.elem([c for c in r.coeffs])
+        r = (f % place.poly).coeffs
+        return FElem(kv, r + pad[len(r):])
 
     return kv, red
 
 
-def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, FElem]]:
-    """(place of pi, one root of pi in F) for every monic irreducible pi
+def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, int | tuple]]:
+    """(place of pi, the raw value of one root of pi in F) for every monic irreducible pi
     over ``base`` of degree d = [F : base], in ``Place.sort_key`` order; F
     is ``base`` itself (d = 1) or an extension of it.
 
@@ -609,8 +585,9 @@ def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, FElem]]:
     of theta's coordinates times the q-th powers of the basis 1, x, ...,
     x^(d-1).  Conjugates of a keyed root are skipped."""
     if F is base:
-        roots = [(Place("finite", Poly(base, [FElem(base, base.raw_neg(c)), base.one]), 1),
-                  FElem(base, c)) for c in base.raw_values()]
+        one = base.one.val
+        roots = [(Place("finite", Poly(base, [base.raw_neg(c), one]), 1), c)
+                 for c in base.raw_values()]
         return sorted(roots, key=lambda r: r[0].sort_key())
     d, q, bzero = F.degree, base.q, base.zero.val
     add, mul, neg, scale = F.raw_add, F.raw_mul, F.raw_neg, base.raw_mul
@@ -638,8 +615,8 @@ def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, FElem]]:
         for c in conj:
             shifted = [F.zero.val] + coeffs
             coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero.val])]
-        pi = Poly(base, [FElem(base, c[0]) for c in coeffs])
-        roots.append((Place("finite", pi, d), FElem(F, theta)))
+        pi = Poly(base, [c[0] for c in coeffs])
+        roots.append((Place("finite", pi, d), theta))
     return sorted(roots, key=lambda r: r[0].sort_key())
 
 
@@ -649,10 +626,10 @@ def find_irreducible(field, degree: int) -> Poly:
 
     From degree 2 on, t divides every candidate with constant term 0 (the
     first q^(degree - 1) in that order), so the search starts past them."""
-    elems = sorted(field.elements(), key=field.elem_key)
-    constants = elems if degree == 1 else [c for c in elems if c]
+    elems = sorted(field.raw_values(), key=field.raw_key)
+    constants = elems if degree == 1 else [c for c in elems if c != field.zero.val]
     for tail in itertools.product(constants, *[elems] * (degree - 1)):
-        f = Poly(field, list(tail) + [field.one])
+        f = Poly(field, list(tail) + [field.one.val])
         if poly_is_irreducible(f):
             return f
     raise NotIrreducible(f"no irreducible of degree {degree}?")

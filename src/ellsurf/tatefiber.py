@@ -34,7 +34,6 @@ from .errors import (
 )
 from .exactalg import RatPoly
 from .ffield import (
-    FElem,
     Place,
     Poly,
     place_finite,
@@ -71,8 +70,8 @@ class WeierstrassModel:
         b6 = self.a3 * self.a3 + 4 * self.a6
         c4 = b2 * b2 - 24 * b4
         c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
-        self.a4_short = c4 * field.inv(field.elem(-48))
-        self.a6_short = c6 * field.inv(field.elem(-864))
+        self.a4_short = c4 * (1 / field.elem(-48))
+        self.a6_short = c6 * (1 / field.elem(-864))
         self.delta = short_discriminant(self.a4_short, self.a6_short)
         if self.delta.is_zero():
             raise UnsupportedModel("discriminant vanishes identically")
@@ -435,15 +434,15 @@ def affine_point_counter(kv):
 
 
 def count_affine_points(kv, a, b) -> int:
-    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} for elements a, b of kv: one
-    count with a fresh ``affine_point_counter(kv)``, whose tables (cubes
+    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} for raw values a, b of kv:
+    one count with a fresh ``affine_point_counter(kv)``, whose tables (cubes
     and square roots on base-p digits, O(q_v) field products) a caller
     counting many (a, b) over one field builds once instead."""
-    return affine_point_counter(kv)(a.val, b.val)
+    return affine_point_counter(kv)(a, b)
 
 
 def curve_point_count(kv, a, b) -> int:
-    """Projective point count of y^2 = x^3 + a x + b over kv."""
+    """Projective point count of y^2 = x^3 + a x + b over kv (raw a, b)."""
     return count_affine_points(kv, a, b) + 1
 
 
@@ -488,7 +487,7 @@ def _tate_at_prime(field, a4: Poly, a6: Poly, pi: Poly, place: Place) -> FiberDa
     def lift(e) -> Poly:
         if kv is field:
             return Poly(field, [e])
-        return Poly(field, [FElem(field, c) for c in e.val])
+        return Poly(field, e.val)
 
     va, vb = _val(a4, pi), _val(a6, pi)
     n = min(va // 4, vb // 6)
@@ -497,8 +496,7 @@ def _tate_at_prime(field, a4: Poly, a6: Poly, pi: Poly, place: Place) -> FiberDa
     vD = _val(short_discriminant(a, b), pi)
 
     if vD == 0:
-        abar, bbar = red(a), red(b)
-        count = curve_point_count(kv, abar, bbar)
+        count = curve_point_count(kv, red(a).val, red(b).val)
         a_v = kv.q + 1 - count
         return make_fiber(place, q, "I0", None, a_v=a_v)
 
@@ -632,18 +630,19 @@ def distinct_irreducible_factors(f: Poly) -> list[Poly]:
 
 def _derivative(f: Poly) -> Poly:
     field = f.field
-    return Poly(field, [i * c for i, c in enumerate(f.coeffs)][1:])
+    mul, raw = field.raw_mul, field.raw
+    return Poly(field, [mul(raw(i), c) for i, c in enumerate(f.coeffs)][1:])
 
 
 def _pth_root(f: Poly) -> Poly:
     """For f = h(t^p), return h (coefficientwise p-th roots)."""
     field = f.field
-    p = field.char
+    p, zero = field.char, field.zero.val
     coeffs = []
     for i, c in enumerate(f.coeffs):
         if i % p == 0:
-            coeffs.append(c ** (field.q // p) if field.q > p else c)
-        elif c:
+            coeffs.append(field.raw_pow(c, field.q // p))
+        elif c != zero:
             raise InternalInconsistency("zero derivative but not a p-th power polynomial")
     return Poly(field, coeffs)
 

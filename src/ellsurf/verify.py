@@ -27,6 +27,7 @@ from .errors import (
 from .exactalg import RatPoly, SpecialValue, leading_term
 from .ffield import (
     ExtensionField,
+    FElem,
     Poly,
     find_irreducible,
     irreducible_count,
@@ -434,13 +435,13 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
     checked = 0
     for F, roots in models:
         count = affine_point_counter(F)
-        a4_F, a6_F = Poly(F, a4.coeffs), Poly(F, a6.coeffs)
+        a4_F, a6_F = (Poly(F, [FElem(field, c) for c in f.coeffs]) for f in (a4, a6))
         for v, theta in roots:
             key = v.sort_key()
             if key in bad:
                 continue
             at_one = factors[key][1].eval(1)
-            points = count(a4_F.eval(theta).val, a6_F.eval(theta).val) + 1
+            points = count(a4_F.eval(theta), a6_F.eval(theta)) + 1
             if at_one != points:
                 return CheckResult(name, FAIL, str(at_one), str(points), None, f"at {v.label()}")
             checked += 1
@@ -617,7 +618,7 @@ def _echo(model: WeierstrassModel):
     def poly_ints(p):
         out = []
         for c in p.coeffs:
-            key = model.field.elem_key(c)
+            key = model.field.raw_key(c)
             out.append(key[0] if len(key) == 1 else list(key))
         return out
 

@@ -298,12 +298,12 @@ class _CharSums:
     def __init__(self, model: WeierstrassModel):
         field = model.field
         self.p, self.k, self.q = field.p, field.degree, field.q
-        self.modulus = [c.val for c in field.modulus] if self.k > 1 else None
+        self.modulus = list(field.modulus) if self.k > 1 else None
         a4, a6 = model.minimal_short
         delta = short_discriminant(a4, a6)
 
         def base_code(c):
-            return sum(v * self.p**i for i, v in enumerate(field.elem_key(c)))
+            return sum(v * self.p**i for i, v in enumerate(field.raw_key(c)))
 
         self.coeffs = [[base_code(c) for c in f.coeffs] for f in (a4, a6, delta)]
         self.levels: dict[int, _Level] = {}

@@ -9,6 +9,7 @@ from ellsurf import ffield
 from ellsurf.errors import CharTooSmall, DivisionByZero, NotIrreducible, NotPrime
 from ellsurf.ffield import (
     ExtensionField,
+    FElem,
     Poly,
     PrimeField,
     field_make,
@@ -23,6 +24,7 @@ from ellsurf.ffield import (
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 F25 = ExtensionField(F5, [2, 0, 1])  # x^2 + 2
+F625 = ExtensionField(F25, find_irreducible(F25, 2).coeffs)  # nested over GF(25)
 
 
 def places_of_degree(field, d):
@@ -55,9 +57,12 @@ def test_field_make_guards():
 
 
 def test_inverse_f5():
-    assert F5.inv(F5.elem(2)) == F5.elem(3)
+    assert F5.raw_inv(2) == 3
+    assert 1 / F5.elem(2) == F5.elem(3)
     with pytest.raises(DivisionByZero):
-        F5.inv(F5.zero)
+        F5.raw_inv(0)
+    with pytest.raises(DivisionByZero):
+        1 / F5.zero
 
 
 def test_frobenius_extension_matches_repeated_squaring():
@@ -66,11 +71,12 @@ def test_frobenius_extension_matches_repeated_squaring():
     expected = F25.one
     for _ in range(5):
         expected = expected * x
-    assert x.frobenius() == expected
-    assert F25.one.frobenius() == F25.one
+    assert x**5 == expected
+    assert F25.raw_pow(x.val, 5) == expected.val
+    assert F25.one**5 == F25.one
     # frobenius fixes the prime field
     for c in range(5):
-        assert F25.elem(c).frobenius() == F25.elem(c)
+        assert F25.elem(c) ** 5 == F25.elem(c)
 
 
 @given(st.integers(0, 24), st.integers(0, 24))
@@ -82,9 +88,9 @@ def test_field_axioms_f25(i, j):
     assert a * (b + F25.one) == a * b + a
     if a:
         assert a * (F25.one / a) == F25.one
-    # frobenius is a ring homomorphism
-    assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-    assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+    # frobenius x -> x^5 is a ring homomorphism
+    assert (a + b) ** 5 == a**5 + b**5
+    assert (a * b) ** 5 == a**5 * b**5
 
 
 def test_poly_divmod_and_gcd():
@@ -105,13 +111,13 @@ def test_is_square():
 def test_places_f2_degree3():
     # module-local context relaxing p >= 5
     f2 = PrimeField(2, _allow_small=True)
-    deg3 = {tuple(c.val for c in v.poly.coeffs) for v, _ in places_of_degree(f2, 3)}
+    deg3 = {v.poly.coeffs for v, _ in places_of_degree(f2, 3)}
     # oracle: Rabin's irreducibility test over GF(2)
     expected = set()
     for c0, c1, c2 in itertools.product((0, 1), repeat=3):
         f = Poly(f2, [c0, c1, c2, 1])
         if poly_is_irreducible(f):
-            expected.add(tuple(c.val for c in f.coeffs))
+            expected.add(f.coeffs)
     assert deg3 == expected == {(1, 1, 0, 1), (1, 0, 1, 1)}
 
 
@@ -158,23 +164,36 @@ def test_residue_field_reduction():
     assert red1(Poly(F5, [0, 1])) == F5.elem(-3)
 
 
+@pytest.mark.parametrize("field", [F7, F25, F625], ids=["F7", "F25", "F625"])
 @settings(max_examples=40)
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.lists(st.integers(0, 6), min_size=1, max_size=4))
-def test_poly_mul_then_divide_roundtrip(ac, bc):
-    a, b = Poly(F7, ac), Poly(F7, bc + [1])
-    prod = a * b
-    q, r = prod.divmod(b)
-    assert q == a and r.is_zero()
+@given(
+    st.lists(st.integers(0, 624), min_size=1, max_size=6),
+    st.lists(st.integers(0, 624), min_size=1, max_size=4),
+    st.lists(st.integers(0, 624), min_size=3, max_size=3),
+)
+def test_poly_mul_then_divide_roundtrip(field, fc, gc, xc):
+    """Poly on raw coefficients: q g + r = f with deg r < deg g, (f g) / g
+    = f exactly, and evaluation at raw points is a ring map.  Codes index
+    the field's raw values, so over an extension most draws have zero and
+    nonzero tuple coefficients side by side."""
+    values = list(field.raw_values())
+    raw = lambda codes: [values[c % len(values)] for c in codes]
+    f, g = Poly(field, raw(fc)), Poly(field, raw(gc) + [field.one.val])
+    q, r = f.divmod(g)
+    assert q * g + r == f and r.degree < g.degree
+    q, r = (f * g).divmod(g)
+    assert q == f and r.is_zero()
+    for x in raw(xc):
+        assert (f * g).eval(x) == field.raw_mul(f.eval(x), g.eval(x))
+        assert (f - g).eval(x) == field.raw_add(f.eval(x), field.raw_neg(g.eval(x)))
 
 
 # ---------------------------------------------------------------------------
 # raw-value arithmetic: GF(25) = GF(5)[x]/(x^2 + 2) and a nested GF(625)
 
-F625 = ExtensionField(F25, find_irreducible(F25, 2).coeffs)
-
 
 def test_raw_values_are_base_raw_values():
-    assert F625.modulus[-1] == F25.one and len(F625.modulus) == 3
+    assert F625.modulus[-1] == F25.one.val and len(F625.modulus) == 3
     x = F25.elem([3, 4])
     assert x.val == (3, 4)
     y = F625.elem([x, 2])
@@ -184,13 +203,15 @@ def test_raw_values_are_base_raw_values():
 
 
 def test_inverses_f25_all_and_f625_sample():
-    for a in F25.elements():
-        if a:
-            assert a * F25.inv(a) == F25.one
+    for a in F25.raw_values():
+        if a != F25.zero.val:
+            assert F25.raw_mul(a, F25.raw_inv(a)) == F25.one.val
     rng = random.Random(1)
-    for a in rng.sample(list(F625.elements()), 60):
-        if a:
-            assert a * F625.inv(a) == F625.one
+    for a in rng.sample(list(F625.raw_values()), 60):
+        if a != F625.zero.val:
+            assert F625.raw_mul(a, F625.raw_inv(a)) == F625.one.val
+    with pytest.raises(DivisionByZero):
+        F625.raw_inv(F625.zero.val)
 
 
 def test_distributivity_and_key_roundtrip_f625():
@@ -201,19 +222,19 @@ def test_distributivity_and_key_roundtrip_f625():
         assert a * (b + c) == a * b + a * c
         assert (a - b) + b == a
         assert F625.elem(a.val) == a
-        key = F625.elem_key(a)
+        key = F625.raw_key(a.val)
         assert F625.elem([key[:2], key[2:]]) == a
-        assert F625.raw_key(a.val) == key
+        assert len(key) == 4 and all(0 <= k < 5 for k in key)
 
 
 def test_element_order_and_keys_unchanged():
     # elements run in itertools.product order of the base elements, and
-    # elem_key flattens the base keys: both fix the report's place order
-    expected = [sum(t, ()) for t in itertools.product([F25.elem_key(c) for c in F25.elements()], repeat=2)]
-    keys = [F625.elem_key(e) for e in F625.elements()]
+    # raw_key flattens the base keys: both fix the report's place order
+    expected = [sum(t, ()) for t in itertools.product([F25.raw_key(c.val) for c in F25.elements()], repeat=2)]
+    keys = [F625.raw_key(e.val) for e in F625.elements()]
     assert keys == expected
     assert len(set(keys)) == 625
-    assert [F25.elem_key(e) for e in F25.elements()] == list(itertools.product(range(5), repeat=2))
+    assert [F25.raw_key(e.val) for e in F25.elements()] == list(itertools.product(range(5), repeat=2))
 
 
 @pytest.mark.parametrize("field", [F5, F7], ids=["F5", "F7"])
@@ -251,4 +272,4 @@ def test_roots_by_minimal_polynomial_list_every_place(field):
         assert keys == sorted(set(keys))
         for v, theta in roots:
             assert v.degree == v.poly.degree == d
-            assert not Poly(F, v.poly.coeffs).eval(theta)
+            assert Poly(F, [FElem(field, c) for c in v.poly.coeffs]).eval(theta) == F.zero.val

@@ -87,15 +87,13 @@ def naive_surface_count_n1(m, fibers):
         if f.place.is_infinity:
             bad_at["inf"] = f
         elif f.place.degree == 1:
-            c = -f.place.poly.coeffs[0]
-            bad_at[c.val] = f
+            bad_at[field.raw_neg(f.place.poly.coeffs[0])] = f
     total = 0
     for t0 in range(q):
-        t = field.elem(t0)
         if t0 in bad_at:
             total += fiber_point_count(bad_at[t0], 1)
             continue
-        a, b = a4s.eval(t), a6s.eval(t)
+        a, b = field.elem(a4s.eval(t0)), field.elem(a6s.eval(t0))
         cnt = 1
         for x0 in range(q):
             x = field.elem(x0)
@@ -153,8 +151,8 @@ def oracle_counts(m, fibers, n_max):
             embed = big.elem
         else:
             modulus = Poly(big, field.modulus)
-            r = next(x for x in big.elements() if not modulus.eval(x))
-            embed = lambda c: sum((r**i * big.elem(ci) for i, ci in enumerate(c.val)), big.zero)
+            r = next(x for x in big.elements() if modulus.eval(x.val) == big.zero.val)
+            embed = lambda c: sum((r**i * big.elem(ci) for i, ci in enumerate(c)), big.zero)
 
         a4, a6, delta = ([embed(c) for c in f.coeffs] for f in (m.a4_short, m.a6_short, m.delta))
         count = affine_point_counter(big)
@@ -167,12 +165,12 @@ def oracle_counts(m, fibers, n_max):
 
         total, seen = 0, set()
         for t in big.elements():
-            if big.elem_key(t) in seen:
+            if big.raw_key(t.val) in seen:
                 continue
             orbit = [t]
             while orbit[-1] ** q != t:
                 orbit.append(orbit[-1] ** q)
-            seen.update(big.elem_key(s) for s in orbit)
+            seen.update(big.raw_key(s.val) for s in orbit)
             if ev(delta, t):
                 total += len(orbit) * (1 + count(ev(a4, t).val, ev(a6, t).val))
         for f in fibers:
