@@ -5,10 +5,11 @@
 
 Runs every config of `bench/pool.json`, the built-in catalog, a seeded
 draw of random long-form models (a1, a2, a3 nonzero) over GF(5), GF(7),
-GF(11) and GF(25), and one model with a degree-72 discriminant over GF(11)
-(high-degree factoring and Tate, exit 3) through `ellsurf report` in one
-process per tree (the two run side by side), and compares stdout, stderr
-and the exit status of each.
+GF(11) and GF(25), one model with a degree-72 discriminant over GF(11)
+(high-degree factoring and Tate, exit 3), and a few pool models made
+non-minimal as (u^4 a4, u^6 a6) for u irreducible of degree 2 and 4,
+through `ellsurf report` in one process per tree (the two run side by
+side), and compares stdout, stderr and the exit status of each.
 Prints one line per difference and a summary with each tree's total
 seconds; exits 1 if anything differs.
 """
@@ -39,6 +40,11 @@ DEGREE_72 = ("degree72-gf11", "\n".join([
     "a1 = 2, -17, 6, 35, 40, 2, 11, 11, -13, 6, -9, -25, -7",
     "a6 = -5, -2, 14, -27", "",
 ]))
+
+
+# pool models twisted by u of each degree in TWIST_DEGREES
+TWISTED = ("s5-00", "s7-00", "s11-00", "d-fe-00")
+TWIST_DEGREES = (2, 4)
 
 
 def _coeff(rng, p, ext):
@@ -82,6 +88,61 @@ def pool_configs() -> list:
     return [(c["id"], c["config"]) for w in ("sweep_small", "lfun_deep") for c in pool[w]]
 
 
+def _times(f, g, p):
+    """Product of two coefficient lists over GF(p), lowest degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def _divides(g, f, p):
+    """Whether the monic g divides f over GF(p)."""
+    r = list(f)
+    for i in range(len(f) - len(g), -1, -1):
+        c = r[i + len(g) - 1]
+        for j, b in enumerate(g):
+            r[i + j] = (r[i + j] - c * b) % p
+    return not any(r)
+
+
+def _monics(p, degree):
+    for code in range(p**degree):
+        yield [code // p**i % p for i in range(degree)] + [1]
+
+
+def _irreducible(p, degree):
+    """The first monic irreducible of the degree over GF(p), by trial division."""
+    return next(
+        f for f in _monics(p, degree)
+        if not any(_divides(g, f, p) for e in range(1, degree // 2 + 1) for g in _monics(p, e))
+    )
+
+
+def twisted_configs() -> list:
+    """The TWISTED pool models with a4, a6 replaced by u^4 a4, u^6 a6: the
+    same surface through a model that is not minimal at u."""
+    pool = dict(pool_configs())
+    out = []
+    for name in TWISTED:
+        text = pool[name]
+        p = next(int(line[4:]) for line in text.splitlines() if line.startswith("p = "))
+        for degree in TWIST_DEGREES:
+            u = _irreducible(p, degree)
+            lines = []
+            for line in text.splitlines():
+                key, _, value = line.partition(" = ")
+                if key in ("a4", "a6"):
+                    f = [int(c) for c in value.split(",")]
+                    for _ in range(int(key[1])):
+                        f = _times(f, u, p)
+                    line = f"{key} = " + ", ".join(map(str, f))
+                lines.append(line)
+            out.append((f"{name}-twist-u{degree}", "\n".join(lines) + "\n"))
+    return out
+
+
 def _alarm(signum, frame):
     raise TimeoutError
 
@@ -120,7 +181,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         jobs = [(f"catalog-{name}", ["report", "--catalog", name])
                 for name in ("legendre_f5", "x3_plus_t_f5", "x3_plus_t_f7", "generic_i1_f5")]
-        for name, text in pool_configs() + random_configs(args.random, args.seed) + [DEGREE_72]:
+        configs = pool_configs() + random_configs(args.random, args.seed) + [DEGREE_72]
+        for name, text in configs + twisted_configs():
             path = Path(tmp) / f"{name}.cfg"
             path.write_text(text)
             jobs.append((name, ["report", "--config", str(path)]))

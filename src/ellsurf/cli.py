@@ -328,13 +328,18 @@ def _fiber_table(report: Report) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(args) -> int:
+def _run(args):
+    """(model, report, cfg, limits) of the config with the flags applied."""
     cfg = _load_config(args)
     _apply_flags(cfg, args)
     model, metadata, limits = build_model(cfg)
     limits.threads = args.threads
     limits.seed = args.seed
-    report = run_verification(model, metadata, limits)
+    return model, run_verification(model, metadata, limits), cfg, limits
+
+
+def cmd_analyze(args) -> int:
+    _, report, _, _ = _run(args)
     inv = report.invariants
     print(f"q = {report.q}")
     print(
@@ -349,12 +354,7 @@ def cmd_analyze(args) -> int:
 
 
 def _run_full(args):
-    cfg = _load_config(args)
-    _apply_flags(cfg, args)
-    model, metadata, limits = build_model(cfg)
-    limits.threads = args.threads
-    limits.seed = args.seed
-    report = run_verification(model, metadata, limits)
+    model, report, cfg, limits = _run(args)
     # independence of the L-function from the order of its local factors
     try:
         l_again = compute_l(model, report.fibers, report.invariants, limits, seed=limits.seed)

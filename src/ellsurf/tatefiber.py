@@ -2,7 +2,8 @@
 
 Everything here assumes residue characteristic >= 5, so a Weierstrass model
 is its short model y^2 = x^3 + a4 x + a6 and the reduction type is read off
-the valuations of (a4, a6, Delta) of a local minimal model, with a short
+the valuations of (a4, a6, Delta) of the model's one minimal pair
+(``WeierstrassModel.minimal_short``, reversed at infinity), with a short
 translation cascade for the starred types.  Splitting questions (split
 vs non-split multiplicative fibers, rationality of extra components) are
 decided by explicit square and root tests in the exact residue field, never
@@ -54,9 +55,11 @@ INF = 10**9  # valuation of the zero polynomial
 class WeierstrassModel:
     """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with a_i in GF(q)[t],
     read as its short model y^2 = x^3 + a4_short x + a6_short, where
-    (a4_short, a6_short) = (-c4/48, -c6/864).  Tate's algorithm reads the
-    valuations of a4, a6 and Delta of this pair; a1..a6 are kept only for
-    the report echo."""
+    (a4_short, a6_short) = (-c4/48, -c6/864), and a1..a6 are kept only for
+    the report echo.  Every layer reads the local data from one minimal
+    pair, ``minimal_short``: Tate's algorithm at each place, the factoring
+    of its Delta into the bad places, the point-count kernel and the
+    good-place audit."""
 
     def __init__(self, field, a1, a2, a3, a4, a6):
         if field.char < 5:
@@ -72,8 +75,7 @@ class WeierstrassModel:
         c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
         self.a4_short = c4 * (1 / field.elem(-48))
         self.a6_short = c6 * (1 / field.elem(-864))
-        self.delta = short_discriminant(self.a4_short, self.a6_short)
-        if self.delta.is_zero():
+        if short_discriminant(self.a4_short, self.a6_short).is_zero():
             raise UnsupportedModel("discriminant vanishes identically")
 
     def coeff_list(self):
@@ -91,6 +93,11 @@ class WeierstrassModel:
         return a4 // u**4, a6 // u**6
 
     @cached_property
+    def minimal_delta(self) -> Poly:
+        """Delta of ``minimal_short``: its finite places are the bad ones."""
+        return short_discriminant(*self.minimal_short)
+
+    @cached_property
     def infinity_fiber(self) -> FiberData:
         """Tate's algorithm at the place at infinity, computed on first use."""
         return tate_local(self, place_infinity())
@@ -105,11 +112,13 @@ def short_discriminant(a4: Poly, a6: Poly) -> Poly:
 
 
 def short_at_infinity(model: WeierstrassModel) -> tuple[Poly, Poly]:
-    """The short pair in the coordinate s = 1/t, so that s = 0 is the place
-    at infinity: (s^(4k) a4(1/s), s^(6k) a6(1/s)) for the least k >= 0 with
-    deg a4 <= 4k and deg a6 <= 6k.  Minimality at s = 0 is not required
-    (the local analysis minimalizes)."""
-    a4, a6 = model.a4_short, model.a6_short
+    """The minimal short pair in the coordinate s = 1/t, so that s = 0 is
+    the place at infinity: (s^(4k) a4(1/s), s^(6k) a6(1/s)) for the least
+    k >= 0 with deg a4 <= 4k and deg a6 <= 6k.  It is minimal at s = 0,
+    where v(a4) = 4k - deg a4 and v(a6) = 6k - deg a6: if k > 0, k - 1
+    fails one bound, so v(a4) < 4 or v(a6) < 6; if k = 0, a nonzero
+    constant has valuation 0."""
+    a4, a6 = model.minimal_short
     k = max(-(-a4.degree // 4), -(-a6.degree // 6), 0)  # ceil; deg 0 = -1
     return a4.reverse(4 * k), a6.reverse(6 * k)
 
@@ -457,7 +466,11 @@ def _val(poly: Poly, pi: Poly) -> int:
 
 def _shift_red(poly: Poly, pi: Poly, k: int, red):
     """Reduce poly / pi^k at pi (zero if the valuation exceeds k)."""
-    return red(_exact_div(poly, pi, k))
+    for _ in range(k):
+        poly, rem = poly.divmod(pi)
+        if not rem.is_zero():
+            raise NotMinimalizable("claimed valuation not attained")
+    return red(poly)
 
 
 def _translate_x(A2: Poly, A4: Poly, A6: Poly, s: Poly):
@@ -475,12 +488,13 @@ def tate_local(model: WeierstrassModel, place: Place) -> FiberData:
         s = Poly(field, [0, 1])
         fd = _tate_at_prime(field, *short_at_infinity(model), s, place_finite(s))
         return replace(fd, place=place)
-    return _tate_at_prime(field, model.a4_short, model.a6_short, place.poly, place)
+    return _tate_at_prime(field, *model.minimal_short, place.poly, place)
 
 
-def _tate_at_prime(field, a4: Poly, a6: Poly, pi: Poly, place: Place) -> FiberData:
-    """Tate's algorithm on y^2 = x^3 + a4 x + a6 at the prime pi, after
-    minimalizing by pi^n with n = min(v(a4) // 4, v(a6) // 6)."""
+def _tate_at_prime(field, a: Poly, b: Poly, pi: Poly, place: Place) -> FiberData:
+    """Tate's algorithm on y^2 = x^3 + a x + b at the prime pi, for a pair
+    minimal at pi (v(a) < 4 or v(b) < 6); any other pair reaches II* with
+    v(Delta) >= 12 and raises InconsistentFiberData."""
     q = field.q
     kv, red = residue_field(field, place)
 
@@ -489,10 +503,7 @@ def _tate_at_prime(field, a4: Poly, a6: Poly, pi: Poly, place: Place) -> FiberDa
             return Poly(field, [e])
         return Poly(field, e.val)
 
-    va, vb = _val(a4, pi), _val(a6, pi)
-    n = min(va // 4, vb // 6)
-    a, b = _exact_div(a4, pi, 4 * n), _exact_div(a6, pi, 6 * n)
-    va, vb = va - 4 * n, vb - 6 * n
+    va, vb = _val(a, pi), _val(b, pi)
     vD = _val(short_discriminant(a, b), pi)
 
     if vD == 0:
@@ -542,15 +553,6 @@ def _tate_at_prime(field, a4: Poly, a6: Poly, pi: Poly, place: Place) -> FiberDa
             f"Euler number {fd.e_v} of {fd.kodaira} differs from v(Delta) = {vD}"
         )
     return fd
-
-
-def _exact_div(poly: Poly, pi: Poly, k: int) -> Poly:
-    for _ in range(k):
-        q, r = poly.divmod(pi)
-        if not r.is_zero():
-            raise NotMinimalizable("claimed valuation not attained")
-        poly = q
-    return poly
 
 
 def _cubic_root_count(kv, P) -> int:
@@ -686,13 +688,9 @@ def _equal_degree_split(f: Poly, d: int) -> list[Poly]:
         if u.degree < 1:
             continue
         g = poly_gcd(u, f)
-        if 0 < g.degree < f.degree:
-            return sorted(
-                _equal_degree_split(g, d) + _equal_degree_split((f // g).monic(), d),
-                key=lambda h: (h.degree,) + h.key(),
-            )
-        w = poly_pow_mod(u, (field.q**d - 1) // 2, f) - Poly(field, [1])
-        g = poly_gcd(w, f)
+        if not 0 < g.degree < f.degree:
+            w = poly_pow_mod(u, (field.q**d - 1) // 2, f) - Poly(field, [1])
+            g = poly_gcd(w, f)
         if 0 < g.degree < f.degree:
             return sorted(
                 _equal_degree_split(g, d) + _equal_degree_split((f // g).monic(), d),
@@ -701,9 +699,10 @@ def _equal_degree_split(f: Poly, d: int) -> list[Poly]:
 
 
 def bad_fibers(model: WeierstrassModel, threads: int = 0) -> list[FiberData]:
-    """Fiber data at every place of bad reduction (finite factors of Delta
-    plus infinity), sorted in the canonical place order."""
-    places = [place_finite(piq) for piq in distinct_irreducible_factors(model.delta)]
+    """Fiber data at every place of bad reduction, sorted in the canonical
+    place order: Tate at each finite factor of Delta of the minimal pair,
+    whose fibers are all bad, and at infinity."""
+    places = [place_finite(piq) for piq in distinct_irreducible_factors(model.minimal_delta)]
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

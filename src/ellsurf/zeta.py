@@ -74,7 +74,6 @@ from .tatefiber import (
     SurfaceInvariants,
     WeierstrassModel,
     fiber_point_count,
-    short_discriminant,
 )
 
 DEFAULT_BUDGET = 25_000
@@ -299,13 +298,12 @@ class _CharSums:
         field = model.field
         self.p, self.k, self.q = field.p, field.degree, field.q
         self.modulus = list(field.modulus) if self.k > 1 else None
-        a4, a6 = model.minimal_short
-        delta = short_discriminant(a4, a6)
 
         def base_code(c):
             return sum(v * self.p**i for i, v in enumerate(field.raw_key(c)))
 
-        self.coeffs = [[base_code(c) for c in f.coeffs] for f in (a4, a6, delta)]
+        polys = (*model.minimal_short, model.minimal_delta)
+        self.coeffs = [[base_code(c) for c in f.coeffs] for f in polys]
         self.levels: dict[int, _Level] = {}
         self.trace_tables: dict[int, dict] = {}
 

@@ -2,9 +2,18 @@ import random
 
 import pytest
 
+from ellsurf import tatefiber
 from ellsurf.errors import GoodFiber, UnsupportedModel
 from ellsurf.exactalg import RatPoly
-from ellsurf.ffield import Place, Poly, PrimeField, field_make, place_finite, place_infinity
+from ellsurf.ffield import (
+    Place,
+    Poly,
+    PrimeField,
+    field_make,
+    find_irreducible,
+    place_finite,
+    place_infinity,
+)
 from ellsurf.lattice import discriminant
 from ellsurf.tatefiber import (
     WeierstrassModel,
@@ -79,7 +88,7 @@ def test_short_pair_has_the_long_discriminant(field):
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
         # Silverman, AEC III.1
         delta = -(b2 * b2 * b8) - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        assert short_discriminant(m.a4_short, m.a6_short) == delta == m.delta
+        assert short_discriminant(m.a4_short, m.a6_short) == delta
         c4, c6 = -48 * m.a4_short, -864 * m.a6_short
         assert c4 ** 3 - c6 * c6 == 1728 * delta
 
@@ -105,15 +114,14 @@ def test_short_pair_counts_like_the_long_form(field):
 
 def _infinity_consistency(m):
     """The short pair at infinity and its discriminant must be the reversed
-    originals, for the least k with deg a4 <= 4k and deg a6 <= 6k."""
+    minimal pair and its discriminant, for the least k with deg a4 <= 4k
+    and deg a6 <= 6k."""
     a4, a6 = short_at_infinity(m)
-    k = next(
-        k for k in range(8)
-        if m.a4_short.degree <= 4 * k and m.a6_short.degree <= 6 * k
-    )
-    assert short_discriminant(a4, a6) == m.delta.reverse(12 * k)
-    assert a4 == m.a4_short.reverse(4 * k)
-    assert a6 == m.a6_short.reverse(6 * k)
+    a4_min, a6_min = m.minimal_short
+    k = next(k for k in range(8) if a4_min.degree <= 4 * k and a6_min.degree <= 6 * k)
+    assert short_discriminant(a4, a6) == m.minimal_delta.reverse(12 * k)
+    assert a4 == a4_min.reverse(4 * k)
+    assert a6 == a6_min.reverse(6 * k)
 
 
 def test_model_at_infinity_x3t():
@@ -232,6 +240,25 @@ def test_minimalization_to_good_reduction():
     # y^2 = x^3 + t^6 at t = 0 minimalizes to y^2 = x^3 + 1: good
     fd = tate_local(model(F5, 0, [0] * 6 + [1]), place_t(F5))
     assert fd.is_good and fd.a_v == 0
+
+
+def test_bad_fibers_skip_the_places_where_the_model_is_only_non_minimal(monkeypatch):
+    """y^2 = x^3 + (t+1) pi^4 x + t^5 pi^6 for pi irreducible of degree 8
+    is y^2 = x^3 + (t+1) x + t^5 scaled by pi: its bad fibers are the
+    twin's, found without counting the good fiber at pi over GF(5^8)."""
+    pi = find_irreducible(F5, 8)
+    t, one = Poly(F5, [0, 1]), Poly(F5, [1])
+    twin = model(F5, [1, 1], [0] * 5 + [1])
+    twisted = WeierstrassModel(F5, [0], [0], [0], (t + one) * pi**4, t**5 * pi**6)
+    counter = tatefiber.affine_point_counter
+
+    def base_field_only(kv):
+        if kv is not F5:
+            raise AssertionError(f"point count over GF({kv.q})")
+        return counter(kv)
+
+    monkeypatch.setattr(tatefiber, "affine_point_counter", base_field_only)
+    assert bad_fibers(twisted) == bad_fibers(twin)
 
 
 def test_higher_degree_place():

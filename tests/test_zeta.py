@@ -29,6 +29,7 @@ from ellsurf.tatefiber import (
     affine_point_counter,
     fiber_point_count,
     global_invariants,
+    short_discriminant,
     synthetic_fiber,
     tate_local,
 )
@@ -154,7 +155,8 @@ def oracle_counts(m, fibers, n_max):
             r = next(x for x in big.elements() if modulus.eval(x.val) == big.zero.val)
             embed = lambda c: sum((r**i * big.elem(ci) for i, ci in enumerate(c)), big.zero)
 
-        a4, a6, delta = ([embed(c) for c in f.coeffs] for f in (m.a4_short, m.a6_short, m.delta))
+        short = (m.a4_short, m.a6_short, short_discriminant(m.a4_short, m.a6_short))
+        a4, a6, delta = ([embed(c) for c in f.coeffs] for f in short)
         count = affine_point_counter(big)
 
         def ev(coeffs, t):
