@@ -15,6 +15,7 @@ inconsistency.  Every status other than 0 comes with one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -414,7 +415,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message, None)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (about 1 ms each)."""
     parser = _Parser(
         prog="ellsurf",
         description="Exact zeta and L-function special-value checks for "

@@ -53,6 +53,7 @@ from .zeta import (
     lefschetz_counts,
     p2_from_counts,
     p2_from_product,
+    place_keys,
     surface_counts,
 )
 
@@ -404,7 +405,11 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
     field = model.field
     a4, a6 = model.minimal_short
     bad = {f.place.sort_key() for f in fibers if not f.is_good}
-    factors = euler_factors(model, fibers, AUDIT_DEGREE, budget=field.q**AUDIT_DEGREE)
+    fiber_factors, good = euler_factors(model, fibers, AUDIT_DEGREE, budget=field.q**AUDIT_DEGREE)
+    factors = {key: f.eval(1) for key, (_, f) in fiber_factors.items()}
+    for d, (t, a_v) in good.items():
+        at_one = (1 - a + field.q**d for a in a_v.tolist())
+        factors.update(zip(place_keys(model, d, t), at_one))
     models = []
     for d in range(1, AUDIT_DEGREE + 1):
         if d == 1:
@@ -440,7 +445,7 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
             key = v.sort_key()
             if key in bad:
                 continue
-            at_one = factors[key][1].eval(1)
+            at_one = factors[key]
             points = count(a4_F.eval(theta), a6_F.eval(theta)) + 1
             if at_one != points:
                 return CheckResult(name, FAIL, str(at_one), str(points), None, f"at {v.label()}")

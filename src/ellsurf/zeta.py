@@ -31,14 +31,17 @@ Route two multiplies (1 - qt)^2 * L(t) * Q(t) where Q is the product over
 bad places of the degree-2 local factors divided by (1 - q_v t^{d_v}), and
 L is the Euler product over the kernel's Frobenius orbits
 (``euler_factors``): a place with a fiber takes the fiber's factor, a good
-infinity Tate's algorithm, and every good finite place 1 - a_v T + q_v T^2.
-No list of places is enumerated on this route.
+infinity Tate's algorithm, and every other good finite place
+1 - a_v T + q_v T^2 with a_v from the kernel's array of its degree.  No list
+of places is enumerated on this route, and no place is keyed: the series is
+divided once per distinct (d, a_v), raised to its count.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -303,9 +306,9 @@ class _CharSums:
             return sum(v * self.p**i for i, v in enumerate(field.raw_key(c)))
 
         polys = (*model.minimal_short, model.minimal_delta)
+        self.base_code = base_code
         self.coeffs = [[base_code(c) for c in f.coeffs] for f in polys]
         self.levels: dict[int, _Level] = {}
-        self.trace_tables: dict[int, dict] = {}
 
     def _embedding(self, cf: _CodedField):
         codes = np.arange(self.q, dtype=np.int64)
@@ -343,32 +346,12 @@ class _CharSums:
             self.levels[n] = _Level(cf, emb, t, lengths, good, S)
         return self.levels[n]
 
-    def traces(self, d: int) -> dict:
-        """{Poly.key() of the place: a_v} at every good finite place of
-        degree d; a_v = -S(t) at a root t of the place."""
-        if d not in self.trace_tables:
-            lv = self.level(d)
-            cf = lv.cf
-            L = cf.N - 1
-            pick = lv.good & (lv.lengths == d)
-            t = lv.t[pick]
-            # the minimal polynomial prod_i (X - t^(q^i)), low coefficient first
-            coeffs = [np.ones_like(t)]
-            for i in range(d):
-                conj = t if i == 0 else cf.exp[cf.log[t] * pow(self.q, i, L) % L]
-                neg = cf.mul(conj, self.p - 1)
-                coeffs = (
-                    [cf.mul(neg, coeffs[0])]
-                    + [cf.add(lo, cf.mul(neg, hi)) for lo, hi in zip(coeffs, coeffs[1:])]
-                    + [coeffs[-1]]
-                )
-            base = np.zeros(cf.N, dtype=np.int64)
-            base[lv.emb] = np.arange(self.q)
-            key_of = [tuple(b // self.p**i % self.p for i in range(self.k)) for b in range(self.q)]
-            rows = np.stack([base[c] for c in coeffs], axis=1).tolist()
-            keys = [tuple(key_of[b] for b in row) for row in rows]
-            self.trace_tables[d] = dict(zip(keys, (-lv.S[pick]).tolist()))
-        return self.trace_tables[d]
+    def good_traces(self, d: int):
+        """(t, a_v): the root t of least log of every good finite place of
+        degree d, and a_v = -S(t) there."""
+        lv = self.level(d)
+        pick = lv.good & (lv.lengths == d)
+        return lv.t[pick], -lv.S[pick]
 
 
 def _char_sums(model: WeierstrassModel) -> _CharSums:
@@ -378,6 +361,29 @@ def _char_sums(model: WeierstrassModel) -> _CharSums:
     if cs is None:
         cs = model.__dict__["_char_sums"] = _CharSums(model)
     return cs
+
+
+def place_keys(model: WeierstrassModel, d: int, t) -> list:
+    """Place.sort_key() of the place of degree d with root t, for each code
+    t of the kernel's level d: its minimal polynomial prod_i (X - t^(q^i))."""
+    kernel = _char_sums(model)
+    lv = kernel.level(d)
+    cf, L, p, q = lv.cf, lv.cf.N - 1, kernel.p, kernel.q
+    # low coefficient first
+    coeffs = [np.ones_like(t)]
+    for i in range(d):
+        conj = t if i == 0 else cf.exp[cf.log[t] * pow(q, i, L) % L]
+        neg = cf.mul(conj, p - 1)
+        coeffs = (
+            [cf.mul(neg, coeffs[0])]
+            + [cf.add(lo, cf.mul(neg, hi)) for lo, hi in zip(coeffs, coeffs[1:])]
+            + [coeffs[-1]]
+        )
+    base = np.zeros(cf.N, dtype=np.int64)
+    base[lv.emb] = np.arange(q)
+    key_of = [tuple(b // p**i % p for i in range(kernel.k)) for b in range(q)]
+    rows = np.stack([base[c] for c in coeffs], axis=1).tolist()
+    return [(1, d) + tuple(key_of[b] for b in row) for row in rows]
 
 
 def _infinity_fiber(model: WeierstrassModel, fibers: list[FiberData]) -> FiberData:
@@ -477,20 +483,20 @@ def lefschetz_counts(p2: RatPoly, q: int, n_max: int) -> list[int]:
 # the L-function
 
 
-def _divide_euler_factor(series: list[int], factor: RatPoly, d: int) -> None:
-    """series <- series / factor(t^d) in place, by the integer recurrence of
-    a local factor in 1 + T Z[T]; anything else raises NonPolynomialTail."""
-    c = factor.coeffs
-    if factor.coeff(0) != 1 or any(x.denominator != 1 for x in c):
-        raise NonPolynomialTail(f"local factor {[str(x) for x in c]} is not in 1 + T Z[T]")
-    terms = [(i * d, int(x)) for i, x in enumerate(c) if i and x]
-    for k in range(len(series)):
-        acc = series[k]
-        for shift, x in terms:
-            if shift > k:
-                break
-            acc -= x * series[k - shift]
-        series[k] = acc
+def _divide_power(series: list[int], c: tuple, d: int, m: int) -> list[int]:
+    """series / c(t^d)^m to the same order, for c in 1 + T Z[T].  The
+    coefficients of w = c^(-m) follow J. C. P. Miller's power recurrence
+    n w_n = sum_{k=1}^n ((1 - m) k - n) c_k w_{n-k} (Knuth, TAOCP vol. 2,
+    sec. 4.7); w has integer coefficients, so each // is exact."""
+    w = [1]
+    for n in range(1, (len(series) - 1) // d + 1):
+        terms = range(1, min(n, len(c) - 1) + 1)
+        w.append(sum(((1 - m) * k - n) * c[k] * w[n - k] for k in terms) // n)
+    out = list(series)
+    for n in range(1, len(w)):
+        for i in range(n * d, len(series)):
+            out[i] += w[n] * series[i - n * d]
+    return out
 
 
 def euler_factors(
@@ -498,25 +504,60 @@ def euler_factors(
     fibers: list[FiberData],
     order: int,
     budget: int = DEFAULT_BUDGET,
-) -> dict:
-    """{Place.sort_key(): (d_v, L_v)} at every place of degree <= order,
-    L_v a polynomial in the local variable T = q_v^(-s): each fiber's own
-    factor (an injected fiber wins), Tate's algorithm at infinity when it
-    has no fiber, and 1 - a_v T + q_v T^2 at every good finite place, read
-    off the Frobenius orbits of the character-sum kernel.  Raises
-    PlaceBudgetExceeded, before any kernel level is built, when
+) -> tuple[dict, dict]:
+    """(fiber factors, good traces) at every place of degree <= order: the
+    fiber factors {Place.sort_key(): (d_v, L_v)}, L_v in the local variable
+    T = q_v^(-s), at each place with a fiber (an injected fiber wins) and
+    at infinity (Tate's algorithm when it has none); the good traces
+    {d: (t, a_v)}, the kernel's ``good_traces(d)`` less the roots t of
+    those fibers' pi, each place with the factor 1 - a_v T + q^d T^2.
+    Raises PlaceBudgetExceeded, before any kernel level is built, when
     q^order > budget."""
     q = model.field.q
     if order and q**order > budget:
         raise PlaceBudgetExceeded(f"q^order = {q**order} exceeds budget {budget}")
     everywhere = [*fibers, _infinity_fiber(model, fibers)]
-    out = {f.place.sort_key(): (f.d_v, f.l_factor) for f in everywhere if f.d_v <= order}
+    own = {f.place.sort_key(): f for f in everywhere if f.d_v <= order}
     kernel = _char_sums(model)
+    good = {}
     for d in range(1, order + 1):
-        q_v = q**d
-        for key, a_v in kernel.traces(d).items():
-            out.setdefault((1, d) + key, (d, RatPoly([1, -a_v, q_v])))
-    return out
+        lv = kernel.level(d)
+        t, a_v = kernel.good_traces(d)
+        for f in own.values():
+            if f.d_v == d and not f.place.is_infinity:
+                pi = [lv.emb[kernel.base_code(c)] for c in f.place.poly.coeffs]
+                keep = lv.cf.eval_poly(pi, t) != 0
+                t, a_v = t[keep], a_v[keep]
+        good[d] = (t, a_v)
+    return {key: (f.d_v, f.l_factor) for key, f in own.items()}, good
+
+
+def _euler_series(model, fibers, order: int, budget: int, seed=None) -> list[int]:
+    """prod_v L_v(t^{d_v})^(-1) over ``euler_factors`` to t^order, on
+    integers, divided by each distinct (d, L_v) once, raised to its count:
+    the good traces of degree d are grouped by value.  A ``seed`` shuffles
+    the groups by ``random.Random(seed)``."""
+    fiber_factors, good = euler_factors(model, fibers, order, budget)
+    groups = Counter()
+    for d, f in fiber_factors.values():
+        c = f.coeffs
+        if f.coeff(0) != 1 or any(x.denominator != 1 for x in c):
+            raise NonPolynomialTail(f"local factor {[str(x) for x in c]} is not in 1 + T Z[T]")
+        groups[d, tuple(map(int, c))] += 1
+    for d, (_, a_v) in good.items():
+        # np.bincount is in the kernel's working set already; np.unique's
+        # first sort would raise every run's peak RSS by about 0.3 MB
+        low = int(a_v.min(initial=0))
+        counts = np.bincount(a_v - low)
+        for i in np.flatnonzero(counts).tolist():
+            groups[d, (1, -low - i, model.field.q**d)] += int(counts[i])
+    groups = list(groups.items())
+    if seed is not None:
+        random.Random(seed).shuffle(groups)
+    series = [1] + [0] * order
+    for (d, c), m in groups:
+        series = _divide_power(series, c, d, m)
+    return series
 
 
 def l_function(
@@ -530,12 +571,11 @@ def l_function(
 ) -> RatPoly:
     """The L-function of the generic-fiber Jacobian as a polynomial in t.
 
-    Expands prod_v L_v(t^{d_v})^(-1) over ``euler_factors`` to degree
-    deg_l + surplus on integer coefficients (every local factor must lie in
-    1 + T Z[T]); the surplus coefficients must vanish.  With a ``seed`` the
-    factors are divided out in an order shuffled by ``random.Random(seed)``.
-    With ``use_functional_equation`` the series is only expanded to half
-    the degree and completed by the weight-2 self-duality.  When the middle
+    Expands the Euler product (``_euler_series``, with ``seed``) to degree
+    deg_l + surplus on integer coefficients (every fiber factor must lie in
+    1 + T Z[T]); the surplus coefficients must vanish.  With
+    ``use_functional_equation`` the series is only expanded to half the
+    degree and completed by the weight-2 self-duality.  When the middle
     coefficient vanishes both signs complete it; the + completion is taken
     and nothing checks it against point counts, so it can be the wrong one.
     Places of degree d with q^d > budget raise PlaceBudgetExceeded before
@@ -548,12 +588,7 @@ def l_function(
     field = model.field
     if order == 0:
         return RatPoly([1])
-    factors = list(euler_factors(model, fibers, order, budget).values())
-    if seed is not None:
-        random.Random(seed).shuffle(factors)
-    series = [1] + [0] * order
-    for d, factor in factors:
-        _divide_euler_factor(series, factor, d)
+    series = _euler_series(model, fibers, order, budget, seed)
     if use_functional_equation:
         partial = RatPoly(series)
         cand = functional_equation_complete(partial, deg_l, field.q, 2)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from ellsurf.exactalg import RatPoly, SpecialValue, leading_term
@@ -266,17 +267,18 @@ def test_good_place_audit_checks_the_kernel_place_set(monkeypatch, change):
 
     m = model(F5, [0, 1], [0, 1])
     inv, fibers = global_invariants(m)
-    traces = zeta._CharSums.traces
+    good_traces = zeta._CharSums.good_traces
 
     def corrupt(self, d):
-        out = dict(traces(self, d))
+        t, a_v = good_traces(self, d)
         if d == 2 and change == "drop":
-            out.pop(next(iter(out)))
-        elif d == 2:
-            out[((0,), (0,), (0,))] = 0
-        return out
+            return t[1:], a_v[1:]
+        if d == 2:
+            # t = 0 is the root of no place of degree 2
+            return np.append(t, 0), np.append(a_v, 0)
+        return t, a_v
 
-    monkeypatch.setattr(zeta._CharSums, "traces", corrupt)
+    monkeypatch.setattr(zeta._CharSums, "good_traces", corrupt)
     result = check_good_place_sanity(m, fibers)
     assert result.status == FAIL
     assert ("1 missing, 0 extra" if change == "drop" else "0 missing, 1 extra") in result.details

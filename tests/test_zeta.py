@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsurf import zeta
 from ellsurf.errors import (
@@ -65,6 +67,13 @@ P2_X3T = RatPoly([math.comb(10, j) * (-5) ** j for j in range(11)])  # (1-5t)^10
 def pipeline(m):
     inv, fibers = global_invariants(m)
     return inv, fibers
+
+
+def traces(m, d):
+    """{Place.sort_key(): a_v} at every good finite place of degree d, from
+    the kernel's ``good_traces(d)``."""
+    t, a_v = _char_sums(m).good_traces(d)
+    return dict(zip(zeta.place_keys(m, d, t), a_v.tolist()))
 
 
 def finite_places(field, d_max):
@@ -201,7 +210,7 @@ def test_good_traces_match_tate_local():
         for v in places:
             fd = tate_local(m, v)
             if fd.is_good:
-                assert _char_sums(m).traces(v.degree)[v.poly.key()] == fd.a_v
+                assert traces(m, v.degree)[v.sort_key()] == fd.a_v
                 checked += 1
         assert checked == n_good
 
@@ -400,10 +409,76 @@ def test_euler_factors_cover_every_place_once():
     the places the pure-Python root lists give, with the fibers' own factors
     at the bad places."""
     inv, fibers = pipeline(X3T)
-    factors = zeta.euler_factors(X3T, fibers, 3)
-    assert sorted(factors) == [(0,)] + [v.sort_key() for v in finite_places(F5, 3)]
+    factors, good = zeta.euler_factors(X3T, fibers, 3)
+    keys = [*factors] + [k for d, (t, _) in good.items() for k in zeta.place_keys(X3T, d, t)]
+    assert sorted(keys) == [(0,)] + [v.sort_key() for v in finite_places(F5, 3)]
     for f in fibers:
         assert factors[f.place.sort_key()] == (f.d_v, f.l_factor)
+
+
+def divide_once(series, c, d):
+    """The per-place integer recurrence: series <- series / c(t^d) in
+    place, for c in 1 + T Z[T]."""
+    for k in range(len(series)):
+        series[k] -= sum(x * series[k - i * d] for i, x in enumerate(c) if i and i * d <= k)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    c=st.lists(st.integers(-30, 30), min_size=1, max_size=2).filter(lambda c: c[-1] != 0),
+    d=st.integers(1, 6),
+    m=st.integers(1, 50),
+    series=st.lists(st.integers(-100, 100), min_size=1, max_size=13),
+)
+def test_power_recurrence_matches_repeated_division(c, d, m, series):
+    """series / c(t^d)^m by Miller's power recurrence equals m divisions by
+    the per-place recurrence, at orders below and above d."""
+    c = (1, *c)
+    expected = list(series)
+    for _ in range(m):
+        divide_once(expected, c, d)
+    assert zeta._divide_power(series, c, d, m) == expected
+
+
+def per_place_series(m, fibers, order):
+    """The Euler product to t^order one place at a time: each fiber's own
+    factor, Tate's algorithm at infinity when no fiber is there, and
+    1 - a_v T + q^d T^2 at every other good finite place."""
+    own = {f.place.sort_key(): f for f in fibers}
+    own.setdefault((0,), m.infinity_fiber)
+    factors = [(f.d_v, [int(x) for x in f.l_factor.coeffs]) for f in own.values()]
+    for d in range(1, order + 1):
+        q_v = m.field.q**d
+        factors += [(d, [1, -a, q_v]) for key, a in traces(m, d).items() if key not in own]
+    series = [1] + [0] * order
+    for d, c in factors:
+        if d <= order:
+            divide_once(series, c, d)
+    return series
+
+
+def test_grouped_l_function_matches_per_place_product():
+    """The grouped Euler product against the per-place one, on X3T, the
+    generic I1 model over GF(5) and over GF(25), also with good fibers of a
+    wrong trace injected at a degree-1 and a degree-3 place (past the
+    good-place audit) and at infinity: each fiber's factor replaces the
+    kernel's, and infinity's factor counts once."""
+    from ellsurf.ffield import place_finite
+    from ellsurf.tatefiber import make_fiber
+
+    for m in (X3T, GENERIC_I1, GENERIC_I1_F25):
+        inv, fibers = pipeline(m)
+        q = m.field.q
+        assert l_function(m, fibers, inv) == RatPoly(per_place_series(m, fibers, inv.deg_l))
+        injected = [make_fiber(place_infinity(), q, "I0", None, a_v=1)]
+        for d in (1, 3):
+            key, a_v = next(iter(traces(m, d).items()))
+            pi = Poly(m.field, [c[0] if m.field.degree == 1 else list(c) for c in key[2:]])
+            injected.append(make_fiber(place_finite(pi), q, "I0", None, a_v=a_v + 1))
+        mutated = [f for f in fibers if not f.place.is_infinity] + injected
+        for fs in (fibers, mutated):
+            for seed in (None, 3):
+                assert zeta._euler_series(m, fs, 3, q**3, seed) == per_place_series(m, fs, 3)
 
 
 K3 = model(F5, 1, [0] * 7 + [1])  # y^2 = x^3 + x + t^7, b2 = 22
