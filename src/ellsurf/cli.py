@@ -174,7 +174,7 @@ def build_model(cfg: Config):
         for e in entries:
             if isinstance(e, list) and (fq.degree == 1 or len(e) > fq.degree):
                 raise BadField(f"{key}: coefficient vector of length {len(e)} over GF({fq.q})", None)
-        return [fq.elem(e) for e in entries]
+        return [fq.raw(e) for e in entries]
 
     model = WeierstrassModel(
         fq, coeffs("a1"), coeffs("a2"), coeffs("a3"), coeffs("a4"), coeffs("a6")

@@ -31,10 +31,6 @@ class InconsistentPowerSums(EllsurfError):
     pass
 
 
-class NonIntegralCoefficients(EllsurfError):
-    pass
-
-
 class NoConsistentSign(EllsurfError):
     pass
 

@@ -5,14 +5,12 @@ Fields are represented as context objects: ``PrimeField(p)`` for GF(p) and
 context has one arithmetic, on raw values: ints in [0, p) over GF(p), and
 for an extension tuples of its base's raw values (nested tuples over an
 extension base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_inv``,
-``raw_pow``, ``raw_values`` and ``raw_key``.  ``raw_key`` flattens a raw
-value to its base-p digits, on which addition is digit-wise mod p and
-multiplication by a fixed element is GF(p)-linear;
-``tatefiber.affine_point_counter`` counts points on those digits.  ``Poly``
-holds raw coefficients.  ``FElem`` wraps a raw value only at the API
-boundary (config parsing, Tate's residue arithmetic, the tests), for the
-usual operator syntax.  Everything is exact and immutable; contexts can be
-shared freely.
+``raw_pow``, ``raw_values``, ``raw_key`` and ``is_square``; ``zero`` and
+``one`` are raw values too.  ``raw_key`` flattens a raw value to its base-p
+digits, on which addition is digit-wise mod p and multiplication by a fixed
+element is GF(p)-linear; ``tatefiber.affine_point_counter`` counts points on
+those digits.  ``Poly`` holds raw coefficients.  Everything is exact and
+immutable; contexts can be shared freely.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
 irreducible polynomial in the coordinate t.  ``roots_by_minimal_polynomial``
@@ -49,75 +47,9 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
-class FElem:
-    """Element of a finite field: a raw value wrapped with its field, for
-    operator syntax; each operator is one raw operation of the field."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field, val):
-        self.field = field
-        self.val = val
-
-    def __add__(self, other):
-        f = self.field
-        return FElem(f, f.raw_add(self.val, f.raw(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        f = self.field
-        return FElem(f, f.raw_add(self.val, f.raw_neg(f.raw(other))))
-
-    def __rsub__(self, other):
-        f = self.field
-        return FElem(f, f.raw_add(f.raw(other), f.raw_neg(self.val)))
-
-    def __mul__(self, other):
-        f = self.field
-        return FElem(f, f.raw_mul(self.val, f.raw(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        f = self.field
-        return FElem(f, f.raw_mul(self.val, f.raw_inv(f.raw(other))))
-
-    def __rtruediv__(self, other):
-        f = self.field
-        return FElem(f, f.raw_mul(f.raw(other), f.raw_inv(self.val)))
-
-    def __neg__(self):
-        return FElem(self.field, self.field.raw_neg(self.val))
-
-    def __pow__(self, n: int):
-        f = self.field
-        if n < 0:
-            return FElem(f, f.raw_pow(f.raw_inv(self.val), -n))
-        return FElem(f, f.raw_pow(self.val, n))
-
-    def __eq__(self, other):
-        if isinstance(other, FElem):
-            return self.field is other.field and self.val == other.val
-        if isinstance(other, int):
-            return self.val == self.field.raw(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.val))
-
-    def __bool__(self):
-        return self.val != self.field.zero.val
-
-    def __repr__(self):
-        return f"{self.field.short_name}({self.val})"
-
-    def is_square(self):
-        """Quadratic residue test via Euler's criterion (q odd)."""
-        if not self:
-            return True
-        f = self.field
-        return f.raw_pow(self.val, (f.q - 1) // 2) == f.one.val
+def _is_square(field, a) -> bool:
+    """Whether the raw value a is a square, by Euler's criterion (q odd)."""
+    return a == field.zero or field.raw_pow(a, (field.q - 1) // 2) == field.one
 
 
 class PrimeField:
@@ -133,16 +65,11 @@ class PrimeField:
         self.q = p
         self.degree = 1
         self.char = p
-        self.zero = FElem(self, 0)
-        self.one = FElem(self, 1)
-        self.short_name = f"F{p}"
+        self.zero = 0
+        self.one = 1
 
-    def raw(self, x) -> int:
-        """The raw value of an element of this field or of an int."""
-        if isinstance(x, FElem):
-            if x.field is self:
-                return x.val
-            raise TypeError("element of a different field")
+    def raw(self, x: int) -> int:
+        """The raw value of an int."""
         return x % self.p
 
     def raw_add(self, a: int, b: int) -> int:
@@ -169,13 +96,7 @@ class PrimeField:
     def raw_key(self, a: int) -> tuple:
         return (a,)
 
-    def elem(self, x) -> FElem:
-        if isinstance(x, FElem) and x.field is self:
-            return x
-        return FElem(self, self.raw(x))
-
-    def elements(self):
-        return (FElem(self, v) for v in range(self.p))
+    is_square = _is_square
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -191,15 +112,15 @@ class ExtensionField:
     """
 
     def __init__(self, base, modulus_coeffs, check_irreducible: bool = True):
-        # modulus_coeffs: sequence over base (raw values, ints or elements), monic
-        bzero = base.zero.val
+        # modulus_coeffs: sequence over base (raw values or ints), monic
+        bzero = base.zero
         mod = [base.raw(c) for c in modulus_coeffs]
         while mod and mod[-1] == bzero:
             mod.pop()
         d = len(mod) - 1
         if d < 1:
             raise NotIrreducible("modulus must have degree >= 1")
-        if mod[-1] != base.one.val:
+        if mod[-1] != base.one:
             raise NotIrreducible("modulus must be monic")
         self.base = base
         self.modulus = tuple(mod)
@@ -211,27 +132,20 @@ class ExtensionField:
         self._badd, self._bmul = base.raw_add, base.raw_mul
         # x^d = sum of _red[i] x^i, as (i, raw coefficient) with zeros dropped
         self._red = tuple((i, base.raw_neg(c)) for i, c in enumerate(mod[:-1]) if c != bzero)
-        self.zero = FElem(self, (bzero,) * d)
-        self.one = FElem(self, (base.one.val,) + self.zero.val[1:])
-        self.short_name = f"F{self.q}"
+        self.zero = (bzero,) * d
+        self.one = (base.one,) + self.zero[1:]
         if check_irreducible and not poly_is_irreducible(Poly(base, mod)):
             raise NotIrreducible("modulus is reducible")
 
     def raw(self, x) -> tuple:
-        """The raw value of an element of this field or of its base, of an
-        int, or of a coefficient sequence over the base."""
-        if isinstance(x, FElem):
-            if x.field is self:
-                return x.val
-            if x.field is self.base:
-                return (x.val,) + self.zero.val[1:]
-            raise TypeError("element of a different field")
+        """The raw value of an int, or of a coefficient sequence over the
+        base (a raw value is one, and is returned as it is)."""
         if isinstance(x, int):
-            return (self.base.raw(x),) + self.zero.val[1:]
+            return (self.base.raw(x),) + self.zero[1:]
         vec = tuple(self.base.raw(c) for c in x)
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than extension degree")
-        return vec + self.zero.val[len(vec):]
+        return vec + self.zero[len(vec):]
 
     def raw_add(self, a: tuple, b: tuple) -> tuple:
         return tuple(map(self._badd, a, b))
@@ -256,14 +170,14 @@ class ExtensionField:
         return tuple(prod[:d])
 
     def raw_inv(self, a: tuple) -> tuple:
-        if a == self.zero.val:
+        if a == self.zero:
             raise DivisionByZero("inverse of zero")
         # Fermat: a^(q-2)
         return self.raw_pow(a, self.q - 2)
 
     def raw_pow(self, a: tuple, n: int) -> tuple:
         """a^n for n >= 0."""
-        result = self.one.val
+        result = self.one
         while n:
             if n & 1:
                 result = self.raw_mul(result, a)
@@ -272,20 +186,14 @@ class ExtensionField:
         return result
 
     def raw_values(self):
-        """Every raw value, in the order of ``elements``."""
+        """Every raw value, in ``itertools.product`` order of the base's."""
         return itertools.product(tuple(self.base.raw_values()), repeat=self.degree)
 
     def raw_key(self, a: tuple) -> tuple:
         raw_key = self.base.raw_key
         return tuple(k for c in a for k in raw_key(c))
 
-    def elem(self, x) -> FElem:
-        if isinstance(x, FElem) and x.field is self:
-            return x
-        return FElem(self, self.raw(x))
-
-    def elements(self):
-        return (FElem(self, v) for v in self.raw_values())
+    is_square = _is_square
 
     def __repr__(self):
         return f"ExtensionField({self.base!r}, deg {self.degree})"
@@ -314,14 +222,14 @@ def field_make(p: int, modulus=None):
 
 class Poly:
     """Dense polynomial over a finite field on raw coefficients, low degree
-    first, trailing zeros trimmed.  The constructor takes raw values, ints,
-    ``FElem``s and coefficient vectors: whatever the field's ``raw`` reads,
-    which returns a raw value unchanged."""
+    first, trailing zeros trimmed.  The constructor takes raw values, ints
+    and coefficient vectors: whatever the field's ``raw`` reads, which
+    returns a raw value unchanged."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        zero = field.zero.val
+        zero = field.zero
         cs = [field.raw(c) for c in coeffs]
         while cs and cs[-1] == zero:
             cs.pop()
@@ -367,7 +275,7 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly(self.field, [])
         f = self.field
-        add, mul, zero = f.raw_add, f.raw_mul, f.zero.val
+        add, mul, zero = f.raw_add, f.raw_mul, f.zero
         b = other.coeffs
         nb = len(b)
         out = [zero] * (len(self.coeffs) + nb - 1)
@@ -379,7 +287,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = Poly(self.field, [self.field.one.val])
+        result = Poly(self.field, [self.field.one])
         b = self
         while n:
             if n & 1:
@@ -397,7 +305,7 @@ class Poly:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         f = self.field
-        add, mul, zero = f.raw_add, f.raw_mul, f.zero.val
+        add, mul, zero = f.raw_add, f.raw_mul, f.zero
         rem = list(self.coeffs)
         db = other.degree
         lead_inv = f.raw_inv(other.coeffs[-1])
@@ -429,7 +337,7 @@ class Poly:
         """The raw value at a raw value x of the field, by Horner."""
         f = self.field
         add, mul = f.raw_add, f.raw_mul
-        acc = f.zero.val
+        acc = f.zero
         for c in reversed(self.coeffs):
             acc = add(mul(acc, x), c)
         return acc
@@ -452,7 +360,7 @@ class Poly:
         """t^n * self(1/t); requires n >= degree."""
         if n < self.degree:
             raise ValueError("reversal length below degree")
-        out = [self.field.zero.val] * (n + 1 - len(self.coeffs)) + list(self.coeffs[::-1])
+        out = [self.field.zero] * (n + 1 - len(self.coeffs)) + list(self.coeffs[::-1])
         return Poly(self.field, out)
 
     def key(self) -> tuple:
@@ -461,7 +369,7 @@ class Poly:
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
-        zero = self.field.zero.val
+        zero = self.field.zero
         parts = [f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if c != zero]
         return "Poly(" + " + ".join(parts) + ")"
 
@@ -525,7 +433,7 @@ class Place:
         field = self.poly.field
         terms = []
         for i, c in enumerate(self.poly.coeffs):
-            if c == field.zero.val:
+            if c == field.zero:
                 continue
             key = field.raw_key(c)
             v = key[0] if len(key) == 1 else key
@@ -557,19 +465,19 @@ def irreducible_count(q: int, d: int) -> int:
 
 
 def residue_field(field, place: Place):
-    """k(v) as a field context, together with the reduction map on Poly(t)."""
+    """k(v) as a field context, together with the reduction map from Poly(t)
+    to raw values of k(v)."""
     if place.is_infinity:
         raise ValueError("infinity has no finite-place residue construction here")
     if place.degree == 1:
         # pi = t - c; reduction is evaluation at c
         c = field.raw_neg(place.poly.coeffs[0])
-        return field, (lambda f: FElem(field, f.eval(c)))
+        return field, (lambda f: f.eval(c))
     kv = ExtensionField(field, place.poly.coeffs, check_irreducible=False)
-    pad = (field.zero.val,) * kv.degree
 
-    def red(f: Poly) -> FElem:
+    def red(f: Poly) -> tuple:
         r = (f % place.poly).coeffs
-        return FElem(kv, r + pad[len(r):])
+        return r + kv.zero[len(r):]
 
     return kv, red
 
@@ -585,16 +493,16 @@ def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, int | tuple]]:
     of theta's coordinates times the q-th powers of the basis 1, x, ...,
     x^(d-1).  Conjugates of a keyed root are skipped."""
     if F is base:
-        one = base.one.val
+        one = base.one
         roots = [(Place("finite", Poly(base, [base.raw_neg(c), one]), 1), c)
                  for c in base.raw_values()]
         return sorted(roots, key=lambda r: r[0].sort_key())
-    d, q, bzero = F.degree, base.q, base.zero.val
+    d, q, bzero = F.degree, base.q, base.zero
     add, mul, neg, scale = F.raw_add, F.raw_mul, F.raw_neg, base.raw_mul
     frob_basis = [F.raw_pow(F.raw([0] * i + [1]), q) for i in range(d)]
 
     def frob(theta):
-        out = F.zero.val
+        out = F.zero
         for c, xq in zip(theta, frob_basis):
             if c != bzero:
                 out = add(out, tuple(scale(c, e) for e in xq))
@@ -611,10 +519,10 @@ def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, int | tuple]]:
         if len(set(conj)) < d:
             continue  # theta lies in a proper subfield
         seen.update(conj)
-        coeffs = [F.one.val]  # the product, low degree first
+        coeffs = [F.one]  # the product, low degree first
         for c in conj:
-            shifted = [F.zero.val] + coeffs
-            coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero.val])]
+            shifted = [F.zero] + coeffs
+            coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero])]
         pi = Poly(base, [c[0] for c in coeffs])
         roots.append((Place("finite", pi, d), theta))
     return sorted(roots, key=lambda r: r[0].sort_key())
@@ -627,9 +535,9 @@ def find_irreducible(field, degree: int) -> Poly:
     From degree 2 on, t divides every candidate with constant term 0 (the
     first q^(degree - 1) in that order), so the search starts past them."""
     elems = sorted(field.raw_values(), key=field.raw_key)
-    constants = elems if degree == 1 else [c for c in elems if c != field.zero.val]
+    constants = elems if degree == 1 else [c for c in elems if c != field.zero]
     for tail in itertools.product(constants, *[elems] * (degree - 1)):
-        f = Poly(field, list(tail) + [field.one.val])
+        f = Poly(field, list(tail) + [field.one])
         if poly_is_irreducible(f):
             return f
     raise NotIrreducible(f"no irreducible of degree {degree}?")

@@ -73,8 +73,8 @@ class WeierstrassModel:
         b6 = self.a3 * self.a3 + 4 * self.a6
         c4 = b2 * b2 - 24 * b4
         c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
-        self.a4_short = c4 * (1 / field.elem(-48))
-        self.a6_short = c6 * (1 / field.elem(-864))
+        self.a4_short = c4 * field.raw_inv(field.raw(-48))
+        self.a6_short = c6 * field.raw_inv(field.raw(-864))
         if short_discriminant(self.a4_short, self.a6_short).is_zero():
             raise UnsupportedModel("discriminant vanishes identically")
 
@@ -464,13 +464,12 @@ def _val(poly: Poly, pi: Poly) -> int:
     return INF if v is None else v
 
 
-def _shift_red(poly: Poly, pi: Poly, k: int, red):
-    """Reduce poly / pi^k at pi (zero if the valuation exceeds k)."""
-    for _ in range(k):
-        poly, rem = poly.divmod(pi)
-        if not rem.is_zero():
-            raise NotMinimalizable("claimed valuation not attained")
-    return red(poly)
+def _shift(poly: Poly, pi: Poly, k: int) -> Poly:
+    """poly / pi^k, which must be exact."""
+    quot, rem = poly.divmod(pi**k)
+    if rem:
+        raise NotMinimalizable("claimed valuation not attained")
+    return quot
 
 
 def _translate_x(A2: Poly, A4: Poly, A6: Poly, s: Poly):
@@ -494,28 +493,28 @@ def tate_local(model: WeierstrassModel, place: Place) -> FiberData:
 def _tate_at_prime(field, a: Poly, b: Poly, pi: Poly, place: Place) -> FiberData:
     """Tate's algorithm on y^2 = x^3 + a x + b at the prime pi, for a pair
     minimal at pi (v(a) < 4 or v(b) < 6); any other pair reaches II* with
-    v(Delta) >= 12 and raises InconsistentFiberData."""
+    v(Delta) >= 12 and raises InconsistentFiberData.  Residue arithmetic
+    runs on Polys in GF(q)[t], each reduced once by ``red`` to a raw value
+    of kv."""
     q = field.q
     kv, red = residue_field(field, place)
+    zero = kv.zero
 
     def lift(e) -> Poly:
-        if kv is field:
-            return Poly(field, [e])
-        return Poly(field, e.val)
+        return Poly(field, [e] if kv is field else e)
 
     va, vb = _val(a, pi), _val(b, pi)
     vD = _val(short_discriminant(a, b), pi)
 
     if vD == 0:
-        count = curve_point_count(kv, red(a).val, red(b).val)
+        count = curve_point_count(kv, red(a), red(b))
         a_v = kv.q + 1 - count
         return make_fiber(place, q, "I0", None, a_v=a_v)
 
     if va == 0:
-        # multiplicative: node at x0 with tangent cone y^2 = 3 x0 (x - x0)^2
-        abar, bbar = red(a), red(b)
-        x0 = -(3 * bbar) / (2 * abar)
-        split = (3 * x0).is_square()
+        # multiplicative: node at x0 = -3b/(2a) with tangent cone
+        # y^2 = 3 x0 (x - x0)^2, and 3 x0 = -2ab (3/(2a))^2
+        split = kv.is_square(red(-2 * a * b))
         fd = make_fiber(place, q, f"I{vD}", "split" if split else "nonsplit")
     # additive: the singular point of y^2 = x^3 + a x + b sits at the origin
     elif vb == 1:
@@ -523,26 +522,25 @@ def _tate_at_prime(field, a: Poly, b: Poly, pi: Poly, place: Place) -> FiberData
     elif va == 1:
         fd = make_fiber(place, q, "III", None)
     elif vb == 2:
-        split = _shift_red(b, pi, 2, red).is_square()
+        split = kv.is_square(red(_shift(b, pi, 2)))
         fd = make_fiber(place, q, "IV", "split" if split else "nonsplit")
     else:
         # P(T) = T^3 + (a/pi^2) T + (b/pi^3) over the residue field
-        alpha = _shift_red(a, pi, 2, red)
-        beta = _shift_red(b, pi, 3, red)
-        disc = -4 * alpha * alpha * alpha - 27 * beta * beta
-        if disc:
-            fd = make_fiber(place, q, "I0*", _cubic_root_count(kv, [beta, alpha, 0, 1]))
-        elif alpha or beta:
+        alpha, beta = _shift(a, pi, 2), _shift(b, pi, 3)
+        alpha_r, beta_r = red(alpha), red(beta)
+        if red(-4 * alpha * alpha * alpha - 27 * beta * beta) != zero:
+            fd = make_fiber(place, q, "I0*", _cubic_root_count(kv, [beta_r, alpha_r, 0, 1]))
+        elif alpha_r != zero or beta_r != zero:
             # the double root of P (disc = 0 and P != T^3 force alpha != 0)
-            theta = -(3 * beta) / (2 * alpha)
+            theta = kv.raw_mul(red(-3 * beta), kv.raw_inv(red(2 * alpha)))
             A2l, A4l, A6l = _translate_x(Poly(field, []), a, b, lift(theta) * pi)
-            m, far_split = _istar_loop(field, pi, kv, red, lift, A2l, A4l, A6l, vD)
+            m, far_split = _istar_loop(kv, red, lift, pi, A2l, A4l, A6l, vD)
             fd = make_fiber(place, q, f"I{m}*", "split" if far_split else "nonsplit")
         else:
             # triple root at the origin: v(a) >= 3, v(b) >= 4, and the model
             # is minimal (v(a) < 4 or v(b) < 6), so the last case is v(b) = 5
             if vb == 4:
-                split = _shift_red(b, pi, 4, red).is_square()
+                split = kv.is_square(red(_shift(b, pi, 4)))
                 fd = make_fiber(place, q, "IV*", "split" if split else "nonsplit")
             elif va == 3:
                 fd = make_fiber(place, q, "III*", None)
@@ -563,7 +561,7 @@ def _cubic_root_count(kv, P) -> int:
     return poly_gcd(poly_pow_mod(t, kv.q, cubic) - t, cubic).degree
 
 
-def _istar_loop(field, pi, kv, red, lift, A2, A4, A6, vD):
+def _istar_loop(kv, red, lift, pi, A2, A4, A6, vD):
     """Tate's subprocedure for I_m* (m >= 1): returns (m, far pair split?).
 
     Entering state: v(A2) = 1, v(A4) >= 3, v(A6) >= 4.  Odd stages test a
@@ -572,17 +570,17 @@ def _istar_loop(field, pi, kv, red, lift, A2, A4, A6, vD):
     m = 1
     while True:
         if m % 2 == 1:
-            c = _shift_red(A6, pi, m + 3, red)
-            if c:
-                return m, c.is_square()
+            c = red(_shift(A6, pi, m + 3))
+            if c != kv.zero:
+                return m, kv.is_square(c)
         else:
-            a2_1 = _shift_red(A2, pi, 1, red)
-            a4_c = _shift_red(A4, pi, (m + 4) // 2, red)
-            a6_c = _shift_red(A6, pi, m + 3, red)
-            disc = a4_c * a4_c - 4 * a2_1 * a6_c
-            if disc:
-                return m, disc.is_square()
-            r = -a4_c / (2 * a2_1)
+            a2_1 = _shift(A2, pi, 1)
+            a4_c = _shift(A4, pi, (m + 4) // 2)
+            a6_c = _shift(A6, pi, m + 3)
+            disc = red(a4_c * a4_c - 4 * a2_1 * a6_c)
+            if disc != kv.zero:
+                return m, kv.is_square(disc)
+            r = kv.raw_mul(red(-a4_c), kv.raw_inv(red(2 * a2_1)))
             A2, A4, A6 = _translate_x(A2, A4, A6, lift(r) * pi ** ((m + 2) // 2))
         m += 1
         if m > vD - 6:
@@ -639,7 +637,7 @@ def _derivative(f: Poly) -> Poly:
 def _pth_root(f: Poly) -> Poly:
     """For f = h(t^p), return h (coefficientwise p-th roots)."""
     field = f.field
-    p, zero = field.char, field.zero.val
+    p, zero = field.char, field.zero
     coeffs = []
     for i, c in enumerate(f.coeffs):
         if i % p == 0:
@@ -815,28 +813,12 @@ def component_group_fixed_order(f: FiberData) -> int:
     return iG // iK
 
 
-def fiber_powsum(f: FiberData, m: int) -> int:
-    """m-th power sum of the inverse roots of the local L-factor."""
-    cs = f.l_factor.coeffs
-    if len(cs) == 1:
-        return 0
-    if len(cs) == 2:
-        return int((-cs[1]) ** m)
-    a, qv = int(-cs[1]), int(cs[2])
-    s_prev, s_cur = 2, a
-    if m == 0:
-        return 2
-    for _ in range(m - 1):
-        s_prev, s_cur = s_cur, a * s_cur - qv * s_prev
-    return s_cur
-
-
 def fiber_point_count(f: FiberData, m: int) -> int:
     """Points of the minimal-regular-model fiber over the degree-m extension
     of the residue field."""
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    total = 1 - fiber_powsum(f, m)
+    total = 1 - int(f.l_factor.power_sums(m)[-1])
     qm = f.q_v**m
     for r, _ in f.components:
         if m % r == 0:

@@ -27,7 +27,6 @@ from .errors import (
 from .exactalg import RatPoly, SpecialValue, leading_term
 from .ffield import (
     ExtensionField,
-    FElem,
     Poly,
     find_irreducible,
     irreducible_count,
@@ -440,7 +439,9 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
     checked = 0
     for F, roots in models:
         count = affine_point_counter(F)
-        a4_F, a6_F = (Poly(F, [FElem(field, c) for c in f.coeffs]) for f in (a4, a6))
+        a4_F, a6_F = a4, a6
+        if F is not field:  # GF(q) coefficients as constants of GF(q^d)
+            a4_F, a6_F = (Poly(F, [(c,) + F.zero[1:] for c in f.coeffs]) for f in (a4, a6))
         for v, theta in roots:
             key = v.sort_key()
             if key in bad:

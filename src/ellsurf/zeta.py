@@ -115,7 +115,7 @@ class _CodedField:
         gen = None
         for cand in range(2, self.N):
             d = tuple((cand // p**i) % p for i in range(n))
-            if all(F.raw_pow(d, order // ell) != F.one.val for ell in primes):
+            if all(F.raw_pow(d, order // ell) != F.one for ell in primes):
                 gen = d
                 break
         if gen is None:

@@ -108,6 +108,48 @@ def test_functional_equation_no_sign():
         functional_equation_complete(RatPoly([1, 1, 7]), 2, 5, 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.sampled_from([2, 3, 5]),
+    st.sampled_from([1, 2]),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=10),
+    st.integers(0, 10),
+)
+def test_functional_equation_completions_are_self_dual(n, q, weight, coeffs, cut):
+    """Every completion returned, for sign +1, -1 or unset, weight 1 or 2
+    and random partials, satisfies a_{n-j} = eps q^(w(n-2j)/2) a_j at every
+    j (a_j = 0 where w(n-2j) is odd); cutting it anywhere past the given
+    half and completing again gives it back."""
+    partial = RatPoly(coeffs[: n + 1])
+
+    def self_dual(poly, eps):
+        for j in range(n + 1):
+            e2 = weight * (n - 2 * j)
+            if e2 % 2:
+                if poly.coeff(j) != 0:
+                    return False
+            elif poly.coeff(n - j) != eps * Fraction(q) ** (e2 // 2) * poly.coeff(j):
+                return False
+        return True
+
+    found = []
+    for eps in (1, -1):
+        try:
+            got = functional_equation_complete(partial, n, q, weight, eps)
+        except NoConsistentSign:
+            continue
+        assert got.degree <= n and self_dual(got, eps)
+        recut = RatPoly(got.coeffs[: max(cut, (n + 1) // 2 + 1)])
+        assert functional_equation_complete(recut, n, q, weight, eps) == got
+        found.append(got)
+    if found:
+        assert functional_equation_complete(partial, n, q, weight) == found[0]
+    else:
+        with pytest.raises(NoConsistentSign):
+            functional_equation_complete(partial, n, q, weight)
+
+
 def test_leading_term_examples():
     sv = leading_term(RatPoly([1, -10, 25]), 5)  # (1-5t)^2
     assert (sv.sign, sv.value, sv.log_power, sv.order) == (1, 1, 2, 2)

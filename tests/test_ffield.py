@@ -9,7 +9,6 @@ from ellsurf import ffield
 from ellsurf.errors import CharTooSmall, DivisionByZero, NotIrreducible, NotPrime
 from ellsurf.ffield import (
     ExtensionField,
-    FElem,
     Poly,
     PrimeField,
     field_make,
@@ -37,7 +36,7 @@ def places_of_degree(field, d):
 def test_field_make_prime():
     f = field_make(5)
     assert f.q == 5
-    assert f.one + f.elem(4) == f.zero
+    assert f.raw_add(f.one, f.raw(4)) == f.zero == 0
 
 
 def test_field_make_extension():
@@ -58,39 +57,40 @@ def test_field_make_guards():
 
 def test_inverse_f5():
     assert F5.raw_inv(2) == 3
-    assert 1 / F5.elem(2) == F5.elem(3)
+    for a in range(1, 5):
+        assert F5.raw_mul(a, F5.raw_inv(a)) == F5.one
     with pytest.raises(DivisionByZero):
-        F5.raw_inv(0)
-    with pytest.raises(DivisionByZero):
-        1 / F5.zero
+        F5.raw_inv(F5.zero)
 
 
 def test_frobenius_extension_matches_repeated_squaring():
-    x = F25.elem([0, 1])
+    x = F25.raw([0, 1])
     # oracle: x^5 by five explicit multiplications
     expected = F25.one
     for _ in range(5):
-        expected = expected * x
-    assert x**5 == expected
-    assert F25.raw_pow(x.val, 5) == expected.val
-    assert F25.one**5 == F25.one
-    # frobenius fixes the prime field
+        expected = F25.raw_mul(expected, x)
+    assert F25.raw_pow(x, 5) == expected
+    assert F25.raw_pow(F25.one, 5) == F25.one
+    # frobenius fixes the prime field, and its square fixes GF(25)
     for c in range(5):
-        assert F25.elem(c) ** 5 == F25.elem(c)
+        assert F25.raw_pow(F25.raw(c), 5) == F25.raw(c)
+    for a in F25.raw_values():
+        assert F25.raw_pow(a, 25) == a
 
 
 @given(st.integers(0, 24), st.integers(0, 24))
 def test_field_axioms_f25(i, j):
-    elems = list(F25.elements())
+    elems = list(F25.raw_values())
     a, b = elems[i], elems[j]
-    assert a + b == b + a
-    assert a * b == b * a
-    assert a * (b + F25.one) == a * b + a
-    if a:
-        assert a * (F25.one / a) == F25.one
+    add, mul, pw = F25.raw_add, F25.raw_mul, F25.raw_pow
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert mul(a, add(b, F25.one)) == add(mul(a, b), a)
+    if a != F25.zero:
+        assert mul(a, F25.raw_inv(a)) == F25.one
     # frobenius x -> x^5 is a ring homomorphism
-    assert (a + b) ** 5 == a**5 + b**5
-    assert (a * b) ** 5 == a**5 * b**5
+    assert pw(add(a, b), 5) == add(pw(a, 5), pw(b, 5))
+    assert pw(mul(a, b), 5) == mul(pw(a, 5), pw(b, 5))
 
 
 def test_poly_divmod_and_gcd():
@@ -102,10 +102,13 @@ def test_poly_divmod_and_gcd():
 
 
 def test_is_square():
-    squares = {(v * v) % 7 for v in range(1, 7)}
-    for v in range(1, 7):
-        assert F7.elem(v).is_square() == (v in squares)
-    assert F7.zero.is_square()
+    """Euler's criterion against the set of squares, zero included, over
+    GF(7), GF(25) and the nested GF(625)."""
+    for field in (F7, F25, F625):
+        squares = {field.raw_mul(v, v) for v in field.raw_values()}
+        assert len(squares) == (field.q + 1) // 2
+        for v in field.raw_values():
+            assert field.is_square(v) == (v in squares)
 
 
 def test_places_f2_degree3():
@@ -156,12 +159,12 @@ def test_residue_field_reduction():
     kv, red = residue_field(F5, place)
     assert kv.q == 25
     # t^2 reduces to -2 = 3
-    assert red(Poly(F5, [0, 0, 1])) == kv.elem(3)
+    assert red(Poly(F5, [0, 0, 1])) == kv.raw(3) == (3, 0)
     # degree-1 place: reduction is evaluation
     p1 = ffield.place_finite(Poly(F5, [3, 1]))  # t + 3
     kv1, red1 = residue_field(F5, p1)
     assert kv1 is F5
-    assert red1(Poly(F5, [0, 1])) == F5.elem(-3)
+    assert red1(Poly(F5, [0, 1])) == F5.raw(-3) == 2
 
 
 @pytest.mark.parametrize("field", [F7, F25, F625], ids=["F7", "F25", "F625"])
@@ -178,7 +181,7 @@ def test_poly_mul_then_divide_roundtrip(field, fc, gc, xc):
     nonzero tuple coefficients side by side."""
     values = list(field.raw_values())
     raw = lambda codes: [values[c % len(values)] for c in codes]
-    f, g = Poly(field, raw(fc)), Poly(field, raw(gc) + [field.one.val])
+    f, g = Poly(field, raw(fc)), Poly(field, raw(gc) + [field.one])
     q, r = f.divmod(g)
     assert q * g + r == f and r.degree < g.degree
     q, r = (f * g).divmod(g)
@@ -193,48 +196,51 @@ def test_poly_mul_then_divide_roundtrip(field, fc, gc, xc):
 
 
 def test_raw_values_are_base_raw_values():
-    assert F625.modulus[-1] == F25.one.val and len(F625.modulus) == 3
-    x = F25.elem([3, 4])
-    assert x.val == (3, 4)
-    y = F625.elem([x, 2])
-    assert y.val == ((3, 4), (2, 0))
-    assert F625.elem(x).val == ((3, 4), (0, 0))
-    assert F625.elem(7).val == ((2, 0), (0, 0))
+    assert F625.modulus[-1] == F25.one and len(F625.modulus) == 3
+    x = F25.raw([3, 4])
+    assert x == (3, 4)
+    assert F625.raw([x, 2]) == ((3, 4), (2, 0))
+    # a base value embeds as a one-entry coefficient vector, or padded with
+    # zeros (``raw`` would read x itself as a vector over GF(25))
+    assert F625.raw([x]) == (x,) + F625.zero[1:] == ((3, 4), (0, 0))
+    assert F625.raw(x) == ((3, 0), (4, 0))
+    assert F625.raw(7) == ((2, 0), (0, 0))
 
 
 def test_inverses_f25_all_and_f625_sample():
     for a in F25.raw_values():
-        if a != F25.zero.val:
-            assert F25.raw_mul(a, F25.raw_inv(a)) == F25.one.val
+        if a != F25.zero:
+            assert F25.raw_mul(a, F25.raw_inv(a)) == F25.one
     rng = random.Random(1)
     for a in rng.sample(list(F625.raw_values()), 60):
-        if a != F625.zero.val:
-            assert F625.raw_mul(a, F625.raw_inv(a)) == F625.one.val
+        if a != F625.zero:
+            assert F625.raw_mul(a, F625.raw_inv(a)) == F625.one
     with pytest.raises(DivisionByZero):
-        F625.raw_inv(F625.zero.val)
+        F625.raw_inv(F625.zero)
 
 
 def test_distributivity_and_key_roundtrip_f625():
     rng = random.Random(2)
-    elems = list(F625.elements())
+    elems = list(F625.raw_values())
+    add, mul = F625.raw_add, F625.raw_mul
     for _ in range(60):
         a, b, c = rng.choice(elems), rng.choice(elems), rng.choice(elems)
-        assert a * (b + c) == a * b + a * c
-        assert (a - b) + b == a
-        assert F625.elem(a.val) == a
-        key = F625.raw_key(a.val)
-        assert F625.elem([key[:2], key[2:]]) == a
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(add(a, F625.raw_neg(b)), b) == a
+        assert F625.raw(a) == a
+        key = F625.raw_key(a)
+        assert F625.raw([key[:2], key[2:]]) == a
         assert len(key) == 4 and all(0 <= k < 5 for k in key)
 
 
 def test_element_order_and_keys_unchanged():
-    # elements run in itertools.product order of the base elements, and
+    # raw values run in itertools.product order of the base raw values, and
     # raw_key flattens the base keys: both fix the report's place order
-    expected = [sum(t, ()) for t in itertools.product([F25.raw_key(c.val) for c in F25.elements()], repeat=2)]
-    keys = [F625.raw_key(e.val) for e in F625.elements()]
+    expected = [sum(t, ()) for t in itertools.product([F25.raw_key(c) for c in F25.raw_values()], repeat=2)]
+    keys = [F625.raw_key(e) for e in F625.raw_values()]
     assert keys == expected
     assert len(set(keys)) == 625
-    assert [F25.raw_key(e.val) for e in F25.elements()] == list(itertools.product(range(5), repeat=2))
+    assert [F25.raw_key(e) for e in F25.raw_values()] == list(itertools.product(range(5), repeat=2))
 
 
 @pytest.mark.parametrize("field", [F5, F7], ids=["F5", "F7"])
@@ -272,4 +278,5 @@ def test_roots_by_minimal_polynomial_list_every_place(field):
         assert keys == sorted(set(keys))
         for v, theta in roots:
             assert v.degree == v.poly.degree == d
-            assert Poly(F, [FElem(field, c) for c in v.poly.coeffs]).eval(theta) == F.zero.val
+            pi = v.poly if F is field else Poly(F, [(c,) + F.zero[1:] for c in v.poly.coeffs])
+            assert pi.eval(theta) == F.zero

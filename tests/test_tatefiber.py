@@ -13,6 +13,7 @@ from ellsurf.ffield import (
     find_irreducible,
     place_finite,
     place_infinity,
+    residue_field,
 )
 from ellsurf.lattice import discriminant
 from ellsurf.tatefiber import (
@@ -63,7 +64,7 @@ def place_at(field, c):
 def _random_long_models(field, count, seed):
     """Seeded long-form models with a1, a2, a3 nonzero, degrees <= 3."""
     rng = random.Random(seed)
-    elems = list(field.elements())
+    elems = list(field.raw_values())
     out = []
     while len(out) < count:
         coeffs = []
@@ -355,6 +356,42 @@ def test_fiber_point_count_nodal_cubics_direct():
     assert fiber_point_count(fd, 1) == affine(-27, 54, 5) + 1 == 5
 
 
+@pytest.mark.parametrize(
+    "field,count", [(F5, 30), (F7, 30), (field_make(5, [2, 0, 1]), 8)], ids=["F5", "F7", "F25"]
+)
+def test_split_decisions_count_the_reduced_cubic(field, count):
+    """Tate's split tests at places of degree 1 and 2: at every bad finite
+    place of degree <= 2 of ``count`` seeded random short models, the
+    reduction of the minimal pair, a nodal or cuspidal cubic, has q_v + 1 +
+    l_factor.coeff(1) points: q_v split, q_v + 2 nonsplit, q_v + 1 additive.
+    Every other model takes a common factor into a4 and a6, for additive
+    fibers."""
+    rng = random.Random(field.q)
+    elems = list(field.raw_values())
+    draw = lambda lo, hi: Poly(field, [rng.choice(elems) for _ in range(rng.randrange(lo, hi))])
+    seen = set()
+    for i in range(count):
+        a4, a6 = draw(1, 6), draw(1, 6)
+        if i % 2:
+            g = draw(2, 4)
+            a4, a6 = a4 * g, a6 * g
+        try:
+            m = WeierstrassModel(field, [0], [0], [0], a4, a6)
+        except UnsupportedModel:
+            continue
+        for pi in distinct_irreducible_factors(m.minimal_delta):
+            if pi.degree > 2:
+                continue
+            place = place_finite(pi)
+            fd = tate_local(m, place)
+            kv, red = residue_field(field, place)
+            points = affine_point_counter(kv)(*map(red, m.minimal_short)) + 1
+            assert points == fd.q_v + 1 + fd.l_factor.coeff(1), (fd.kodaira, fd.splitting, pi)
+            seen.add((pi.degree, fd.l_factor.coeff(1)))
+    # split, nonsplit and additive fibers at places of both degrees
+    assert {k for d, k in seen} == {-1, 0, 1} and {d for d, k in seen} == {1, 2}, seen
+
+
 def test_count_affine_points_matches_naive():
     for a, b in [(1, 1), (2, 3), (0, 1)]:
         naive = sum(
@@ -483,13 +520,14 @@ def test_count_affine_points_nested_extension_by_euler_criterion():
 
     f25 = ExtensionField(F5, [2, 0, 1])
     f625 = ExtensionField(f25, find_irreducible(f25, 2).coeffs)
-    elems = list(f625.elements())
+    elems = list(f625.raw_values())
+    add, mul = f625.raw_add, f625.raw_mul
     for a, b in [(elems[7], elems[300]), (f625.zero, elems[624])]:
         euler = 0
         for x in elems:
-            rhs = x * x * x + a * x + b
-            euler += 1 if not rhs else (2 if rhs.is_square() else 0)
-        assert count_affine_points(f625, a.val, b.val) == euler
+            rhs = add(mul(x, add(mul(x, x), a)), b)
+            euler += 1 if rhs == f625.zero else (2 if f625.is_square(rhs) else 0)
+        assert count_affine_points(f625, a, b) == euler
 
 
 def _counter_fields():
@@ -515,7 +553,7 @@ def test_affine_point_counter_matches_the_double_loop(name):
     xs = list(kv.raw_values())
     squares = [mul(y, y) for y in xs]
     count = affine_point_counter(kv)
-    zero = kv.zero.val
+    zero = kv.zero
     rng = random.Random(len(xs))
     draws = [(rng.choice(xs), rng.choice(xs)) for _ in range(3)]
     draws += [(zero, rng.choice(xs)), (rng.choice(xs), zero), (zero, zero)]

@@ -103,14 +103,12 @@ def naive_surface_count_n1(m, fibers):
         if t0 in bad_at:
             total += fiber_point_count(bad_at[t0], 1)
             continue
-        a, b = field.elem(a4s.eval(t0)), field.elem(a6s.eval(t0))
+        a, b = a4s.eval(t0), a6s.eval(t0)
         cnt = 1
-        for x0 in range(q):
-            x = field.elem(x0)
-            rhs = ((x * x) * x) + a * x + b
-            for y0 in range(q):
-                y = field.elem(y0)
-                if y * y == rhs:
+        for x in range(q):
+            rhs = (x * x * x + a * x + b) % q
+            for y in range(q):
+                if y * y % q == rhs:
                     cnt += 1
         total += cnt
     if "inf" in bad_at:
@@ -157,33 +155,34 @@ def oracle_counts(m, fibers, n_max):
     for n in range(1, n_max + 1):
         deg = field.degree * n
         big = fp if deg == 1 else ExtensionField(fp, find_irreducible(fp, deg).coeffs, False)
+        add, mul, zero = big.raw_add, big.raw_mul, big.zero
         if field.degree == 1:
-            embed = big.elem
+            embed = big.raw
         else:
             modulus = Poly(big, field.modulus)
-            r = next(x for x in big.elements() if modulus.eval(x.val) == big.zero.val)
-            embed = lambda c: sum((r**i * big.elem(ci) for i, ci in enumerate(c)), big.zero)
+            r = next(x for x in big.raw_values() if modulus.eval(x) == zero)
+            embed = lambda c: Poly(big, c).eval(r)  # sum of c_i r^i
 
         short = (m.a4_short, m.a6_short, short_discriminant(m.a4_short, m.a6_short))
         a4, a6, delta = ([embed(c) for c in f.coeffs] for f in short)
         count = affine_point_counter(big)
 
         def ev(coeffs, t):
-            acc = big.zero
+            acc = zero
             for c in reversed(coeffs):
-                acc = acc * t + c
+                acc = add(mul(acc, t), c)
             return acc
 
         total, seen = 0, set()
-        for t in big.elements():
-            if big.raw_key(t.val) in seen:
+        for t in big.raw_values():
+            if big.raw_key(t) in seen:
                 continue
             orbit = [t]
-            while orbit[-1] ** q != t:
-                orbit.append(orbit[-1] ** q)
-            seen.update(big.raw_key(s.val) for s in orbit)
-            if ev(delta, t):
-                total += len(orbit) * (1 + count(ev(a4, t).val, ev(a6, t).val))
+            while big.raw_pow(orbit[-1], q) != t:
+                orbit.append(big.raw_pow(orbit[-1], q))
+            seen.update(big.raw_key(s) for s in orbit)
+            if ev(delta, t) != zero:
+                total += len(orbit) * (1 + count(ev(a4, t), ev(a6, t)))
         for f in fibers:
             if not f.place.is_infinity and n % f.d_v == 0:
                 total += f.d_v * fiber_point_count(f, n // f.d_v)
@@ -302,10 +301,10 @@ def test_coded_tables_match_generator_walk(p, n):
         return sum(v * p**i for i, v in enumerate(d))
 
     def has_full_order(d):
-        return all(F.raw_pow(d, order // ell) != F.one.val for ell in factorize(order))
+        return all(F.raw_pow(d, order // ell) != F.one for ell in factorize(order))
 
     gen = digits(next(c for c in range(2, cf.N) if has_full_order(digits(c))))
-    exp, cur = [], F.one.val
+    exp, cur = [], F.one
     for _ in range(order):
         exp.append(encode(cur))
         cur = F.raw_mul(cur, gen)
