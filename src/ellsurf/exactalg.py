@@ -6,10 +6,12 @@ of the graded group Q^x * (log q)^k, with log q kept as a formal symbol.
 Per-place logarithms collapse through log q_v = d_v * log q, so a single
 grading integer suffices.
 
-The vanishing order at t = 1/q is computed by repeated exact division by
-(1 - q*t); each division step accounts for one factor (s - 1) * log q of the
-leading term, which is why order and log-power advance together for values
-extracted from rational functions.
+Coefficients are ints, and Fractions only where not integral; a float is
+a TypeError.  The vanishing order at t = 1/q is computed by synthetic
+division by (1 - q*t), on ints for an integral polynomial; each division
+accounts for one factor (s - 1) * log q of the leading term, which is why
+order and log-power advance together for values extracted from rational
+functions.
 """
 
 from __future__ import annotations
@@ -24,20 +26,27 @@ from .errors import (
 )
 
 
+def _exact(c):
+    """c as an int when integral, else as a Fraction; a float raises TypeError."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    c = Fraction(c)
+    return int(c.numerator) if c.denominator == 1 else c
+
+
 class RatPoly:
-    """Polynomial over Q, coefficient index = degree in t."""
+    """Polynomial over Q, coefficient index = degree in t; each coefficient
+    an int when integral, else a Fraction."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "RatPoly":
-        return cls([Fraction(c)])
 
     @classmethod
     def one(cls) -> "RatPoly":
@@ -57,7 +66,7 @@ class RatPoly:
         if isinstance(other, RatPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == RatPoly.const(other)
+            return self == RatPoly([other])
         return NotImplemented
 
     def __hash__(self):
@@ -88,7 +97,7 @@ class RatPoly:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -112,7 +121,7 @@ class RatPoly:
     def _coerce(x):
         if isinstance(x, RatPoly):
             return x
-        return RatPoly.const(x)
+        return RatPoly([x])
 
     def divmod(self, other: "RatPoly"):
         other = self._coerce(other)
@@ -120,13 +129,13 @@ class RatPoly:
             raise DivisionByZero("polynomial division by zero")
         rem = list(self.coeffs)
         db = other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(0, len(rem) - db)
+        inv = _exact(Fraction(1, other.coeffs[-1]))
+        quot = [0] * max(0, len(rem) - db)
         for k in range(len(rem) - 1, db - 1, -1):
             c = rem[k]
             if not c:
                 continue
-            f = c / lead
+            f = c * inv
             quot[k - db] = f
             for i, b in enumerate(other.coeffs):
                 rem[k - db + i] -= f * b
@@ -138,33 +147,33 @@ class RatPoly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    def eval(self, x) -> Fraction:
-        acc = Fraction(0)
-        x = Fraction(x)
+    def eval(self, x):
+        acc = 0
+        x = _exact(x)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coeff(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def monic(self) -> "RatPoly":
         if self.is_zero():
             return self
-        lead = self.coeffs[-1]
-        return RatPoly([c / lead for c in self.coeffs])
+        inv = _exact(Fraction(1, self.coeffs[-1]))
+        return RatPoly([c * inv for c in self.coeffs])
 
-    def power_sums(self, m: int) -> list[Fraction]:
+    def power_sums(self, m: int) -> list:
         """First m power sums of the inverse roots, via -t P'/P = sum s_k t^k.
 
         Requires constant term 1.
         """
         if self.coeff(0) != 1:
             raise ValueError("power sums need constant term 1")
-        s: list[Fraction] = []
+        s = []
         for k in range(1, m + 1):
             acc = -k * self.coeff(k)
             for j in range(1, k):
@@ -199,7 +208,7 @@ class RatFunc:
             num, den = num // g, den // g
         lead = den.coeffs[-1]
         if lead != 1:
-            num = num * RatPoly.const(1 / lead)
+            num = num * RatPoly([Fraction(1, lead)])
             den = den.monic()
         self.num = num
         self.den = den
@@ -280,17 +289,17 @@ def newton_from_power_sums(sums, degree: int) -> RatPoly:
     ``sums`` may be longer than ``degree``; surplus entries are checked for
     consistency against the reconstructed polynomial.
     """
-    sums = [Fraction(s) for s in sums]
+    sums = [_exact(s) for s in sums]
     if len(sums) < degree:
         raise InconsistentPowerSums(
             f"need {degree} power sums, got {len(sums)}"
         )
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for k in range(1, degree + 1):
         acc = sums[k - 1]
         for j in range(1, k):
             acc += coeffs[j] * sums[k - j - 1]
-        coeffs.append(-acc / k)
+        coeffs.append(_exact(Fraction(-acc, k)))
     poly = RatPoly(coeffs)
     # surplus consistency: the recurrence must continue to hold
     for k in range(degree + 1, len(sums) + 1):
@@ -330,12 +339,13 @@ def functional_equation_complete(
                 if out[j] != 0:
                     return None
                 continue
-            val = eps * Fraction(q) ** (e2 // 2) * out[j]
+            e = e2 // 2
+            val = eps * (q**e if e >= 0 else Fraction(1, q**-e)) * out[j]
             if out[n - j] is None:
                 out[n - j] = val
             elif out[n - j] != val:
                 return None
-        return RatPoly([Fraction(0) if c is None else c for c in out])
+        return RatPoly([0 if c is None else c for c in out])
 
     if sign is not None:
         got = attempt(sign)
@@ -351,26 +361,23 @@ def functional_equation_complete(
     raise NoConsistentSign("neither functional-equation sign is consistent")
 
 
-def _one_minus_qt(q: int) -> RatPoly:
-    return RatPoly([1, -q])
-
-
 def poly_order_at(poly: RatPoly, q: int):
-    """(order of vanishing at t=1/q, cofactor with cofactor(1/q) != 0)."""
+    """(order of vanishing at t=1/q, cofactor with cofactor(1/q) != 0).
+
+    f = (1 - q t) g is divided by synthetic division from the constant term
+    up, g_k = f_k + q g_(k-1), on ints when f is integral; the last step's
+    value is q^deg(f) f(1/q), zero exactly when (1 - q t) divides."""
     if poly.is_zero():
         raise DivisionByZero("zero polynomial has no leading term")
-    lin = _one_minus_qt(q)
-    order = 0
+    cs, order = poly.coeffs, 0
     while True:
-        quot, rem = poly.divmod(lin)
-        if rem.is_zero():
-            order += 1
-            poly = quot
-        else:
-            break
-        if poly.degree < 0:
-            break
-    return order, poly
+        g, acc = [], 0
+        for c in cs:
+            acc = c + q * acc
+            g.append(acc)
+        if acc:
+            return order, RatPoly(cs)
+        cs, order = g[:-1], order + 1
 
 
 def leading_term(f, q: int) -> SpecialValue:

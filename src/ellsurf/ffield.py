@@ -10,7 +10,9 @@ extension base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_inv``,
 digits, on which addition is digit-wise mod p and multiplication by a fixed
 element is GF(p)-linear; ``tatefiber.affine_point_counter`` counts points on
 those digits.  ``Poly`` holds raw coefficients.  Everything is exact and
-immutable; contexts can be shared freely.
+immutable; contexts can be shared freely.  A context's ``key``, (p,) or
+(base key, modulus), is its value; per-process caches of field-only data
+(``irreducible_modulus``, ``roots_by_minimal_polynomial``) are keyed by it.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
 irreducible polynomial in the coordinate t.  ``roots_by_minimal_polynomial``
@@ -67,6 +69,7 @@ class PrimeField:
         self.char = p
         self.zero = 0
         self.one = 1
+        self.key = (p,)
 
     def raw(self, x: int) -> int:
         """The raw value of an int."""
@@ -124,6 +127,7 @@ class ExtensionField:
             raise NotIrreducible("modulus must be monic")
         self.base = base
         self.modulus = tuple(mod)
+        self.key = (base.key, self.modulus)
         self.degree = d
         self.p = base.p
         self.char = base.char
@@ -482,21 +486,33 @@ def residue_field(field, place: Place):
     return kv, red
 
 
+_ROOTS: dict = {}  # (base key, F key) -> ((raw coefficients of pi, root), ...)
+
+
 def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, int | tuple]]:
     """(place of pi, the raw value of one root of pi in F) for every monic irreducible pi
     over ``base`` of degree d = [F : base], in ``Place.sort_key`` order; F
-    is ``base`` itself (d = 1) or an extension of it.
+    is ``base`` itself (d = 1) or an extension of it.  The list is found
+    once per (base, F) value per process, as raw values, and each call
+    builds its places on the caller's ``base``."""
+    key = (base.key, F.key)
+    if key not in _ROOTS:
+        _ROOTS[key] = _minimal_polynomials(base, F)
+    d = 1 if F.key == base.key else F.degree
+    return [(Place("finite", Poly(base, pi), d), theta) for pi, theta in _ROOTS[key]]
+
+
+def _minimal_polynomials(base, F) -> tuple:
+    """The (raw coefficients of pi, root) of ``roots_by_minimal_polynomial``,
+    sorted: monic coefficient tuples of one length sort as their places do.
 
     Each generator theta of F is keyed by its minimal polynomial, the
     product of (T - theta^(q^i)) over i < d, whose coefficients lie in
     ``base``.  theta -> theta^q is base-linear, so it is applied as the sum
     of theta's coordinates times the q-th powers of the basis 1, x, ...,
     x^(d-1).  Conjugates of a keyed root are skipped."""
-    if F is base:
-        one = base.one
-        roots = [(Place("finite", Poly(base, [base.raw_neg(c), one]), 1), c)
-                 for c in base.raw_values()]
-        return sorted(roots, key=lambda r: r[0].sort_key())
+    if F.key == base.key:
+        return tuple(sorted(((base.raw_neg(c), base.one), c) for c in base.raw_values()))
     d, q, bzero = F.degree, base.q, base.zero
     add, mul, neg, scale = F.raw_add, F.raw_mul, F.raw_neg, base.raw_mul
     frob_basis = [F.raw_pow(F.raw([0] * i + [1]), q) for i in range(d)]
@@ -523,9 +539,8 @@ def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, int | tuple]]:
         for c in conj:
             shifted = [F.zero] + coeffs
             coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero])]
-        pi = Poly(base, [c[0] for c in coeffs])
-        roots.append((Place("finite", pi, d), theta))
-    return sorted(roots, key=lambda r: r[0].sort_key())
+        roots.append((tuple(c[0] for c in coeffs), theta))
+    return tuple(sorted(roots))
 
 
 def find_irreducible(field, degree: int) -> Poly:
@@ -541,3 +556,15 @@ def find_irreducible(field, degree: int) -> Poly:
         if poly_is_irreducible(f):
             return f
     raise NotIrreducible(f"no irreducible of degree {degree}?")
+
+
+_MODULI: dict = {}  # (field key, degree) -> raw coefficients
+
+
+def irreducible_modulus(field, degree: int) -> tuple:
+    """The raw coefficients of ``find_irreducible(field, degree)``, found
+    once per (field value, degree) per process."""
+    key = (field.key, degree)
+    if key not in _MODULI:
+        _MODULI[key] = find_irreducible(field, degree).coeffs
+    return _MODULI[key]

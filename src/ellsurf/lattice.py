@@ -370,6 +370,8 @@ class FgGroup:
 
     def free_basis(self) -> Mat:
         """Columns of Z^n_gens projecting to a basis of the free quotient."""
+        if not self.relations.n:  # Z^n_gens itself
+            return Mat.identity(self.n_gens)
         D, U, rank, _ = self.smith_data()
         Uinv = mat_inverse(U)
         r = min(D.m, D.n)

@@ -383,9 +383,34 @@ def _span(start, cols, p, weights):
     return codes
 
 
+_COUNTER_TABLES: dict = {}  # field key -> the tables of ``_counter_tables``
+
+
 def affine_point_counter(kv):
     """(A, B) -> #{(x,y) in kv^2 : y^2 = x^3 + A x + B} on raw values of
-    kv, with kv's tables built once.
+    kv, with kv's tables (``_counter_tables``) built once per field value
+    per process."""
+    if kv.key not in _COUNTER_TABLES:
+        _COUNTER_TABLES[kv.key] = _counter_tables(kv)
+    units, by_radix, low_digits, cube_blocks, roots_at = _COUNTER_TABLES[kv.key]
+    p, mul, key = kv.p, kv.raw_mul, kv.raw_key
+    zero = (0,) * len(units)
+
+    def count(a, b) -> int:
+        cols = [key(mul(a, u)) for u in units]
+        lows = _span(key(b), cols[:low_digits], p, by_radix)
+        highs = _span(zero, cols[low_digits:], p, by_radix)
+        return sum(
+            sum(map(roots_at[high:].__getitem__, map(operator.add, cubes, lows)))
+            for high, cubes in zip(highs, cube_blocks)
+        )
+
+    return count
+
+
+def _counter_tables(kv):
+    """(units, base-3p weights, low digits, cube blocks, root counts): the
+    tables of ``affine_point_counter``, on raw values and ints.
 
     An element is its vector of k base-p digits (``raw_key``), and its code
     sum d_j p^j.  x -> A x is GF(p)-linear, so A x + B over all x is one
@@ -427,26 +452,14 @@ def affine_point_counter(kv):
     for square, n in root_counts.items():
         for off in offsets:
             table[square + off] = n
-    roots_at = memoryview(table)
-    zero = (0,) * k
-
-    def count(a, b) -> int:
-        cols = [key(mul(a, u)) for u in units]
-        lows = _span(key(b), cols[:low_digits], p, by_radix)
-        highs = _span(zero, cols[low_digits:], p, by_radix)
-        return sum(
-            sum(map(roots_at[high:].__getitem__, map(operator.add, cubes, lows)))
-            for high, cubes in zip(highs, cube_blocks)
-        )
-
-    return count
+    return units, by_radix, low_digits, cube_blocks, memoryview(table)
 
 
 def count_affine_points(kv, a, b) -> int:
     """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} for raw values a, b of kv:
-    one count with a fresh ``affine_point_counter(kv)``, whose tables (cubes
-    and square roots on base-p digits, O(q_v) field products) a caller
-    counting many (a, b) over one field builds once instead."""
+    one count with ``affine_point_counter(kv)``, whose tables (cubes and
+    square roots on base-p digits, O(q_v) field products) are built once per
+    field value."""
     return affine_point_counter(kv)(a, b)
 
 
@@ -772,13 +785,20 @@ def component_lattice_base_gram(f: FiberData) -> Mat:
     return Mat([[f.d_v * x for x in row] for row in P.pairing.rows], P.pairing.n)
 
 
+_COMPONENT_DISCRIMINANTS: dict = {}  # (kodaira, splitting, d_v) -> SpecialValue
+
+
 def arithmetic_component_discriminant(f: FiberData):
     """Discriminant of the height pairing on the component lattice, an
     element of Q * (log q)^(m_v - 1); the place degree enters through
-    log q_v = d_v log q."""
-    P = component_lattice(f)
-    scaled = PairedGroup(P.group, component_lattice_base_gram(f), log_grade=1)
-    return discriminant(scaled)
+    log q_v = d_v log q.  It depends on the fiber only through its Kodaira
+    type, splitting and d_v, and is computed once per those per process."""
+    key = (f.kodaira, f.splitting, f.d_v)
+    if key not in _COMPONENT_DISCRIMINANTS:
+        P = component_lattice(f)
+        scaled = PairedGroup(P.group, component_lattice_base_gram(f), log_grade=1)
+        _COMPONENT_DISCRIMINANTS[key] = discriminant(scaled)
+    return _COMPONENT_DISCRIMINANTS[key]
 
 
 def component_group_fixed_order(f: FiberData) -> int:

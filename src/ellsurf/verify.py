@@ -28,8 +28,8 @@ from .exactalg import RatPoly, SpecialValue, leading_term
 from .ffield import (
     ExtensionField,
     Poly,
-    find_irreducible,
     irreducible_count,
+    irreducible_modulus,
     roots_by_minimal_polynomial,
 )
 from .lattice import discriminant, ns_lattice_build, symmetric_signature
@@ -393,13 +393,16 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
     model.
 
     All places of one degree d share one model F of GF(q^d): the base field
-    at d = 1, else ``find_irreducible(field, d)``.
+    at d = 1, else the field modulo ``find_irreducible(field, d)``.
     ``roots_by_minimal_polynomial`` lists the places of degree d from F,
     each with a root theta of its pi, and must list ``irreducible_count(q,
     d)`` of them.  Those lists must give exactly the finite places of the
     Euler product.  A place's residue field is F through t -> theta, so a4
     and a6 reduce to their values at theta and one ``affine_point_counter``
-    per degree counts every place."""
+    per degree counts every place.  The modulus, the root lists and the
+    counter tables depend only on the field and are built once per field
+    value per process; the necklace count, the place-set comparison and
+    every count run on each call."""
     name = "good_place_lfactor"
     field = model.field
     a4, a6 = model.minimal_short
@@ -411,10 +414,8 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
         factors.update(zip(place_keys(model, d, t), at_one))
     models = []
     for d in range(1, AUDIT_DEGREE + 1):
-        if d == 1:
-            F = field
-        else:
-            F = ExtensionField(field, find_irreducible(field, d).coeffs, check_irreducible=False)
+        F = field if d == 1 else ExtensionField(
+            field, irreducible_modulus(field, d), check_irreducible=False)
         roots = roots_by_minimal_polynomial(field, F)
         expected = irreducible_count(field.q, d)
         if len(roots) != expected:
@@ -422,8 +423,8 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
                 f"place list of degree {d} over GF({field.q}) holds {len(roots)} "
                 f"places, not {expected}"
             )
-        models.append((F, roots))
-    places = {v.sort_key() for _, roots in models for v, _ in roots}
+        models.append((d, F, roots))
+    places = {v.sort_key() for _, _, roots in models for v, _ in roots}
     extra = [k for k in factors if k != (0,) and k not in places]
     missing = [k for k in places if k not in factors]
     if extra or missing:
@@ -437,10 +438,10 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
             f"{len(missing)} missing, {len(extra)} extra",
         )
     checked = 0
-    for F, roots in models:
+    for d, F, roots in models:
         count = affine_point_counter(F)
         a4_F, a6_F = a4, a6
-        if F is not field:  # GF(q) coefficients as constants of GF(q^d)
+        if d > 1:  # GF(q) coefficients as constants of GF(q^d)
             a4_F, a6_F = (Poly(F, [(c,) + F.zero[1:] for c in f.coeffs]) for f in (a4, a6))
         for v, theta in roots:
             key = v.sort_key()

@@ -43,7 +43,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,7 +69,7 @@ from .ffield import (
     PrimeField,
     _is_prime,
     factorize,
-    find_irreducible,
+    irreducible_modulus,
 )
 from .tatefiber import (
     FiberData,
@@ -107,7 +106,7 @@ class _CodedField:
         self.weights = p ** np.arange(n, dtype=np.int64)
         base = PrimeField(p, _allow_small=True)
         # raw values of F are digit tuples, low digit first
-        F = ExtensionField(base, find_irreducible(base, n).coeffs, check_irreducible=False)
+        F = ExtensionField(base, irreducible_modulus(base, n), check_irreducible=False)
 
         # find a generator of the unit group
         order = self.N - 1
@@ -455,8 +454,7 @@ def p2_from_counts(counts: CountVector, inv: SurfaceInvariants, q: int) -> RatPo
             continue
         if not cand.is_integral():
             continue
-        regenerated = cand.power_sums(len(sums))
-        if all(Fraction(s) == r for s, r in zip(sums, regenerated)):
+        if cand.power_sums(len(sums)) == sums:
             candidates.append(cand)
     uniq = []
     for c in candidates:
@@ -617,10 +615,7 @@ def fiber_degree2_factor(f: FiberData) -> RatPoly:
     orbit a factor (1 - q_v^{r} t^{r d_v})."""
     out = RatPoly([1])
     for r, _ in f.components:
-        coeffs = [0] * (r * f.d_v + 1)
-        coeffs[0] = 1
-        coeffs[-1] = -(f.q_v**r)
-        out = out * RatPoly(coeffs)
+        out = out * RatPoly([1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
     return out
 
 
@@ -638,10 +633,7 @@ def bad_correction(fibers: list[FiberData], q: int):
         if f.is_good:
             continue
         num = num * fiber_degree2_factor(f)
-        dcoeffs = [0] * (f.d_v + 1)
-        dcoeffs[0] = 1
-        dcoeffs[-1] = -f.q_v
-        den = den * RatPoly(dcoeffs)
+        den = den * RatPoly([1] + [0] * (f.d_v - 1) + [-f.q_v])
         m += f.m_v - 1
         closed *= f.d_v ** (f.m_v - 1) * f.r_product()
     func = RatFunc(num, den)

@@ -71,6 +71,15 @@ def test_criterion_1_dual_route_identity(catalog_runs):
         print(f"criterion 1 PASS [{name}] dual-route P2 equal ({elapsed:.1f}s)")
 
 
+def test_catalog_polynomials_have_exact_int_coefficients(catalog_runs):
+    """L and both P2 routes are integral, so every coefficient is an int:
+    never a float, and no Fraction is left with denominator 1."""
+    for name in NAMES:
+        report, _, _, _ = catalog_runs[name]
+        for poly in (report.l_poly, report.p2_product, report.p2_counts):
+            assert poly.coeffs and {type(c) for c in poly.coeffs} == {int}, name
+
+
 def test_criterion_2_special_value_identity(catalog_runs):
     for name in NAMES:
         report, _, _, _ = catalog_runs[name]

@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellsurf.errors import InconsistentPowerSums, NoConsistentSign
@@ -13,6 +14,7 @@ from ellsurf.exactalg import (
     functional_equation_complete,
     leading_term,
     newton_from_power_sums,
+    poly_order_at,
 )
 
 
@@ -191,3 +193,51 @@ def test_sv_algebra_examples():
     assert a.mul(b) == SpecialValue(1, 1, 16, 10, 10)
     assert a.div(a) == SpecialValue(1, 1, 1, 0, 0)
     assert SpecialValue(-1, 1, 10, 10, 10) != SpecialValue(1, 1, 10, 10, 10)
+
+
+def test_floats_are_refused_and_integral_coefficients_are_ints():
+    """A float is never an exact coefficient (Fraction(0.5) would take it);
+    integral values, Fractions included, come out as ints."""
+    for bad in ([1, 0.5], [Fraction(1, 2), 2.0], [np.float64(1.0)]):
+        with pytest.raises(TypeError):
+            RatPoly(bad)
+    with pytest.raises(TypeError):
+        newton_from_power_sums([0.5], 1)
+    with pytest.raises(TypeError):
+        RatPoly([1, 1]).eval(0.5)
+    f = RatPoly([Fraction(4, 2), np.int64(3), Fraction(1, 3)])
+    assert [type(c) for c in f.coeffs] == [int, int, Fraction]
+    prod = f * RatPoly([0, 3])
+    assert prod.coeffs == (0, 6, 9, 1) and prod.is_integral()
+    assert all(type(c) is int for c in prod.coeffs)
+    assert newton_from_power_sums([5, 13], 2).coeffs == (1, -5, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 25]),
+    st.integers(0, 4),
+    st.integers(0, 2),
+    st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+)
+def test_order_at_one_over_q_divides_out_each_factor(q, k, j, coeffs):
+    """(1 - qT)^k g with g integral and g(1/q) != 0 has order k at 1/q and
+    cofactor g, on ints; over (1 - qT)^j the leading term is g(1/q) with
+    order and log-power k - j.  The same polynomial halved, with Fraction
+    coefficients, gives the same order and half the value."""
+    g = RatPoly(coeffs)
+    value = g.eval(Fraction(1, q)) if g else 0
+    assume(value != 0)
+    lin = RatPoly([1, -q])
+    f = lin**k * g
+    order, cofactor = poly_order_at(f, q)
+    assert (order, cofactor) == (k, g)
+    assert all(type(c) is int for c in cofactor.coeffs)
+    sv = leading_term(RatFunc(f, lin**j), q)
+    assert (sv.signed_value, sv.order, sv.log_power) == (value, k - j, k - j)
+
+    half = f * RatPoly([Fraction(1, 2)])
+    assume(not half.is_integral())
+    order, cofactor = poly_order_at(half, q)
+    assert (order, cofactor) == (k, g * RatPoly([Fraction(1, 2)]))
+    assert leading_term(half, q).signed_value == value / 2
