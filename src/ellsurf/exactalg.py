@@ -10,8 +10,9 @@ Coefficients are ints, and Fractions only where not integral; a float is
 a TypeError.  The vanishing order at t = 1/q is computed by synthetic
 division by (1 - q*t), on ints for an integral polynomial; each division
 accounts for one factor (s - 1) * log q of the leading term, which is why
-order and log-power advance together for values extracted from rational
-functions.
+order and log-power advance together.  Every polynomial the verifier reads
+a special value from is in Z[t]: L, P2, and the bad-fiber correction Q,
+the product over the non-identity component orbits of (1 - q_v^r t^{r d_v}).
 """
 
 from __future__ import annotations
@@ -123,30 +124,6 @@ class RatPoly:
             return x
         return RatPoly([x])
 
-    def divmod(self, other: "RatPoly"):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        inv = _exact(Fraction(1, other.coeffs[-1]))
-        quot = [0] * max(0, len(rem) - db)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            f = c * inv
-            quot[k - db] = f
-            for i, b in enumerate(other.coeffs):
-                rem[k - db + i] -= f * b
-        return RatPoly(quot), RatPoly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def eval(self, x):
         acc = 0
         x = _exact(x)
@@ -159,12 +136,6 @@ class RatPoly:
 
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coeffs)
-
-    def monic(self) -> "RatPoly":
-        if self.is_zero():
-            return self
-        inv = _exact(Fraction(1, self.coeffs[-1]))
-        return RatPoly([c * inv for c in self.coeffs])
 
     def power_sums(self, m: int) -> list:
         """First m power sums of the inverse roots, via -t P'/P = sum s_k t^k.
@@ -185,56 +156,6 @@ class RatPoly:
         if self.is_zero():
             return "RatPoly(0)"
         return "RatPoly(" + ", ".join(str(c) for c in self.coeffs) + ")"
-
-
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-class RatFunc:
-    """Quotient of RatPolys, reduced, denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: RatPoly, den: RatPoly = None):
-        num = RatPoly._coerce(num)
-        den = RatPoly.one() if den is None else RatPoly._coerce(den)
-        if den.is_zero():
-            raise DivisionByZero("zero denominator")
-        g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree > 0:
-            num, den = num // g, den // g
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num * RatPoly([Fraction(1, lead)])
-            den = den.monic()
-        self.num = num
-        self.den = den
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc(RatPoly._coerce(other))
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc(RatPoly._coerce(other))
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def is_polynomial(self) -> bool:
-        return self.den == RatPoly.one()
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r} / {self.den!r})"
 
 
 @dataclass(frozen=True)
@@ -269,13 +190,6 @@ class SpecialValue:
             self.signed_value * other.signed_value,
             self.log_power + other.log_power,
             self.order + other.order,
-        )
-
-    def div(self, other: "SpecialValue") -> "SpecialValue":
-        return SpecialValue.from_fraction(
-            self.signed_value / other.signed_value,
-            self.log_power - other.log_power,
-            self.order - other.order,
         )
 
     def __repr__(self):
@@ -380,18 +294,12 @@ def poly_order_at(poly: RatPoly, q: int):
         cs, order = g[:-1], order + 1
 
 
-def leading_term(f, q: int) -> SpecialValue:
+def leading_term(f: RatPoly, q: int) -> SpecialValue:
     """Leading term of f at t = 1/q as sign * rational * (log q)^k.
 
     Writes f = (1 - q t)^k * g with g(1/q) != 0; the value is g(1/q), the
     order and log-power are both k (each division corresponds to one factor
-    (s-1) log q).  Rational functions with a pole at t = 1/q come back with
-    negative order, not an error.
+    (s-1) log q).
     """
-    if isinstance(f, RatPoly):
-        f = RatFunc(f)
-    ord_n, num = poly_order_at(f.num, q)
-    ord_d, den = poly_order_at(f.den, q)
-    val = num.eval(Fraction(1, q)) / den.eval(Fraction(1, q))
-    k = ord_n - ord_d
-    return SpecialValue.from_fraction(val, k, k)
+    k, g = poly_order_at(f, q)
+    return SpecialValue.from_fraction(g.eval(Fraction(1, q)), k, k)

@@ -27,14 +27,16 @@ functional equation then pin P2.  Counting is exact: the kernel's sum over
 the good fibers plus the component counts of the bad fibers of the minimal
 regular model.
 
-Route two multiplies (1 - qt)^2 * L(t) * Q(t) where Q is the product over
-bad places of the degree-2 local factors divided by (1 - q_v t^{d_v}), and
-L is the Euler product over the kernel's Frobenius orbits
-(``euler_factors``): a place with a fiber takes the fiber's factor, a good
-infinity Tate's algorithm, and every other good finite place
-1 - a_v T + q_v T^2 with a_v from the kernel's array of its degree.  No list
-of places is enumerated on this route, and no place is keyed: the series is
-divided once per distinct (d, a_v), raised to its count.
+Route two multiplies (1 - qt)^2 * L(t) * Q(t) in Z[t].  Q is the integral
+polynomial prod (1 - q_v^r t^{r d_v}) over the non-identity component
+orbits of the bad fibers (the degree-2 local factors divided by
+(1 - q_v t^{d_v}), which each identity orbit cancels), and L is the Euler
+product over the kernel's Frobenius orbits (``euler_factors``): a place with
+a fiber takes the fiber's factor, a good infinity Tate's algorithm, and
+every other good finite place 1 - a_v T + q_v T^2 with a_v from the
+kernel's array of its degree.  No list of places is enumerated on this
+route, and no place is keyed: the series is divided once per distinct
+(d, a_v), raised to its count.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .errors import (
     TruncationInsufficient,
 )
 from .exactalg import (
-    RatFunc,
     RatPoly,
     SpecialValue,
     functional_equation_complete,
@@ -610,57 +611,43 @@ def l_function(
 # the bad-fiber correction product
 
 
-def fiber_degree2_factor(f: FiberData) -> RatPoly:
-    """The degree-2 local factor of a bad fiber in t: for each component
-    orbit a factor (1 - q_v^{r} t^{r d_v})."""
-    out = RatPoly([1])
-    for r, _ in f.components:
-        out = out * RatPoly([1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
-    return out
-
-
 def bad_correction(fibers: list[FiberData], q: int):
-    """(Q as a rational function of t, its leading value at t = 1/q, m).
+    """(Q, its leading term at t = 1/q, m).  Q is the integral polynomial
+    prod (1 - q_v^r t^{r d_v}) over the non-identity component orbits (r, _)
+    of the bad fibers: each fiber's degree-2 local factor, the product over
+    all its orbits, divided by (1 - q_v t^{d_v}), which the identity orbit
+    (r = 1 in every Kodaira type) cancels.
 
-    The leading value is computed two ways: from the rational function and
-    from the closed form prod_v d_v^(m_v - 1) * prod r_i * (log q)^m; any
-    mismatch is an internal error."""
-    num = RatPoly([1])
-    den = RatPoly([1])
+    The leading term is computed two ways: from Q and from the closed form
+    prod_v d_v^(m_v - 1) * prod r_i * (log q)^m; any mismatch is an internal
+    error."""
+    poly = RatPoly([1])
     m = 0
     closed = 1
     for f in fibers:
         if f.is_good:
             continue
-        num = num * fiber_degree2_factor(f)
-        den = den * RatPoly([1] + [0] * (f.d_v - 1) + [-f.q_v])
+        for r, _ in f.components[1:]:
+            poly = poly * RatPoly([1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
         m += f.m_v - 1
         closed *= f.d_v ** (f.m_v - 1) * f.r_product()
-    func = RatFunc(num, den)
-    lead = leading_term(func, q)
+    lead = leading_term(poly, q)
     closed_sv = SpecialValue(1, closed, 1, m, m)
     if lead != closed_sv:
         raise ClosedFormMismatch(
             f"leading term {lead!r} differs from closed form {closed_sv!r}"
         )
-    return func, lead, m
+    return poly, lead, m
 
 
 def p2_from_product(
     l_poly: RatPoly,
-    correction: RatFunc,
+    correction: RatPoly,
     inv: SurfaceInvariants,
     q: int,
 ) -> RatPoly:
-    """P2 as (1 - qt)^2 * L * Q, which must simplify to an integral
-    polynomial of degree b2."""
-    num = RatPoly([1, -q]) * RatPoly([1, -q]) * l_poly * correction.num
-    func = RatFunc(num, correction.den)
-    if not func.is_polynomial():
-        raise NonPolynomial("product fails to clear the denominator")
-    poly = func.num
-    if poly.degree != inv.b2 or not poly.is_integral():
-        raise NonPolynomial(
-            f"product has degree {poly.degree}, expected {inv.b2}, integral={poly.is_integral()}"
-        )
+    """P2 as the product (1 - qt)^2 * L * Q in Z[t], which must have degree b2."""
+    poly = RatPoly([1, -q]) ** 2 * l_poly * correction
+    if poly.degree != inv.b2:
+        raise NonPolynomial(f"product has degree {poly.degree}, expected {inv.b2}")
     return poly

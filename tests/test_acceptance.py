@@ -13,7 +13,7 @@ import pytest
 
 from ellsurf.catalog import CATALOG
 from ellsurf.cli import build_model, main, parse_config
-from ellsurf.exactalg import SpecialValue
+from ellsurf.exactalg import RatPoly, SpecialValue
 from ellsurf.lattice import (
     Mat,
     discriminant,
@@ -100,8 +100,16 @@ def test_criterion_3_q2_closed_form(catalog_runs):
     for deg in (1, 2):
         for kod, split in ALL_TYPES:
             f = synthetic_fiber(5, deg, kod, split)
-            _, lead, m = bad_correction([f], 5)  # raises on any mismatch
+            Q, lead, m = bad_correction([f], 5)  # raises on any mismatch
             assert lead.log_power == m == f.m_v - 1
+            # Q is the local factor over all orbits divided by the identity
+            # orbit's (1 - q_v t^d_v)
+            assert f.components[0] == (1, 1), (kod, split)
+            orbits = RatPoly([1])
+            for r, _ in f.components:
+                orbits = orbits * RatPoly([1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
+            assert Q * RatPoly([1] + [0] * (f.d_v - 1) + [-f.q_v]) == orbits, (kod, split, deg)
+            assert all(type(c) is int for c in Q.coeffs)
             expected = f.d_v ** (f.m_v - 1) * f.r_product()
             assert lead.value == expected, (kod, split, deg)
     print(f"criterion 3 PASS: closed form over {len(ALL_TYPES)} types x 2 degrees")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ellsurf.errors import InconsistentPowerSums, NoConsistentSign
 from ellsurf.exactalg import (
-    RatFunc,
     RatPoly,
     SpecialValue,
     functional_equation_complete,
@@ -24,8 +23,6 @@ def test_poly_arith_examples():
     prod = a * b
     assert prod == RatPoly([1, -5, 6])
     assert prod.eval(1) == 2
-    q, r = prod.divmod(a)
-    assert q == b and r.is_zero()
 
 
 def test_newton_small():
@@ -162,12 +159,6 @@ def test_leading_term_examples():
     assert (sv.signed_value, sv.log_power, sv.order) == (Fraction(6, 5), 0, 0)
 
 
-def test_leading_term_pole_gives_negative_order():
-    f = RatFunc(RatPoly([1]), RatPoly([1, -5]))
-    sv = leading_term(f, 5)
-    assert sv.order == -1 and sv.log_power == -1 and sv.value == 1
-
-
 @settings(max_examples=40)
 @given(
     st.lists(st.integers(-3, 3), min_size=0, max_size=3),
@@ -179,9 +170,6 @@ def test_leading_term_multiplicative(t1, t2, k1, k2):
     q = 5
     f = RatPoly([1] + t1) * RatPoly([1, -q]) ** k1
     g = RatPoly([1] + t2) * RatPoly([1, -q]) ** k2
-    if f.eval(Fraction(1, q)) == 0 or g.eval(Fraction(1, q)) == 0:
-        # extra vanishing beyond the explicit factors; fold it in
-        pass
     lt_fg = leading_term(f * g, q)
     lt = leading_term(f, q).mul(leading_term(g, q))
     assert lt_fg == lt
@@ -191,7 +179,6 @@ def test_sv_algebra_examples():
     a = SpecialValue(1, 1, 8, 8, 8)
     b = SpecialValue(1, 1, 2, 2, 2)
     assert a.mul(b) == SpecialValue(1, 1, 16, 10, 10)
-    assert a.div(a) == SpecialValue(1, 1, 1, 0, 0)
     assert SpecialValue(-1, 1, 10, 10, 10) != SpecialValue(1, 1, 10, 10, 10)
 
 
@@ -217,13 +204,11 @@ def test_floats_are_refused_and_integral_coefficients_are_ints():
 @given(
     st.sampled_from([2, 3, 5, 7, 25]),
     st.integers(0, 4),
-    st.integers(0, 2),
     st.lists(st.integers(-30, 30), min_size=1, max_size=8),
 )
-def test_order_at_one_over_q_divides_out_each_factor(q, k, j, coeffs):
+def test_order_at_one_over_q_divides_out_each_factor(q, k, coeffs):
     """(1 - qT)^k g with g integral and g(1/q) != 0 has order k at 1/q and
-    cofactor g, on ints; over (1 - qT)^j the leading term is g(1/q) with
-    order and log-power k - j.  The same polynomial halved, with Fraction
+    cofactor g, on ints.  The same polynomial halved, with Fraction
     coefficients, gives the same order and half the value."""
     g = RatPoly(coeffs)
     value = g.eval(Fraction(1, q)) if g else 0
@@ -233,8 +218,6 @@ def test_order_at_one_over_q_divides_out_each_factor(q, k, j, coeffs):
     order, cofactor = poly_order_at(f, q)
     assert (order, cofactor) == (k, g)
     assert all(type(c) is int for c in cofactor.coeffs)
-    sv = leading_term(RatFunc(f, lin**j), q)
-    assert (sv.signed_value, sv.order, sv.log_power) == (value, k - j, k - j)
 
     half = f * RatPoly([Fraction(1, 2)])
     assume(not half.is_integral())

@@ -15,7 +15,7 @@ from ellsurf.errors import (
     NonPolynomialTail,
     PlaceBudgetExceeded,
 )
-from ellsurf.exactalg import RatFunc, RatPoly, leading_term
+from ellsurf.exactalg import RatPoly, leading_term
 from ellsurf.ffield import (
     ExtensionField,
     Poly,
@@ -516,11 +516,8 @@ def test_bad_correction_x3t():
     assert m == 8
     assert (lead.sign, lead.value, lead.log_power, lead.order) == (1, 1, 8, 8)
     # II contributes trivially; II* gives (1-5t)^8
-    expected = RatPoly([1, -5]) ** 8
-    assert func.num == expected * func.den // func.den  # func reduces to (1-5t)^8
-    assert func.is_polynomial() or True
-    direct = leading_term(RatFunc(func.num, func.den), 5)
-    assert direct == lead
+    assert func == RatPoly([1, -5]) ** 8
+    assert leading_term(func, 5) == lead
 
 
 def test_bad_correction_split_i3_synthetic():
@@ -529,7 +526,7 @@ def test_bad_correction_split_i3_synthetic():
     assert m == 2
     assert lead.value == 1 and lead.log_power == 2
     # (1-5t)^3/(1-5t) = (1-5t)^2
-    assert func.num == RatPoly([1, -5]) ** 3 or func.is_polynomial()
+    assert func == RatPoly([1, -5]) ** 2
 
 
 def test_bad_correction_empty():
@@ -541,6 +538,7 @@ def test_bad_correction_degree_two_place():
     f = synthetic_fiber(5, 2, "I3", "split")
     func, lead, m = bad_correction([f], 5)
     assert m == 2
+    assert func == RatPoly([1, 0, -25]) ** 2
     # closed form: d_v^(m_v-1) * prod r_i = 4
     assert lead.value == 4 and lead.log_power == 2
 
@@ -550,6 +548,10 @@ def test_closed_form_mismatch_on_corrupted_fiber():
 
     f = synthetic_fiber(5, 1, "I3", "split")
     bad = dataclasses.replace(f, m_v=4)  # m_v no longer matches components
+    with pytest.raises(ClosedFormMismatch):
+        bad_correction([bad], 5)
+    # an identity orbit of two components: Q leaves it out, the closed form does not
+    bad = dataclasses.replace(f, components=((2, 1),) + f.components[1:])
     with pytest.raises(ClosedFormMismatch):
         bad_correction([bad], 5)
 
