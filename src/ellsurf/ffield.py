@@ -7,9 +7,9 @@ for an extension tuples of its base's raw values (nested tuples over an
 extension base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_inv``,
 ``raw_pow``, ``raw_values``, ``raw_key`` and ``is_square``; ``zero`` and
 ``one`` are raw values too.  ``raw_key`` flattens a raw value to its base-p
-digits, on which addition is digit-wise mod p and multiplication by a fixed
-element is GF(p)-linear; ``tatefiber.affine_point_counter`` counts points on
-those digits.  ``Poly`` holds raw coefficients.  Everything is exact and
+digits, on which addition is digit-wise mod p; ``tatefiber``'s point counters
+index their discrete-log tables, built with ``raw_mul``, by those digits.
+``Poly`` holds raw coefficients.  Everything is exact and
 immutable; contexts can be shared freely.  A context's ``key``, (p,) or
 (base key, modulus), is its value; per-process caches of field-only data
 (``irreducible_modulus``, ``roots_by_minimal_polynomial``) are keyed by it.

@@ -18,6 +18,7 @@ Euler number, local L-factor).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random as _random
 from dataclasses import dataclass, replace
@@ -37,6 +38,7 @@ from .exactalg import RatPoly
 from .ffield import (
     Place,
     Poly,
+    factorize,
     place_finite,
     place_infinity,
     poly_gcd,
@@ -249,23 +251,15 @@ def _orbits(perm: list[int]) -> list[list[int]]:
 def component_data(kod: str, splitting):
     """(r_i, multiplicity) per residue-field component, identity first."""
     mult, _, perm = component_graph(kod, splitting)
-    out = []
-    for orb in _orbits(perm):
-        out.append((len(orb), mult[orb[0]]))
-    return tuple(out)
+    return tuple((len(orb), mult[orb[0]]) for orb in _orbits(perm))
 
 
 def tamagawa_number(kod: str, splitting) -> int:
     kind, val = parse_kodaira(kod)
     if kod == "I0":
         return 1
-    if kind == "In":
-        n = val
-        if n == 1:
-            return 1
-        if splitting == "split":
-            return n
-        return 2 if n % 2 == 0 else 1
+    if kind == "In":  # nonsplit: the components fixed by i -> -i mod n
+        return val if splitting == "split" else 2 - val % 2
     if kod in ("II", "II*"):
         return 1
     if kod in ("III", "III*"):
@@ -283,9 +277,7 @@ def geometric_gram(kod: str, splitting):
     together with multiplicities and the Frobenius permutation."""
     mult, edges, perm = component_graph(kod, splitting)
     g = len(mult)
-    M = [[0] * g for _ in range(g)]
-    for i in range(g):
-        M[i][i] = -2
+    M = [[-2 if i == j else 0 for j in range(g)] for i in range(g)]
     for a, b, w in edges:
         M[a][b] += w
         M[b][a] += w
@@ -319,10 +311,7 @@ class FiberData:
         return sum(r for r, _ in self.components)
 
     def r_product(self) -> int:
-        prod = 1
-        for r, _ in self.components:
-            prod *= r
-        return prod
+        return math.prod(r for r, _ in self.components)
 
 
 def make_fiber(place: Place, q: int, kod: str, splitting, a_v: int | None = None) -> FiberData:
@@ -371,95 +360,111 @@ def synthetic_fiber(q: int, degree: int, kod: str, splitting=None, field=None) -
 # point counting in residue fields
 
 
-def _span(start, cols, p, weights):
-    """Codes sum v_j weights[j] of the digit vectors v = start + sum of d_i
-    cols[i] mod p, for every digit vector d, indexed by sum of d_i p^i."""
-    digits = [[s] for s in start]  # one list per digit of v
-    for col in cols:
-        digits = [[(v + d * c) % p for d in range(p) for v in vs] for vs, c in zip(digits, col)]
-    codes = [0] * len(digits[0])
-    for vs, w in zip(digits, weights):
-        codes = list(map(operator.add, codes, [v * w for v in vs]))
-    return codes
-
-
 _COUNTER_TABLES: dict = {}  # field key -> the tables of ``_counter_tables``
 
 
-def affine_point_counter(kv):
-    """(A, B) -> #{(x,y) in kv^2 : y^2 = x^3 + A x + B} on raw values of
-    kv, with kv's tables (``_counter_tables``) built once per field value
-    per process."""
-    if kv.key not in _COUNTER_TABLES:
-        _COUNTER_TABLES[kv.key] = _counter_tables(kv)
-    units, by_radix, low_digits, cube_blocks, roots_at = _COUNTER_TABLES[kv.key]
-    p, mul, key = kv.p, kv.raw_mul, kv.raw_key
-    zero = (0,) * len(units)
+def _primitive_element(kv):
+    """The first g in ``raw_values`` order with g^((q - 1)/r) != 1 for every prime r | q - 1."""
+    return next(g for g in kv.raw_values() if g != kv.zero
+                and all(kv.raw_pow(g, (kv.q - 1) // r) != kv.one for r in factorize(kv.q - 1)))
+
+
+def _counter_tables(kv):
+    """(by_p, by_3p, exp, log, cubes, roots, spread): kv's discrete-log
+    tables on ints, built once per field value per process.
+
+    An element's code sums its base-p digits (``raw_key``) times by_p =
+    (p^j), its 3p-code times by_3p = ((3p)^j).  For g from
+    ``_primitive_element``, exp[i] is the 3p-code of g^i (i < 2(q - 1), so
+    exp[log A + i] needs no reduction), log[code] its exponent (None at 0),
+    cubes[i] = exp[3i mod (q - 1)].  The powers must hit all q - 1 nonzero
+    codes, else ``InternalInconsistency``.  B + x^3 + A x summed on 3p-codes
+    has digits below 3p and indexes ``roots`` unreduced: 1 at 0, 2 at an even
+    power of g, 0 at an odd one.  ``spread``: exp in ``_specializer``'s radices."""
+    if kv.key in _COUNTER_TABLES:
+        return _COUNTER_TABLES[kv.key]
+    p, m, key, mul = kv.p, kv.q - 1, kv.raw_key, operator.mul
+    g, x = _primitive_element(kv), kv.one
+    by_p = [p**j for j in range(len(key(x)))]
+    by_3p = [(3 * p) ** j for j in range(len(by_p))]
+    log, exp = [None] * kv.q, []
+    for i in range(m):
+        log[sum(map(mul, key(x), by_p))] = i
+        exp.append(sum(map(mul, key(x), by_3p)))
+        x = kv.raw_mul(x, g)
+    if log[0] is not None or None in log[1:]:
+        raise InternalInconsistency(f"the powers of the generator of GF({kv.q}) hit "
+                                    f"{m - log[1:].count(None)} of its {m} nonzero elements")
+    exp += exp
+    roots = bytearray((3 * p) ** len(by_p))
+    for c in itertools.product(range(3), repeat=len(by_p)):
+        off = p * sum(map(mul, c, by_3p))  # z + p c reads as z
+        roots[off] = 1
+        for square in exp[:m:2]:
+            roots[square + off] = 2
+    cubes = [exp[3 * i % m] for i in range(m)]
+    _COUNTER_TABLES[kv.key] = by_p, by_3p, exp, log, cubes, memoryview(roots), {}
+    return _COUNTER_TABLES[kv.key]
+
+
+def _digit_counter(kv):
+    """(digits of A, of B) -> #{y^2 = x^3 + A x + B}: x = 0, then one flat loop over x = g^i."""
+    by_p, by_3p, exp, log, cubes, roots, _ = _counter_tables(kv)
+    m, add, mul = len(cubes), operator.add, operator.mul
 
     def count(a, b) -> int:
-        cols = [key(mul(a, u)) for u in units]
-        lows = _span(key(b), cols[:low_digits], p, by_radix)
-        highs = _span(zero, cols[low_digits:], p, by_radix)
-        return sum(
-            sum(map(roots_at[high:].__getitem__, map(operator.add, cubes, lows)))
-            for high, cubes in zip(highs, cube_blocks)
-        )
+        at, i = roots[sum(map(mul, b, by_3p)) :], log[sum(map(mul, a, by_p))]
+        if i is None:
+            return at[0] + sum(map(at.__getitem__, cubes))
+        return at[0] + sum(map(at.__getitem__, map(add, cubes, exp[i : i + m])))
 
     return count
 
 
-def _counter_tables(kv):
-    """(units, base-3p weights, low digits, cube blocks, root counts): the
-    tables of ``affine_point_counter``, on raw values and ints.
+def affine_point_counter(kv):
+    """(A, B) -> #{(x,y) in kv^2 : y^2 = x^3 + A x + B} on raw values of
+    kv, read from kv's discrete-log tables (``_counter_tables``)."""
+    count, key = _digit_counter(kv), kv.raw_key
+    return lambda a, b: count(key(a), key(b))
 
-    An element is its vector of k base-p digits (``raw_key``), and its code
-    sum d_j p^j.  x -> A x is GF(p)-linear, so A x + B over all x is one
-    half table of A times the low digits plus B and one of A times the high
-    digits, each of about sqrt(q_v) entries, built from the columns A e_j.
-    Every digit of cube + low + high is below 3p, so their sum read in base
-    3p, without reduction, indexes a table of the number of square roots
-    of its reduction mod p.  The x sharing their high digits form one block
-    that reads the table shifted by its high entry: the loop over x is an
-    int addition and a lookup.
-    """
-    p, mul, key = kv.p, kv.raw_mul, kv.raw_key
-    xs = list(kv.raw_values())
-    k = len(key(xs[0]))
-    radix = 3 * p
-    by_p = [p**j for j in range(k)]
-    by_radix = [radix**j for j in range(k)]
 
-    def code(digits, weights):
-        return sum(map(operator.mul, digits, weights))
+def _specializer(kv, polys):
+    """theta -> [the base-p digits of f(theta) for f in polys], for Polys over
+    kv or a subfield (whose c keys as the constant c of kv), at raw theta.
 
-    units = [None] * k
-    cubes = [0] * len(xs)
-    root_counts: dict[int, int] = {}  # square (base-3p code) -> its number of roots
-    for x in xs:
-        digits = key(x)
-        if sum(digits) == 1:
-            units[digits.index(1)] = x
-        xx = mul(x, x)
-        cubes[code(digits, by_p)] = code(key(mul(x, xx)), by_radix)
-        square = code(key(xx), by_radix)
-        root_counts[square] = root_counts.get(square, 0) + 1
-    low_digits = (k + 1) // 2
-    block = p**low_digits
-    cube_blocks = [tuple(cubes[i : i + block]) for i in range(0, len(xs), block)]
-    # the roots of z at every unreduced digit vector z + m p, m in {0, 1, 2}^k
-    offsets = [code(m, by_radix) * p for m in itertools.product(range(3), repeat=k)]
-    table = bytearray(radix**k)
-    for square, n in root_counts.items():
-        for off in offsets:
-            table[square + off] = n
-    return units, by_radix, low_digits, cube_blocks, memoryview(table)
+    A nonzero term c_j theta^j = g^(log c_j + j log theta) is one read of exp
+    recoded in radix 2^w, w the bit length of (p - 1) times the most terms
+    of any f: no digit sum reaches 2^w, so the reads add up exactly, and each
+    digit is reduced mod p once."""
+    by_p, by_3p, exp, log, cubes, _, spread = _counter_tables(kv)
+    p, m, key, mul = kv.p, len(cubes), kv.raw_key, operator.mul
+    terms = [[(log[sum(map(mul, f.field.raw_key(c), by_p))], j)
+              for j, c in enumerate(f.coeffs) if c != f.field.zero] for f in polys]
+    width = (max(1, *map(len, terms)) * (p - 1)).bit_length()
+    shifts, mask = [width * j for j in range(len(by_p))], (1 << width) - 1
+    if width not in spread:
+        spread[width] = [sum(c // w % (3 * p) << s for w, s in zip(by_3p, shifts)) for c in exp[:m]]
+    wide = spread[width]
+
+    def values(theta) -> list[list[int]]:
+        i = log[sum(map(mul, key(theta), by_p))]  # None at theta = 0
+        totals = [sum(wide[lc] for lc, j in f if j == 0) if i is None
+                  else sum(wide[(lc + j * i) % m] for lc, j in f) for f in terms]
+        return [[(total >> s & mask) % p for s in shifts] for total in totals]
+
+    return values
+
+
+def specialized_point_counter(kv, a: Poly, b: Poly):
+    """theta -> #{(x,y) in kv^2 : y^2 = x^3 + a(theta) x + b(theta)}, with a
+    and b reduced at theta by ``_specializer`` on the tables the count reads."""
+    count, values = _digit_counter(kv), _specializer(kv, (a, b))
+    return lambda theta: count(*values(theta))
 
 
 def count_affine_points(kv, a, b) -> int:
-    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} for raw values a, b of kv:
-    one count with ``affine_point_counter(kv)``, whose tables (cubes and
-    square roots on base-p digits, O(q_v) field products) are built once per
-    field value."""
+    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} for raw values a, b of kv, by
+    ``affine_point_counter(kv)`` (tables of O(q_v) products, once per field)."""
     return affine_point_counter(kv)(a, b)
 
 

@@ -27,7 +27,6 @@ from .errors import (
 from .exactalg import RatPoly, SpecialValue, leading_term
 from .ffield import (
     ExtensionField,
-    Poly,
     irreducible_count,
     irreducible_modulus,
     roots_by_minimal_polynomial,
@@ -37,11 +36,11 @@ from .tatefiber import (
     FiberData,
     SurfaceInvariants,
     WeierstrassModel,
-    affine_point_counter,
     arithmetic_component_discriminant,
     bad_fibers,
     component_lattice_base_gram,
     global_invariants,
+    specialized_point_counter,
 )
 from .zeta import (
     DEFAULT_BUDGET,
@@ -397,12 +396,12 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
     ``roots_by_minimal_polynomial`` lists the places of degree d from F,
     each with a root theta of its pi, and must list ``irreducible_count(q,
     d)`` of them.  Those lists must give exactly the finite places of the
-    Euler product.  A place's residue field is F through t -> theta, so a4
-    and a6 reduce to their values at theta and one ``affine_point_counter``
-    per degree counts every place.  The modulus, the root lists and the
-    counter tables depend only on the field and are built once per field
-    value per process; the necklace count, the place-set comparison and
-    every count run on each call."""
+    Euler product.  A place's residue field is F through t -> theta, so one
+    ``specialized_point_counter`` per degree reduces a4 and a6 at theta on
+    F's discrete-log tables and counts every place; its sort key is taken
+    once, its label only for a FAIL.  The modulus, the root lists and the
+    counter tables are built once per field value per process; the necklace
+    count, the place-set comparison and every count run on each call."""
     name = "good_place_lfactor"
     field = model.field
     a4, a6 = model.minimal_short
@@ -423,8 +422,8 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
                 f"place list of degree {d} over GF({field.q}) holds {len(roots)} "
                 f"places, not {expected}"
             )
-        models.append((d, F, roots))
-    places = {v.sort_key() for _, _, roots in models for v, _ in roots}
+        models.append((F, [(v.sort_key(), v, theta) for v, theta in roots]))
+    places = {key for _, roots in models for key, _, _ in roots}
     extra = [k for k in factors if k != (0,) and k not in places]
     missing = [k for k in places if k not in factors]
     if extra or missing:
@@ -438,17 +437,13 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
             f"{len(missing)} missing, {len(extra)} extra",
         )
     checked = 0
-    for d, F, roots in models:
-        count = affine_point_counter(F)
-        a4_F, a6_F = a4, a6
-        if d > 1:  # GF(q) coefficients as constants of GF(q^d)
-            a4_F, a6_F = (Poly(F, [(c,) + F.zero[1:] for c in f.coeffs]) for f in (a4, a6))
-        for v, theta in roots:
-            key = v.sort_key()
+    for F, roots in models:
+        count = specialized_point_counter(F, a4, a6)
+        for key, v, theta in roots:
             if key in bad:
                 continue
             at_one = factors[key]
-            points = count(a4_F.eval(theta), a6_F.eval(theta)) + 1
+            points = count(theta) + 1
             if at_one != points:
                 return CheckResult(name, FAIL, str(at_one), str(points), None, f"at {v.label()}")
             checked += 1

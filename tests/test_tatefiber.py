@@ -540,10 +540,11 @@ def _counter_fields():
         "F11": f11,
         "F121/F11": ExtensionField(f11, find_irreducible(f11, 2).coeffs),
         "F625/F25": ExtensionField(f25, find_irreducible(f25, 2).coeffs),
+        "F49/F7": ExtensionField(F7, find_irreducible(F7, 2).coeffs),
     }
 
 
-@pytest.mark.parametrize("name", ["F5", "F11", "F121/F11", "F625/F25"])
+@pytest.mark.parametrize("name", ["F5", "F11", "F121/F11", "F625/F25", "F49/F7"])
 def test_affine_point_counter_matches_the_double_loop(name):
     """One counter per field against #{(x, y) : y^2 = x^3 + A x + B} by a
     double loop over kv^2, on seeded draws of (A, B) with A = 0 and B = 0
@@ -563,6 +564,96 @@ def test_affine_point_counter_matches_the_double_loop(name):
             rhs = add(mul(x, add(mul(x, x), a)), b)
             naive += sum(1 for yy in squares if yy == rhs)
         assert count(a, b) == naive, (name, a, b)
+
+
+@pytest.mark.parametrize("name", ["F5", "F11", "F121/F11", "F625/F25"])
+def test_counter_log_tables_against_the_field_arithmetic(name):
+    """exp is a bijection onto the nonzero raw values with log as its
+    inverse, exp walks the powers of one generator, and the cubes and the
+    root counts (at every unreduced 3p-code) agree with raw_mul."""
+    import itertools
+
+    kv = _counter_fields()[name]
+    by_p, by_3p, exp, log, cubes, roots, _ = tatefiber._counter_tables(kv)
+    m, p, key, mul = kv.q - 1, kv.p, kv.raw_key, kv.raw_mul
+    code = lambda x: sum(d * w for d, w in zip(key(x), by_p))
+    code_3p = lambda x: sum(d * w for d, w in zip(key(x), by_3p))
+    by_code_3p = {code_3p(x): x for x in kv.raw_values()}
+    powers = [by_code_3p[c] for c in exp[:m]]
+    assert sorted(powers) == sorted(x for x in kv.raw_values() if x != kv.zero)
+    assert exp[m:] == exp[:m] and len(log) == kv.q and log[0] is None
+    g = powers[1]
+    assert all(mul(x, g) == y for x, y in zip(powers, powers[1:] + powers[:1]))
+    assert [log[code(x)] for x in powers] == list(range(m))
+    assert [code_3p(mul(x, mul(x, x))) for x in powers] == cubes
+    offsets = [p * sum(c * w for c, w in zip(cs, by_3p))
+               for cs in itertools.product(range(3), repeat=len(by_p))]
+    squares = [mul(y, y) for y in kv.raw_values()]
+    for z in kv.raw_values():
+        assert {roots[code_3p(z) + off] for off in offsets} == {squares.count(z)}, z
+
+
+def test_counter_tables_refuse_a_generator_that_is_not_primitive(monkeypatch, capsys):
+    """A generator of too small an order walks fewer than q - 1 codes: the
+    table build raises InternalInconsistency, and ``ellsurf verify`` ends
+    with exit 4 and one line."""
+    from ellsurf.cli import main
+    from ellsurf.errors import InternalInconsistency
+
+    primitive = tatefiber._primitive_element
+    square = lambda kv: kv.raw_mul(primitive(kv), primitive(kv))
+    monkeypatch.setattr(tatefiber, "_primitive_element", square)
+    monkeypatch.setattr(tatefiber, "_COUNTER_TABLES", {})
+    with pytest.raises(InternalInconsistency, match="hit 2 of its 4 nonzero elements"):
+        affine_point_counter(F5)
+    assert main(["verify", "--catalog", "x3_plus_t_f5"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: InternalInconsistency: the powers of the generator")
+
+
+@pytest.mark.parametrize("name", ["F5", "F11", "F25"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_specializer_matches_poly_eval_at_every_root(name, d):
+    """At every root of a place of degree 1 and 2 over GF(5), GF(11) and
+    GF(25), the log-table values of seeded random a4 and a6 are their
+    values by Horner in the field; a4 is read with its coefficients in the
+    base field, as the audit reads it, and a6 with them embedded in F."""
+    from ellsurf.ffield import ExtensionField, irreducible_modulus, roots_by_minimal_polynomial
+
+    base = {"F5": F5, "F11": PrimeField(11), "F25": ExtensionField(F5, [2, 0, 1])}[name]
+    F = base if d == 1 else ExtensionField(base, irreducible_modulus(base, 2))
+    embed = (lambda c: c) if F is base else (lambda c: (c,) + F.zero[1:])
+    rng = random.Random(F.q)
+    elems = list(base.raw_values())
+    coeffs = [[rng.choice(elems) for _ in range(rng.randrange(2, 9))] for _ in range(2)]
+    in_F = [Poly(F, [embed(c) for c in cs]) for cs in coeffs]
+    values = tatefiber._specializer(F, [Poly(base, coeffs[0]), in_F[1]])
+    roots = roots_by_minimal_polynomial(base, F)
+    assert len(roots) > 1
+    for _, theta in roots:
+        assert values(theta) == [list(F.raw_key(f.eval(theta))) for f in in_F], theta
+
+
+def test_specializer_radix_holds_the_digit_sums_of_a_degree_40_polynomial():
+    """A dense degree-40 polynomial over GF(101) read at every element of
+    GF(101) and at seeded elements of GF(101^2): digit sums reach about
+    41 * 100, and the reads still add up to the values by Horner."""
+    from ellsurf.ffield import ExtensionField
+
+    f101 = PrimeField(101)
+    rng = random.Random(40)
+    coeffs = [rng.randrange(1, 101) for _ in range(41)]
+    f = Poly(f101, coeffs)
+    values = tatefiber._specializer(f101, [f, Poly(f101, [1])])
+    for theta in f101.raw_values():
+        assert values(theta) == [[f.eval(theta)], [1]], theta
+    big = ExtensionField(f101, find_irreducible(f101, 2).coeffs)
+    f_big = Poly(big, [(c, 0) for c in coeffs])
+    values = tatefiber._specializer(big, [f_big])
+    for _ in range(200):
+        theta = (rng.randrange(101), rng.randrange(101))
+        assert values(theta) == [list(f_big.eval(theta))], theta
 
 
 def test_point_count_oracle_loads_neither_numpy_nor_the_kernel():
