@@ -486,20 +486,24 @@ def residue_field(field, place: Place):
     return kv, red
 
 
-_ROOTS: dict = {}  # (base key, F key) -> ((raw coefficients of pi, root), ...)
+_ROOTS: dict = {}  # (base key, F key) -> ((sort key, raw coefficients of pi, root), ...)
 
 
-def roots_by_minimal_polynomial(base, F) -> list[tuple[Place, int | tuple]]:
-    """(place of pi, the raw value of one root of pi in F) for every monic irreducible pi
-    over ``base`` of degree d = [F : base], in ``Place.sort_key`` order; F
-    is ``base`` itself (d = 1) or an extension of it.  The list is found
-    once per (base, F) value per process, as raw values, and each call
-    builds its places on the caller's ``base``."""
+def roots_by_minimal_polynomial(base, F) -> tuple[tuple[tuple, tuple, int | tuple], ...]:
+    """(``Place.sort_key()`` of pi, the raw coefficients of pi, the raw value
+    of one root of pi in F) for every monic irreducible pi over ``base`` of
+    degree d = [F : base], in sort-key order; F is ``base`` itself (d = 1)
+    or an extension of it.  The list is found once per (base, F) value per
+    process, as raw values and keys; ``Place("finite", Poly(base, pi), d)``
+    rebuilds a place on the caller's ``base``."""
     key = (base.key, F.key)
     if key not in _ROOTS:
-        _ROOTS[key] = _minimal_polynomials(base, F)
-    d = 1 if F.key == base.key else F.degree
-    return [(Place("finite", Poly(base, pi), d), theta) for pi, theta in _ROOTS[key]]
+        d = 1 if F.key == base.key else F.degree
+        _ROOTS[key] = tuple(
+            ((1, d) + tuple(map(base.raw_key, pi)), pi, theta)
+            for pi, theta in _minimal_polynomials(base, F)
+        )
+    return _ROOTS[key]
 
 
 def _minimal_polynomials(base, F) -> tuple:

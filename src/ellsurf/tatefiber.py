@@ -503,15 +503,17 @@ def tate_local(model: WeierstrassModel, place: Place) -> FiberData:
     field = model.field
     if place.is_infinity:
         s = Poly(field, [0, 1])
-        fd = _tate_at_prime(field, *short_at_infinity(model), s, place_finite(s))
+        a, b = short_at_infinity(model)
+        fd = _tate_at_prime(field, a, b, short_discriminant(a, b), s, place_finite(s))
         return replace(fd, place=place)
-    return _tate_at_prime(field, *model.minimal_short, place.poly, place)
+    return _tate_at_prime(field, *model.minimal_short, model.minimal_delta, place.poly, place)
 
 
-def _tate_at_prime(field, a: Poly, b: Poly, pi: Poly, place: Place) -> FiberData:
-    """Tate's algorithm on y^2 = x^3 + a x + b at the prime pi, for a pair
-    minimal at pi (v(a) < 4 or v(b) < 6); any other pair reaches II* with
-    v(Delta) >= 12 and raises InconsistentFiberData.  Residue arithmetic
+def _tate_at_prime(field, a: Poly, b: Poly, delta: Poly, pi: Poly, place: Place) -> FiberData:
+    """Tate's algorithm on y^2 = x^3 + a x + b, of discriminant ``delta``,
+    at the prime pi, for a pair minimal at pi (v(a) < 4 or v(b) < 6); any
+    other pair reaches II* with v(Delta) >= 12 and raises
+    InconsistentFiberData.  Residue arithmetic
     runs on Polys in GF(q)[t], each reduced once by ``red`` to a raw value
     of kv."""
     q = field.q
@@ -522,7 +524,7 @@ def _tate_at_prime(field, a: Poly, b: Poly, pi: Poly, place: Place) -> FiberData
         return Poly(field, [e] if kv is field else e)
 
     va, vb = _val(a, pi), _val(b, pi)
-    vD = _val(short_discriminant(a, b), pi)
+    vD = _val(delta, pi)
 
     if vD == 0:
         count = curve_point_count(kv, red(a), red(b))

@@ -27,6 +27,8 @@ from .errors import (
 from .exactalg import RatPoly, SpecialValue, leading_term
 from .ffield import (
     ExtensionField,
+    Place,
+    Poly,
     irreducible_count,
     irreducible_modulus,
     roots_by_minimal_polynomial,
@@ -398,10 +400,11 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
     d)`` of them.  Those lists must give exactly the finite places of the
     Euler product.  A place's residue field is F through t -> theta, so one
     ``specialized_point_counter`` per degree reduces a4 and a6 at theta on
-    F's discrete-log tables and counts every place; its sort key is taken
-    once, its label only for a FAIL.  The modulus, the root lists and the
-    counter tables are built once per field value per process; the necklace
-    count, the place-set comparison and every count run on each call."""
+    F's discrete-log tables and counts every place; a place is built only
+    for a FAIL's label.  The modulus, the root lists with their sort keys,
+    the kernel's place keys and the counter tables are built once per field
+    value per process; the necklace count, the place-set comparison and
+    every count run on each call."""
     name = "good_place_lfactor"
     field = model.field
     a4, a6 = model.minimal_short
@@ -422,8 +425,8 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
                 f"place list of degree {d} over GF({field.q}) holds {len(roots)} "
                 f"places, not {expected}"
             )
-        models.append((F, [(v.sort_key(), v, theta) for v, theta in roots]))
-    places = {key for _, roots in models for key, _, _ in roots}
+        models.append((d, F, roots))
+    places = {key for _, _, roots in models for key, _, _ in roots}
     extra = [k for k in factors if k != (0,) and k not in places]
     missing = [k for k in places if k not in factors]
     if extra or missing:
@@ -437,14 +440,15 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
             f"{len(missing)} missing, {len(extra)} extra",
         )
     checked = 0
-    for F, roots in models:
+    for d, F, roots in models:
         count = specialized_point_counter(F, a4, a6)
-        for key, v, theta in roots:
+        for key, pi, theta in roots:
             if key in bad:
                 continue
             at_one = factors[key]
             points = count(theta) + 1
             if at_one != points:
+                v = Place("finite", Poly(field, pi), d)
                 return CheckResult(name, FAIL, str(at_one), str(points), None, f"at {v.label()}")
             checked += 1
     return CheckResult(name, PASS, details=f"{checked} good places recounted")

@@ -15,10 +15,12 @@ class the table of S over every B is a convolution over the additive
 group (Z/p)^(kn), computed by a p-point number-theoretic transform along
 each base-p digit axis modulo a prime r > 2 q^n + 1 (Pollard, "The fast
 Fourier transform in a finite field", 1971) and lifted to (-r/2, r/2].
-A good fiber over t has q^n + 1 + S(t) points, and a good finite place of
-degree d with root t has a_v = -S(t).  The pure-Python point count of
-``tatefiber`` stays the independent oracle for it
-(``verify.check_good_place_sanity``).
+Only A and B are evaluated at the representatives: the fiber over t is
+good when 4 A^3 + 27 B^2 != 0 there, since Delta = -16 (4 A^3 + 27 B^2)
+and -16 is a unit for p >= 5.  A good fiber over t has q^n + 1 + S(t)
+points, and a good finite place of degree d with root t has a_v = -S(t).
+The pure-Python point count of ``tatefiber`` stays the independent oracle
+for it (``verify.check_good_place_sanity``).
 
 Route one counts points.  With first and third Betti numbers zero (the
 supported class), #X(GF(q^n)) = 1 + q^(2n) + s_n where s_n is the n-th power
@@ -35,8 +37,10 @@ product over the kernel's Frobenius orbits (``euler_factors``): a place with
 a fiber takes the fiber's factor, a good infinity Tate's algorithm, and
 every other good finite place 1 - a_v T + q_v T^2 with a_v from the
 kernel's array of its degree.  No list of places is enumerated on this
-route, and no place is keyed: the series is divided once per distinct
-(d, a_v), raised to its count.
+route, and no place is keyed.  To order N, every factor of degree d with
+2 d > N adds only -c_1 t^d, so those degrees enter as one coefficient
+each (sum a_v over the good places); at 2 d <= N the series is divided
+once per distinct (d, L_v), raised to its count.
 """
 
 from __future__ import annotations
@@ -162,11 +166,25 @@ class _CodedField:
         return out
 
     def eval_poly(self, coeffs, points):
-        """Evaluate a polynomial with coefficient codes at an array of
-        points, by Horner."""
-        acc = np.zeros_like(points)
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, points), c)
+        """Evaluate a polynomial with scalar coefficient codes at an array of
+        points, by Horner.  Each step adds its coefficient c only on c's
+        nonzero base-p digits: digit i of acc + c_i p^i carries exactly when
+        acc mod p^(i+1) >= (p - c_i) p^i, and then p^(i+1) comes off.  Over a
+        prime base that is the low digit alone."""
+        if not len(coeffs):
+            return np.zeros_like(points)
+        p = self.p
+        acc = np.full_like(points, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc = self.mul(acc, points)
+            w, c = 1, int(c)
+            while c:
+                c, digit = divmod(c, p)
+                if digit:
+                    carry = acc % (p * w) >= (p - digit) * w
+                    acc += digit * w
+                    np.subtract(acc, p * w, out=acc, where=carry)
+                w *= p
         return acc
 
 
@@ -290,12 +308,14 @@ class _CharSums:
     level by level, feeding both the point counts and the good local factors.
 
     y^2 = x^3 + A x + B is the short model minimalized at every finite
-    place, so its good locus is that of the minimal regular model.  Level n
-    works in GF(q^n) = coded_field(p, k n) for q = p^k, with GF(q) embedded
-    by one root of its modulus.  S is constant on Frobenius orbits (chi
-    commutes with t -> t^q and A, B have coefficients in GF(q)), so it is
-    read once per orbit, at the member of least log, from the transform
-    tables of ``_transform_sums``."""
+    place, so its good locus is that of the minimal regular model: the t
+    with 4 A(t)^3 != -27 B(t)^2, read from A and B (``coeffs`` holds their
+    codes) with no Delta evaluated.  Level n works in GF(q^n) =
+    coded_field(p, k n) for q = p^k, with GF(q) embedded by one root of its
+    modulus.  S is constant on Frobenius orbits (chi commutes with
+    t -> t^q and A, B have coefficients in GF(q)), so it is read once per
+    orbit, at the member of least log, from the transform tables of
+    ``_transform_sums``."""
 
     def __init__(self, model: WeierstrassModel):
         field = model.field
@@ -305,9 +325,8 @@ class _CharSums:
         def base_code(c):
             return sum(v * self.p**i for i, v in enumerate(field.raw_key(c)))
 
-        polys = (*model.minimal_short, model.minimal_delta)
         self.base_code = base_code
-        self.coeffs = [[base_code(c) for c in f.coeffs] for f in polys]
+        self.coeffs = [[base_code(c) for c in f.coeffs] for f in model.minimal_short]
         self.levels: dict[int, _Level] = {}
 
     def _embedding(self, cf: _CodedField):
@@ -339,8 +358,10 @@ class _CharSums:
             rep = least == logs
             t = np.concatenate(([0], cf.exp[rep]))
             lengths = np.concatenate(([1], lengths[rep]))
-            A, B, D = (cf.eval_poly(emb[c], t) for c in self.coeffs)
-            good = D != 0
+            A, B = (cf.eval_poly(emb[c], t) for c in self.coeffs)
+            # Delta = -16 (4 A^3 + 27 B^2) and -16 is a unit for p >= 5
+            mul, p = cf.mul, self.p
+            good = mul(mul(mul(A, A), A), 4) != mul(mul(B, B), -27 % p)
             S = np.zeros(len(t), dtype=np.int64)
             S[good] = _transform_sums(cf, A[good], B[good])
             self.levels[n] = _Level(cf, emb, t, lengths, good, S)
@@ -363,27 +384,37 @@ def _char_sums(model: WeierstrassModel) -> _CharSums:
     return cs
 
 
+_PLACE_KEYS: dict = {}  # (field key, d) -> {orbit representative code: key}
+
+
 def place_keys(model: WeierstrassModel, d: int, t) -> list:
     """Place.sort_key() of the place of degree d with root t, for each code
-    t of the kernel's level d: its minimal polynomial prod_i (X - t^(q^i))."""
-    kernel = _char_sums(model)
-    lv = kernel.level(d)
-    cf, L, p, q = lv.cf, lv.cf.N - 1, kernel.p, kernel.q
-    # low coefficient first
-    coeffs = [np.ones_like(t)]
-    for i in range(d):
-        conj = t if i == 0 else cf.exp[cf.log[t] * pow(q, i, L) % L]
-        neg = cf.mul(conj, p - 1)
-        coeffs = (
-            [cf.mul(neg, coeffs[0])]
-            + [cf.add(lo, cf.mul(neg, hi)) for lo, hi in zip(coeffs, coeffs[1:])]
-            + [coeffs[-1]]
-        )
-    base = np.zeros(cf.N, dtype=np.int64)
-    base[lv.emb] = np.arange(q)
-    key_of = [tuple(b // p**i % p for i in range(kernel.k)) for b in range(q)]
-    rows = np.stack([base[c] for c in coeffs], axis=1).tolist()
-    return [(1, d) + tuple(key_of[b] for b in row) for row in rows]
+    t among the orbit representatives of the kernel's level d: the key of
+    prod_i (X - t^(q^i)).  The keys of every representative are computed
+    once per (field value, d) per process."""
+    table_key = (model.field.key, d)
+    table = _PLACE_KEYS.get(table_key)
+    if table is None:
+        kernel = _char_sums(model)
+        lv = kernel.level(d)
+        cf, L, p, q = lv.cf, lv.cf.N - 1, kernel.p, kernel.q
+        # low coefficient first
+        coeffs = [np.ones_like(lv.t)]
+        for i in range(d):
+            conj = lv.t if i == 0 else cf.exp[cf.log[lv.t] * pow(q, i, L) % L]
+            neg = cf.mul(conj, p - 1)
+            coeffs = (
+                [cf.mul(neg, coeffs[0])]
+                + [cf.add(lo, cf.mul(neg, hi)) for lo, hi in zip(coeffs, coeffs[1:])]
+                + [coeffs[-1]]
+            )
+        base = np.zeros(cf.N, dtype=np.int64)
+        base[lv.emb] = np.arange(q)
+        key_of = [tuple(b // p**i % p for i in range(kernel.k)) for b in range(q)]
+        rows = np.stack([base[c] for c in coeffs], axis=1).tolist()
+        keys = [(1, d) + tuple(key_of[b] for b in row) for row in rows]
+        table = _PLACE_KEYS[table_key] = dict(zip(lv.t.tolist(), keys))
+    return list(map(table.__getitem__, t.tolist()))
 
 
 def _infinity_fiber(model: WeierstrassModel, fibers: list[FiberData]) -> FiberData:
@@ -533,17 +564,29 @@ def euler_factors(
 
 def _euler_series(model, fibers, order: int, budget: int, seed=None) -> list[int]:
     """prod_v L_v(t^{d_v})^(-1) over ``euler_factors`` to t^order, on
-    integers, divided by each distinct (d, L_v) once, raised to its count:
-    the good traces of degree d are grouped by value.  A ``seed`` shuffles
-    the groups by ``random.Random(seed)``."""
+    integers.  A factor of degree d with 2 d > order reaches the order only
+    through its -c_1 t^d, and the product of two such terms lies past the
+    order, so these factors together are 1 + sum_d s_d t^d, s_d the sum of
+    -c_1 over the factors of degree d (sum a_v at its good places): the
+    series starts there.  It is then divided by each distinct (d, L_v) with
+    2 d <= order once, raised to its count: the good traces of degree d are
+    grouped by value.  A ``seed`` shuffles those groups by
+    ``random.Random(seed)``."""
     fiber_factors, good = euler_factors(model, fibers, order, budget)
+    series = [1] + [0] * order
     groups = Counter()
     for d, f in fiber_factors.values():
         c = f.coeffs
         if f.coeff(0) != 1 or any(x.denominator != 1 for x in c):
             raise NonPolynomialTail(f"local factor {[str(x) for x in c]} is not in 1 + T Z[T]")
-        groups[d, tuple(map(int, c))] += 1
+        if 2 * d > order:
+            series[d] -= int(f.coeff(1))
+        else:
+            groups[d, tuple(map(int, c))] += 1
     for d, (_, a_v) in good.items():
+        if 2 * d > order:
+            series[d] += int(a_v.sum())
+            continue
         # np.bincount is in the kernel's working set already; np.unique's
         # first sort would raise every run's peak RSS by about 0.3 MB
         low = int(a_v.min(initial=0))
@@ -553,7 +596,6 @@ def _euler_series(model, fibers, order: int, budget: int, seed=None) -> list[int
     groups = list(groups.items())
     if seed is not None:
         random.Random(seed).shuffle(groups)
-    series = [1] + [0] * order
     for (d, c), m in groups:
         series = _divide_power(series, c, d, m)
     return series

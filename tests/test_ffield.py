@@ -9,6 +9,7 @@ from ellsurf import ffield
 from ellsurf.errors import CharTooSmall, DivisionByZero, NotIrreducible, NotPrime
 from ellsurf.ffield import (
     ExtensionField,
+    Place,
     Poly,
     PrimeField,
     field_make,
@@ -27,10 +28,12 @@ F625 = ExtensionField(F25, find_irreducible(F25, 2).coeffs)  # nested over GF(25
 
 
 def places_of_degree(field, d):
-    """roots_by_minimal_polynomial in the model of GF(q^d) the good-place
-    audit uses: ``field`` itself at d = 1, else ``find_irreducible``."""
+    """(place, root) from roots_by_minimal_polynomial in the model of GF(q^d)
+    the good-place audit uses: ``field`` itself at d = 1, else
+    ``find_irreducible``."""
     F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs)
-    return roots_by_minimal_polynomial(field, F)
+    return [(Place("finite", Poly(field, pi), d), theta)
+            for _, pi, theta in roots_by_minimal_polynomial(field, F)]
 
 
 def test_field_make_prime():
@@ -268,15 +271,17 @@ def test_moebius_and_is_prime_by_definition():
 @pytest.mark.parametrize("field", [F5, PrimeField(11), F25], ids=["F5", "F11", "F25"])
 def test_roots_by_minimal_polynomial_list_every_place(field):
     """At degree d <= 2 the list holds irreducible_count(q, d) distinct
-    places in sort order, each of degree d with a root theta, pi(theta) = 0,
-    in the shared model of its degree."""
+    places in sort order, each of degree d with its sort key and a root
+    theta, pi(theta) = 0, in the shared model of its degree."""
     for d in (1, 2):
         F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs)
         roots = roots_by_minimal_polynomial(field, F)
-        keys = [v.sort_key() for v, _ in roots]
+        keys = [key for key, _, _ in roots]
         assert len(roots) == irreducible_count(field.q, d)
         assert keys == sorted(set(keys))
-        for v, theta in roots:
+        for key, pi, theta in roots:
+            v = Place("finite", Poly(field, pi), d)
+            assert v.sort_key() == key
             assert v.degree == v.poly.degree == d
             pi = v.poly if F is field else Poly(F, [(c,) + F.zero[1:] for c in v.poly.coeffs])
             assert pi.eval(theta) == F.zero

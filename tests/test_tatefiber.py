@@ -631,7 +631,7 @@ def test_specializer_matches_poly_eval_at_every_root(name, d):
     values = tatefiber._specializer(F, [Poly(base, coeffs[0]), in_F[1]])
     roots = roots_by_minimal_polynomial(base, F)
     assert len(roots) > 1
-    for _, theta in roots:
+    for _, _, theta in roots:
         assert values(theta) == [list(F.raw_key(f.eval(theta))) for f in in_F], theta
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,17 +19,20 @@ from ellsurf.errors import (
 from ellsurf.exactalg import RatPoly, leading_term
 from ellsurf.ffield import (
     ExtensionField,
+    Place,
     Poly,
     PrimeField,
     factorize,
     field_make,
     find_irreducible,
+    irreducible_modulus,
     place_infinity,
     roots_by_minimal_polynomial,
 )
 from ellsurf.tatefiber import (
     WeierstrassModel,
     affine_point_counter,
+    distinct_irreducible_factors,
     fiber_point_count,
     global_invariants,
     short_discriminant,
@@ -82,7 +86,8 @@ def finite_places(field, d_max):
     places = []
     for d in range(1, d_max + 1):
         F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs)
-        places += [v for v, _ in roots_by_minimal_polynomial(field, F)]
+        places += [Place("finite", Poly(field, pi), d)
+                   for _, pi, _ in roots_by_minimal_polynomial(field, F)]
     return places
 
 
@@ -212,6 +217,63 @@ def test_good_traces_match_tate_local():
                 assert traces(m, v.degree)[v.sort_key()] == fd.a_v
                 checked += 1
         assert checked == n_good
+
+
+DEG23 = model(F5, [1, 0, 1], [0, 3, 2, 1])  # bad places of degree 1, 2 and 3
+
+
+def pure_model(cf):
+    """The pure-Python field the coded field cf encodes: its raw values are
+    the base-p digit tuples of the codes, low digit first."""
+    base = PrimeField(cf.p)
+    return ExtensionField(base, irreducible_modulus(base, cf.n), check_irreducible=False)
+
+
+def as_raw(cf, code):
+    return tuple(int(code) // cf.p**i % cf.p for i in range(cf.n))
+
+
+@pytest.mark.parametrize("m", [X3T, GENERIC_I1, GENERIC_I1_F25, DEG23],
+                         ids=["X3T", "I1", "I1_F25", "deg23"])
+def test_good_mask_is_delta_nonzero(m):
+    """The kernel's good mask, taken from A and B alone, is minimal_delta(t)
+    != 0 at every orbit representative t of levels 1-3, Delta read by
+    Poly.eval in the pure-Python model of the level's field; so each level
+    holds one bad representative of full length per bad place of its
+    degree."""
+    kernel = _char_sums(m)
+    places = distinct_irreducible_factors(m.minimal_delta)
+    for n in (1, 2, 3):
+        lv = kernel.level(n)
+        F = pure_model(lv.cf)
+        delta = [as_raw(lv.cf, lv.emb[kernel.base_code(c)]) for c in m.minimal_delta.coeffs]
+        expected = [Poly(F, delta).eval(as_raw(lv.cf, t)) != F.zero for t in lv.t.tolist()]
+        assert lv.good.tolist() == expected, n
+        bad = int((~lv.good & (lv.lengths == n)).sum())
+        assert bad == sum(pi.degree == n for pi in places), n
+
+
+def test_eval_poly_matches_poly_eval():
+    """eval_poly against Poly.eval at every point of GF(5^3) with GF(5)
+    coefficients, and of GF(5^4) with GF(25) coefficients embedded by the
+    kernel, among them constants with several nonzero base-5 digits, digit
+    0 included; also the zero and a constant polynomial."""
+    rng = random.Random(19)
+
+    def check(cf, coeffs):
+        f = Poly(pure_model(cf), [as_raw(cf, c) for c in coeffs])
+        got = cf.eval_poly(coeffs, np.arange(cf.N, dtype=np.int64)).tolist()
+        assert [as_raw(cf, c) for c in got] == [f.eval(as_raw(cf, t)) for t in range(cf.N)], coeffs
+
+    for k in (0, 1, 4, 7):
+        check(zeta.coded_field(5, 3), [rng.randrange(5) for _ in range(k)])
+    # the kernel's embedding of GF(25) finds a root by eval_poly too
+    lv = _char_sums(GENERIC_I1_F25).level(2)
+    emb = lv.emb.tolist()
+    several = [c for c in emb if c % 5 and sum(map(bool, as_raw(lv.cf, c))) > 1]
+    assert len(several) > 1
+    for coeffs in [[rng.choice(emb) for _ in range(k)] for k in (1, 5, 9)] + [several]:
+        check(lv.cf, coeffs)
 
 
 def _fiber_sums(cf, A, B):
@@ -461,7 +523,10 @@ def test_grouped_l_function_matches_per_place_product():
     generic I1 model over GF(5) and over GF(25), also with good fibers of a
     wrong trace injected at a degree-1 and a degree-3 place (past the
     good-place audit) and at infinity: each fiber's factor replaces the
-    kernel's, and infinity's factor counts once."""
+    kernel's, and infinity's factor counts once.  The orders 3, 5 (over
+    GF(5) only: GF(25^5) is too large a level here) and deg_l + surplus put
+    fiber and good places on both sides of order / 2, above which factors
+    are folded into one coefficient per degree."""
     from ellsurf.ffield import place_finite
     from ellsurf.tatefiber import make_fiber
 
@@ -475,9 +540,12 @@ def test_grouped_l_function_matches_per_place_product():
             pi = Poly(m.field, [c[0] if m.field.degree == 1 else list(c) for c in key[2:]])
             injected.append(make_fiber(place_finite(pi), q, "I0", None, a_v=a_v + 1))
         mutated = [f for f in fibers if not f.place.is_infinity] + injected
-        for fs in (fibers, mutated):
-            for seed in (None, 3):
-                assert zeta._euler_series(m, fs, 3, q**3, seed) == per_place_series(m, fs, 3)
+        orders = {3, inv.deg_l + zeta.DEFAULT_SURPLUS} | ({5} if q == 5 else set())
+        for order in sorted(orders):
+            for fs in (fibers, mutated):
+                for seed in (None, 3):
+                    series = zeta._euler_series(m, fs, order, q**order, seed)
+                    assert series == per_place_series(m, fs, order), (order, seed)
 
 
 K3 = model(F5, 1, [0] * 7 + [1])  # y^2 = x^3 + x + t^7, b2 = 22
