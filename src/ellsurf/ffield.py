@@ -233,12 +233,18 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        zero = field.zero
-        cs = [field.raw(c) for c in coeffs]
-        while cs and cs[-1] == zero:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trimmed([field.raw(c) for c in coeffs], field.zero))
+
+    @classmethod
+    def _of_raw(cls, field, cs):
+        """The Poly on the raw values cs as they are: the caller hands in
+        raw values of ``field`` with no trailing zero, so no ``field.raw``
+        runs.  Arithmetic builds its results here."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.coeffs = tuple(cs)
+        return out
 
     @property
     def degree(self) -> int:
@@ -266,10 +272,11 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return Poly(self.field, list(map(self.field.raw_add, a, b)) + list(a[len(b):]))
+        out = list(map(self.field.raw_add, a, b)) + list(a[len(b):])
+        return Poly._of_raw(self.field, _trimmed(out, self.field.zero))
 
     def __neg__(self):
-        return Poly(self.field, list(map(self.field.raw_neg, self.coeffs)))
+        return Poly._of_raw(self.field, map(self.field.raw_neg, self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -277,7 +284,7 @@ class Poly:
     def __mul__(self, other):
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
+            return Poly._of_raw(self.field, ())
         f = self.field
         add, mul, zero = f.raw_add, f.raw_mul, f.zero
         b = other.coeffs
@@ -286,7 +293,8 @@ class Poly:
         for i, a in enumerate(self.coeffs):
             if a != zero:
                 out[i : i + nb] = map(add, out[i : i + nb], [mul(a, c) for c in b])
-        return Poly(f, out)
+        # over a field the product of the leading coefficients is nonzero
+        return Poly._of_raw(f, out)
 
     __rmul__ = __mul__
 
@@ -322,7 +330,8 @@ class Poly:
             factor = mul(c, lead_inv)
             quot[k - db] = factor
             rem[k - db : k + 1] = map(add, rem[k - db : k + 1], [mul(factor, b) for b in minus])
-        return Poly(f, quot), Poly(f, rem)
+        # the top quotient coefficient is the nonzero lead of self over that of other
+        return Poly._of_raw(f, quot), Poly._of_raw(f, _trimmed(rem, zero))
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -335,7 +344,7 @@ class Poly:
             return self
         f = self.field
         inv = f.raw_inv(self.coeffs[-1])
-        return Poly(f, [f.raw_mul(c, inv) for c in self.coeffs])
+        return Poly._of_raw(f, [f.raw_mul(c, inv) for c in self.coeffs])
 
     def eval(self, x):
         """The raw value at a raw value x of the field, by Horner."""
@@ -365,7 +374,7 @@ class Poly:
         if n < self.degree:
             raise ValueError("reversal length below degree")
         out = [self.field.zero] * (n + 1 - len(self.coeffs)) + list(self.coeffs[::-1])
-        return Poly(self.field, out)
+        return Poly._of_raw(self.field, _trimmed(out, self.field.zero))
 
     def key(self) -> tuple:
         return tuple(map(self.field.raw_key, self.coeffs))
@@ -376,6 +385,13 @@ class Poly:
         zero = self.field.zero
         parts = [f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if c != zero]
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def _trimmed(cs: list, zero) -> list:
+    """cs with its trailing zeros popped, in place."""
+    while cs and cs[-1] == zero:
+        cs.pop()
+    return cs
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

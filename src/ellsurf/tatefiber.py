@@ -121,8 +121,16 @@ def short_at_infinity(model: WeierstrassModel) -> tuple[Poly, Poly]:
     fails one bound, so v(a4) < 4 or v(a6) < 6; if k = 0, a nonzero
     constant has valuation 0."""
     a4, a6 = model.minimal_short
-    k = max(-(-a4.degree // 4), -(-a6.degree // 6), 0)  # ceil; deg 0 = -1
+    k = _infinity_weight(model)
     return a4.reverse(4 * k), a6.reverse(6 * k)
+
+
+def _infinity_weight(model: WeierstrassModel) -> int:
+    """The least k >= 0 with deg a4 <= 4k and deg a6 <= 6k for the minimal
+    short pair: the model at infinity is weighted by s^(4k), s^(6k) and its
+    discriminant by s^(12k)."""
+    a4, a6 = model.minimal_short
+    return max(-(-a4.degree // 4), -(-a6.degree // 6), 0)  # ceil; deg 0 = -1
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +512,9 @@ def tate_local(model: WeierstrassModel, place: Place) -> FiberData:
     if place.is_infinity:
         s = Poly(field, [0, 1])
         a, b = short_at_infinity(model)
-        fd = _tate_at_prime(field, a, b, short_discriminant(a, b), s, place_finite(s))
+        # Delta(a, b) = s^(12k) Delta(1/s), so the model's Delta serves reversed
+        delta = model.minimal_delta.reverse(12 * _infinity_weight(model))
+        fd = _tate_at_prime(field, a, b, delta, s, place_finite(s))
         return replace(fd, place=place)
     return _tate_at_prime(field, *model.minimal_short, model.minimal_delta, place.poly, place)
 

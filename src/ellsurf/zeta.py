@@ -5,6 +5,14 @@ the bad-fiber correction product.
 The two routes to P2 are kept permanently and neither is treated as the
 oracle: their coefficientwise agreement is the central factorization check.
 
+The kernel's fields are numpy-coded: GF(p^n) = GF(p)[x]/(f) for the
+least primitive monic f of degree n in ``Place.sort_key`` order, found by
+testing the order of x on stacked multiplication-by-x matrices, so x
+itself generates the unit group and its powers give the exp/log tables.
+The tables are checked to be a bijection onto the nonzero codes before
+any is read.  None of it uses ``ffield``'s field arithmetic or moduli:
+the oracle's fields are its own.
+
 One character-sum kernel serves every base field GF(p^k) and feeds both
 routes: S(t) = sum_x chi(x^3 + A(t) x + B(t)) for the short model
 minimalized at the finite places, read at one representative of each
@@ -55,6 +63,7 @@ import numpy as np
 from .errors import (
     ClosedFormMismatch,
     InconsistentCounts,
+    InternalInconsistency,
     NoConsistentSign,
     NonPolynomial,
     NonPolynomialTail,
@@ -69,13 +78,7 @@ from .exactalg import (
     leading_term,
     newton_from_power_sums,
 )
-from .ffield import (
-    ExtensionField,
-    PrimeField,
-    _is_prime,
-    factorize,
-    irreducible_modulus,
-)
+from .ffield import _is_prime, factorize
 from .tatefiber import (
     FiberData,
     SurfaceInvariants,
@@ -98,48 +101,113 @@ class CountVector:
 # ---------------------------------------------------------------------------
 # coded arithmetic tables for GF(p^n), prime p
 
+# candidate moduli tested per numpy step of ``_primitive_modulus``
+_SEARCH_BATCH = 32
+
+
+def _companion(coeffs, p: int):
+    """The multiplication-by-x matrices of the monic polynomials with rows
+    (c_0, ..., c_(n-1)) of ``coeffs``, stacked: row i of the matrix of f
+    holds the digits of x^(i+1) mod f, so a row of digits times it is the
+    digits of its product with x."""
+    b, n = coeffs.shape
+    out = np.zeros((b, n, n), dtype=np.int64)
+    out[:, np.arange(n - 1), np.arange(1, n)] = 1
+    out[:, n - 1] = -coeffs % p
+    return out
+
+
+def _is_identity_at(mats, exponents, p: int):
+    """For a stack of square matrices over GF(p), one boolean row per
+    exponent e: whether mats^e is the identity, by shared squarings."""
+    unit = np.eye(mats.shape[-1], dtype=np.int64)
+    squares = [mats]
+    for _ in range(max(exponents).bit_length() - 1):
+        squares.append(squares[-1] @ squares[-1] % p)
+    rows = []
+    for e in exponents:
+        power = None
+        for i in range(e.bit_length()):
+            if e >> i & 1:
+                power = squares[i] if power is None else power @ squares[i] % p
+        rows.append((power == unit).all(axis=(1, 2)))
+    return rows
+
+
+def _primitive_modulus(p: int, n: int) -> tuple:
+    """(c_0, ..., c_(n-1)) of the least primitive monic f = c_0 + ... +
+    c_(n-1) x^(n-1) + x^n over GF(p) in ``Place.sort_key`` order (constant
+    term first).  f is primitive iff x has order p^n - 1 modulo f (Lidl and
+    Niederreiter, Finite Fields, Thm 3.16): then the ring GF(p)[x]/(f) has
+    p^n - 1 units, so it is a field, and x generates its unit group.  The
+    test runs on the stacked multiplication-by-x matrices C: C^(N-1) = I
+    and C^((N-1)/l) != I for every prime l | N - 1, N = p^n.
+
+    The norm of x is (-1)^n c_0, which generates GF(p)* when x generates
+    GF(p^n)*, so only those constant terms are tried: the least primitive f
+    is the same.  Candidates are enumerated in order, ``_SEARCH_BATCH`` at
+    a time, never all p^(n-1) tails at once."""
+    order = p**n - 1
+    exponents = [order] + [order // ell for ell in factorize(order)]
+    base_primes = factorize(p - 1)
+    tails = p ** (n - 1)
+    powers = p ** np.arange(n - 2, -1, -1, dtype=np.int64)  # c_1 is the top digit
+    for c0 in range(1, p):
+        norm = c0 if n % 2 == 0 else p - c0
+        if any(pow(norm, (p - 1) // ell, p) == 1 for ell in base_primes):
+            continue
+        for start in range(0, tails, _SEARCH_BATCH):
+            j = np.arange(start, min(start + _SEARCH_BATCH, tails), dtype=np.int64)
+            coeffs = np.empty((len(j), n), dtype=np.int64)
+            coeffs[:, 0] = c0
+            coeffs[:, 1:] = j[:, None] // powers % p
+            one, *proper = _is_identity_at(_companion(coeffs, p), exponents, p)
+            hits = np.flatnonzero(one & ~np.any(proper, axis=0))
+            if hits.size:
+                return tuple(coeffs[hits[0]].tolist())
+    raise NotIrreducible(f"GF({p}^{n}): no primitive modulus")
+
 
 class _CodedField:
-    """GF(p^n) on integer codes 0..p^n-1 (base-p digit encoding) with numpy
+    """GF(p^n) = GF(p)[x]/(f) on integer codes 0..p^n-1, the code of
+    sum d_i x^i being sum d_i p^i, for the least primitive monic f of
+    degree n in ``Place.sort_key`` order (``_primitive_modulus``; its
+    coefficients below x^n are ``modulus``).  x generates the unit group:
+    exp[i] is the code of x^i and log inverts it.  The tables are numpy
     log/exp tables for multiplication, digit-wise addition, a
     quadratic-character table and the character-sum tables of the scaling
-    classes met so far."""
+    classes met so far.  Nothing here uses ``ffield``'s field arithmetic,
+    and before any table is read, exp must start at 1 and hit all p^n - 1
+    nonzero codes, else ``InternalInconsistency``."""
 
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
         self.N = p**n
         self.weights = p ** np.arange(n, dtype=np.int64)
-        base = PrimeField(p, _allow_small=True)
-        # raw values of F are digit tuples, low digit first
-        F = ExtensionField(base, irreducible_modulus(base, n), check_irreducible=False)
-
-        # find a generator of the unit group
+        self.modulus = _primitive_modulus(p, n)
+        # exp by doubling on digit vectors: multiplication by x^m is the
+        # GF(p)-linear map C^m, C the matrix of x, so exp[m:2m] = exp[:m] x^m
+        # is one matrix product
         order = self.N - 1
-        primes = factorize(order)
-        gen = None
-        for cand in range(2, self.N):
-            d = tuple((cand // p**i) % p for i in range(n))
-            if all(F.raw_pow(d, order // ell) != F.one for ell in primes):
-                gen = d
-                break
-        if gen is None:
-            raise NotIrreducible(f"GF({p}^{n}): no generator of the unit group")
-        # exp by doubling on digit vectors: multiplication by gen^m is the
-        # GF(p)-linear map whose row i holds the digits of gen^m x^i, so
-        # exp[m:2m] = exp[:m] gen^m is one matrix product
+        step_matrix = _companion(np.array([self.modulus], dtype=np.int64), p)[0]
         digits = np.zeros((order, n), dtype=np.int64)
         digits[0, 0] = 1
-        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        filled, power = 1, gen
+        filled = 1
         while filled < order:
             step = min(filled, order - filled)
-            rows = np.array([F.raw_mul(power, e) for e in basis], dtype=np.int64)
-            digits[filled : filled + step] = digits[:step] @ rows % p
-            filled, power = filled + step, F.raw_mul(power, power)
+            digits[filled : filled + step] = digits[:step] @ step_matrix % p
+            filled += step
+            step_matrix = step_matrix @ step_matrix % p
         exp = digits @ self.weights
         del digits
-        log = np.zeros(self.N, dtype=np.int64)
+        log = np.full(self.N, -1, dtype=np.int64)
         log[exp] = np.arange(order)
+        if exp[0] != 1 or log[1:].min() < 0:
+            f = (*self.modulus, 1)
+            raise InternalInconsistency(
+                f"GF({p}^{n}): the powers of x modulo {f} (low degree first) hit "
+                f"{int(np.count_nonzero(log[1:] >= 0))} of its {order} nonzero elements"
+            )
         # zero gets a sentinel log so that products through the extended
         # exponent table come out zero with no masking
         log[0] = 2 * order

@@ -176,6 +176,26 @@ def test_compute_l_error_is_a_pipeline_fail():
     assert "NonPolynomialTail" in pipeline[0]
 
 
+
+def test_non_primitive_modulus_exits_4_with_one_line():
+    """A coded field whose modulus is irreducible but not primitive (t^2 + 2
+    over GF(5)) fails its bijection check before any count reads it: exit 4
+    with one line naming the internal error, nothing on stdout."""
+    script = (
+        "import sys\n"
+        "from ellsurf import zeta\n"
+        "from ellsurf.cli import main\n"
+        "least = zeta._primitive_modulus\n"
+        "zeta._primitive_modulus = lambda p, n: (2, 0) if (p, n) == (5, 2) else least(p, n)\n"
+        f"sys.exit(main({VERIFY_LEGENDRE!r}))\n"
+    )
+    run = _run_python("-c", script)
+    assert run.returncode == 4, run.stderr
+    assert run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in run.stderr
+    assert "InternalInconsistency" in lines[0] and "GF(5^2)" in lines[0]
+
 def test_verify_same_under_python_O():
     """No runtime check of the pipeline is an assert: -O changes nothing."""
     plain = _run_python("-m", "ellsurf.cli", *VERIFY_LEGENDRE)

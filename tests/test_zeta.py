@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellsurf import zeta
+from ellsurf import ffield, zeta
 from ellsurf.errors import (
     ClosedFormMismatch,
     InconsistentCounts,
+    InternalInconsistency,
     NonPolynomial,
     NonPolynomialTail,
     PlaceBudgetExceeded,
@@ -25,8 +27,8 @@ from ellsurf.ffield import (
     factorize,
     field_make,
     find_irreducible,
-    irreducible_modulus,
     place_infinity,
+    poly_is_irreducible,
     roots_by_minimal_polynomial,
 )
 from ellsurf.tatefiber import (
@@ -223,10 +225,18 @@ DEG23 = model(F5, [1, 0, 1], [0, 3, 2, 1])  # bad places of degree 1, 2 and 3
 
 
 def pure_model(cf):
-    """The pure-Python field the coded field cf encodes: its raw values are
-    the base-p digit tuples of the codes, low digit first."""
-    base = PrimeField(cf.p)
-    return ExtensionField(base, irreducible_modulus(base, cf.n), check_irreducible=False)
+    """The pure-Python field the coded field cf encodes: GF(p) modulo
+    cf.modulus + x^n, its raw values the base-p digit tuples of the codes,
+    low digit first."""
+    base = PrimeField(cf.p, _allow_small=True)
+    return ExtensionField(base, (*cf.modulus, 1), check_irreducible=True)
+
+
+def x_of(F):
+    """The raw value of x in F = GF(p)[x]/(f): (0, 1, 0, ...), or -f_0
+    when f has degree 1."""
+    r = (Poly(F.base, [0, 1]) % Poly(F.base, F.modulus)).coeffs
+    return r + F.zero[len(r):]
 
 
 def as_raw(cf, code):
@@ -348,12 +358,11 @@ def test_transform_prime_and_int64_guard():
 
 @pytest.mark.parametrize("p, n", [(5, 1), (7, 1), (5, 2), (5, 4), (7, 4), (7, 5), (5, 6), (11, 4)])
 def test_coded_tables_match_generator_walk(p, n):
-    """exp, log and chi against a pure-Python walk through the powers of
-    the least generator code, and add and mul on sample pairs against the
-    pure-Python field."""
+    """exp, log and chi against a pure-Python walk through the powers of x
+    in GF(p)[x]/(cf.modulus + x^n), and add and mul on sample pairs against
+    that pure-Python field."""
     cf = zeta.coded_field(p, n)
-    base = PrimeField(p, _allow_small=True)
-    F = ExtensionField(base, find_irreducible(base, n).coeffs, False)
+    F = pure_model(cf)
     order = cf.N - 1
 
     def digits(code):
@@ -362,10 +371,7 @@ def test_coded_tables_match_generator_walk(p, n):
     def encode(d):
         return sum(v * p**i for i, v in enumerate(d))
 
-    def has_full_order(d):
-        return all(F.raw_pow(d, order // ell) != F.one for ell in factorize(order))
-
-    gen = digits(next(c for c in range(2, cf.N) if has_full_order(digits(c))))
+    gen = x_of(F)
     exp, cur = [], F.one
     for _ in range(order):
         exp.append(encode(cur))
@@ -379,6 +385,62 @@ def test_coded_tables_match_generator_walk(p, n):
     a, b = random_codes(cf, 200, seed=n)
     assert cf.add(a, b).tolist() == [encode(F.raw_add(digits(u), digits(v))) for u, v in zip(a, b)]
     assert cf.mul(a, b).tolist() == [encode(F.raw_mul(digits(u), digits(v))) for u, v in zip(a, b)]
+
+
+@pytest.mark.parametrize(
+    "p, n", [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (11, 1), (11, 2), (13, 2)]
+)
+def test_modulus_is_least_primitive_by_brute_force(p, n):
+    """cf.modulus is the first monic f of degree n in Place.sort_key order
+    that is irreducible (Rabin) and in whose field x has order p^n - 1
+    (raw_pow), every candidate tried, no constant term skipped."""
+    base = PrimeField(p, _allow_small=True)
+    order = p**n - 1
+    candidates = sorted(
+        (Poly(base, [*tail, 1]) for tail in itertools.product(range(p), repeat=n)),
+        key=lambda f: Place("finite", f, n).sort_key(),
+    )
+
+    def primitive(f):
+        if not poly_is_irreducible(f):
+            return False
+        F = ExtensionField(base, f.coeffs, check_irreducible=False)
+        x = x_of(F)
+        return F.raw_pow(x, order) == F.one and all(
+            F.raw_pow(x, order // ell) != F.one for ell in factorize(order)
+        )
+
+    least = next(f for f in candidates if primitive(f))
+    assert zeta._CodedField(p, n).modulus == least.coeffs[:-1]
+
+
+def test_coded_field_uses_no_ffield_arithmetic(monkeypatch):
+    """Coded fields build with the oracle's modulus search and extension
+    arithmetic unavailable: the kernel shares neither with ffield."""
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("ffield arithmetic called")
+
+    monkeypatch.setattr(ffield, "find_irreducible", unavailable)
+    monkeypatch.setattr(ffield, "_MODULI", {})  # irreducible_modulus searches anew
+    for name in ("raw_mul", "raw_pow", "raw_inv"):
+        monkeypatch.setattr(ExtensionField, name, unavailable)
+    monkeypatch.setattr(zeta, "_CODED_CACHE", {})
+    for p, n in ((5, 1), (5, 3), (7, 2), (11, 2), (5, 6)):
+        cf = zeta.coded_field(p, n)
+        assert sorted(cf.exp.tolist()) == list(range(1, cf.N))
+
+
+def test_non_primitive_modulus_is_an_internal_error(monkeypatch):
+    """With the irreducible but not primitive t^2 + 2 over GF(5) (x^2 = 3
+    has order 4, so x has order 8, not 24), the powers of x miss 16 nonzero
+    elements and the build stops before any table is kept."""
+    monkeypatch.setattr(zeta, "_primitive_modulus", lambda p, n: (2, 0))
+    monkeypatch.setattr(zeta, "_CODED_CACHE", {})
+    assert poly_is_irreducible(Poly(F5, [2, 0, 1]))
+    with pytest.raises(InternalInconsistency, match="hit 8 of its 24 nonzero elements"):
+        zeta.coded_field(5, 2)
+    assert zeta._CODED_CACHE == {}
 
 
 def test_p2_from_counts_x3t():
