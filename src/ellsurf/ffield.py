@@ -7,20 +7,13 @@ for an extension tuples of its base's raw values (nested tuples over an
 extension base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_inv``,
 ``raw_pow``, ``raw_values``, ``raw_key`` and ``is_square``; ``zero`` and
 ``one`` are raw values too.  ``raw_key`` flattens a raw value to its base-p
-digits, on which addition is digit-wise mod p; ``tatefiber``'s point counters
-index their discrete-log tables, built with ``raw_mul``, by those digits.
-``Poly`` holds raw coefficients.  Everything is exact and
-immutable; contexts can be shared freely.  A context's ``key``, (p,) or
-(base key, modulus), is its value; per-process caches of field-only data
-(``irreducible_modulus``, ``roots_by_minimal_polynomial``) are keyed by it.
+digits, on which addition is digit-wise mod p.  ``Poly`` holds raw
+coefficients.  Everything is exact and immutable; contexts can be shared
+freely.  A context's ``key``, (p,) or (base key, modulus), is its value;
+per-process caches of field-only data are keyed by it.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
-irreducible polynomial in the coordinate t.  ``roots_by_minimal_polynomial``
-lists every finite place of degree d, each with a root in one model F of
-GF(q^d), by walking F and taking minimal polynomials.  It is the independent
-place list that ``verify.check_good_place_sanity`` holds the Euler product's
-places against, and that check reads every place of degree d in F at its
-root instead of building the residue field of each place.
+irreducible polynomial in the coordinate t.
 """
 
 from __future__ import annotations
@@ -502,67 +495,6 @@ def residue_field(field, place: Place):
     return kv, red
 
 
-_ROOTS: dict = {}  # (base key, F key) -> ((sort key, raw coefficients of pi, root), ...)
-
-
-def roots_by_minimal_polynomial(base, F) -> tuple[tuple[tuple, tuple, int | tuple], ...]:
-    """(``Place.sort_key()`` of pi, the raw coefficients of pi, the raw value
-    of one root of pi in F) for every monic irreducible pi over ``base`` of
-    degree d = [F : base], in sort-key order; F is ``base`` itself (d = 1)
-    or an extension of it.  The list is found once per (base, F) value per
-    process, as raw values and keys; ``Place("finite", Poly(base, pi), d)``
-    rebuilds a place on the caller's ``base``."""
-    key = (base.key, F.key)
-    if key not in _ROOTS:
-        d = 1 if F.key == base.key else F.degree
-        _ROOTS[key] = tuple(
-            ((1, d) + tuple(map(base.raw_key, pi)), pi, theta)
-            for pi, theta in _minimal_polynomials(base, F)
-        )
-    return _ROOTS[key]
-
-
-def _minimal_polynomials(base, F) -> tuple:
-    """The (raw coefficients of pi, root) of ``roots_by_minimal_polynomial``,
-    sorted: monic coefficient tuples of one length sort as their places do.
-
-    Each generator theta of F is keyed by its minimal polynomial, the
-    product of (T - theta^(q^i)) over i < d, whose coefficients lie in
-    ``base``.  theta -> theta^q is base-linear, so it is applied as the sum
-    of theta's coordinates times the q-th powers of the basis 1, x, ...,
-    x^(d-1).  Conjugates of a keyed root are skipped."""
-    if F.key == base.key:
-        return tuple(sorted(((base.raw_neg(c), base.one), c) for c in base.raw_values()))
-    d, q, bzero = F.degree, base.q, base.zero
-    add, mul, neg, scale = F.raw_add, F.raw_mul, F.raw_neg, base.raw_mul
-    frob_basis = [F.raw_pow(F.raw([0] * i + [1]), q) for i in range(d)]
-
-    def frob(theta):
-        out = F.zero
-        for c, xq in zip(theta, frob_basis):
-            if c != bzero:
-                out = add(out, tuple(scale(c, e) for e in xq))
-        return out
-
-    roots = []
-    seen = set()
-    for theta in F.raw_values():
-        if theta in seen:
-            continue
-        conj = [theta]
-        for _ in range(d - 1):
-            conj.append(frob(conj[-1]))
-        if len(set(conj)) < d:
-            continue  # theta lies in a proper subfield
-        seen.update(conj)
-        coeffs = [F.one]  # the product, low degree first
-        for c in conj:
-            shifted = [F.zero] + coeffs
-            coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero])]
-        roots.append((tuple(c[0] for c in coeffs), theta))
-    return tuple(sorted(roots))
-
-
 def find_irreducible(field, degree: int) -> Poly:
     """Smallest monic irreducible of given degree in ``Place.sort_key``
     order, which compares coefficients from the constant term up.
@@ -576,15 +508,3 @@ def find_irreducible(field, degree: int) -> Poly:
         if poly_is_irreducible(f):
             return f
     raise NotIrreducible(f"no irreducible of degree {degree}?")
-
-
-_MODULI: dict = {}  # (field key, degree) -> raw coefficients
-
-
-def irreducible_modulus(field, degree: int) -> tuple:
-    """The raw coefficients of ``find_irreducible(field, degree)``, found
-    once per (field value, degree) per process."""
-    key = (field.key, degree)
-    if key not in _MODULI:
-        _MODULI[key] = find_irreducible(field, degree).coeffs
-    return _MODULI[key]

@@ -1,0 +1,239 @@
+"""The good-place oracle: a pure-Python point count at every finite place
+of P^1 of low degree, against which ``verify.check_good_place_sanity``
+holds the Euler product's local factors.  It imports only the standard
+library, ``ffield`` and ``errors``, so it shares no code or tables with
+the character-sum kernel it audits.  ``tatefiber`` counts a good infinity
+with it too.
+
+All places of degree d share one model F of GF(q^d): the base field at
+d = 1, else the field modulo ``find_irreducible(field, d)``.
+``place_model`` lists them by keying each generator theta of F by its
+minimal polynomial, the product of (T - theta^(q^i)) over its Frobenius
+orbit, so each place comes with a root in F, its residue field through
+t -> theta.  ``place_lists`` holds each list to the necklace count; any
+other length is an internal error (exit 4).
+
+The counts read discrete-log tables of F built with F's own ``raw_mul``:
+the powers of a primitive element g, which must hit every nonzero element
+before any count reads them, indexed by ``raw_key`` digits, with the cubes
+and the number of square roots of every element read off the exponents.
+a4 and a6 reduce at theta as one table read per term in an exact digit
+radix, and each count is the x = 0 term plus one flat loop over x = g^i.
+F, its place list with sort keys and its tables are built once per field
+value per process; the necklace count and every point count run on each
+call.
+"""
+
+from __future__ import annotations
+
+import itertools
+import operator
+
+from .errors import InternalInconsistency
+from .ffield import ExtensionField, Place, Poly, factorize, find_irreducible, irreducible_count
+
+# ---------------------------------------------------------------------------
+# point counts on discrete-log tables
+
+
+_COUNTER_TABLES: dict = {}  # field key -> the tables of ``_counter_tables``
+
+
+def _primitive_element(kv):
+    """The first g in ``raw_values`` order with g^((q - 1)/r) != 1 for every prime r | q - 1."""
+    return next(g for g in kv.raw_values() if g != kv.zero
+                and all(kv.raw_pow(g, (kv.q - 1) // r) != kv.one for r in factorize(kv.q - 1)))
+
+
+def _counter_tables(kv):
+    """(by_p, by_3p, exp, log, cubes, roots, spread): kv's discrete-log
+    tables on ints, built once per field value per process.
+
+    An element's code sums its base-p digits (``raw_key``) times by_p =
+    (p^j), its 3p-code times by_3p = ((3p)^j).  For g from
+    ``_primitive_element``, exp[i] is the 3p-code of g^i (i < 2(q - 1), so
+    exp[log A + i] needs no reduction), log[code] its exponent (None at 0),
+    cubes[i] = exp[3i mod (q - 1)].  The powers must hit all q - 1 nonzero
+    codes, else ``InternalInconsistency``.  B + x^3 + A x summed on 3p-codes
+    has digits below 3p and indexes ``roots`` unreduced: 1 at 0, 2 at an even
+    power of g, 0 at an odd one.  ``spread``: exp in ``_specializer``'s radices."""
+    if kv.key in _COUNTER_TABLES:
+        return _COUNTER_TABLES[kv.key]
+    p, m, key, mul = kv.p, kv.q - 1, kv.raw_key, operator.mul
+    g, x = _primitive_element(kv), kv.one
+    by_p = [p**j for j in range(len(key(x)))]
+    by_3p = [(3 * p) ** j for j in range(len(by_p))]
+    log, exp = [None] * kv.q, []
+    for i in range(m):
+        log[sum(map(mul, key(x), by_p))] = i
+        exp.append(sum(map(mul, key(x), by_3p)))
+        x = kv.raw_mul(x, g)
+    if log[0] is not None or None in log[1:]:
+        raise InternalInconsistency(f"the powers of the generator of GF({kv.q}) hit "
+                                    f"{m - log[1:].count(None)} of its {m} nonzero elements")
+    exp += exp
+    roots = bytearray((3 * p) ** len(by_p))
+    for c in itertools.product(range(3), repeat=len(by_p)):
+        off = p * sum(map(mul, c, by_3p))  # z + p c reads as z
+        roots[off] = 1
+        for square in exp[:m:2]:
+            roots[square + off] = 2
+    cubes = [exp[3 * i % m] for i in range(m)]
+    _COUNTER_TABLES[kv.key] = by_p, by_3p, exp, log, cubes, memoryview(roots), {}
+    return _COUNTER_TABLES[kv.key]
+
+
+def _digit_counter(kv):
+    """(digits of A, of B) -> #{y^2 = x^3 + A x + B}: x = 0, then one flat loop over x = g^i."""
+    by_p, by_3p, exp, log, cubes, roots, _ = _counter_tables(kv)
+    m, add, mul = len(cubes), operator.add, operator.mul
+
+    def count(a, b) -> int:
+        at, i = roots[sum(map(mul, b, by_3p)) :], log[sum(map(mul, a, by_p))]
+        if i is None:
+            return at[0] + sum(map(at.__getitem__, cubes))
+        return at[0] + sum(map(at.__getitem__, map(add, cubes, exp[i : i + m])))
+
+    return count
+
+
+def affine_point_counter(kv):
+    """(A, B) -> #{(x,y) in kv^2 : y^2 = x^3 + A x + B} on raw values of
+    kv, read from kv's discrete-log tables (``_counter_tables``)."""
+    count, key = _digit_counter(kv), kv.raw_key
+    return lambda a, b: count(key(a), key(b))
+
+
+def _specializer(kv, polys):
+    """theta -> [the base-p digits of f(theta) for f in polys], for Polys over
+    kv or a subfield (whose c keys as the constant c of kv), at raw theta.
+
+    A nonzero term c_j theta^j = g^(log c_j + j log theta) is one read of exp
+    recoded in radix 2^w, w the bit length of (p - 1) times the most terms
+    of any f: no digit sum reaches 2^w, so the reads add up exactly, and each
+    digit is reduced mod p once."""
+    by_p, by_3p, exp, log, cubes, _, spread = _counter_tables(kv)
+    p, m, key, mul = kv.p, len(cubes), kv.raw_key, operator.mul
+    terms = [[(log[sum(map(mul, f.field.raw_key(c), by_p))], j)
+              for j, c in enumerate(f.coeffs) if c != f.field.zero] for f in polys]
+    width = (max(1, *map(len, terms)) * (p - 1)).bit_length()
+    shifts, mask = [width * j for j in range(len(by_p))], (1 << width) - 1
+    if width not in spread:
+        spread[width] = [sum(c // w % (3 * p) << s for w, s in zip(by_3p, shifts)) for c in exp[:m]]
+    wide = spread[width]
+
+    def values(theta) -> list[list[int]]:
+        i = log[sum(map(mul, key(theta), by_p))]  # None at theta = 0
+        totals = [sum(wide[lc] for lc, j in f if j == 0) if i is None
+                  else sum(wide[(lc + j * i) % m] for lc, j in f) for f in terms]
+        return [[(total >> s & mask) % p for s in shifts] for total in totals]
+
+    return values
+
+
+def specialized_point_counter(kv, a: Poly, b: Poly):
+    """theta -> #{(x,y) in kv^2 : y^2 = x^3 + a(theta) x + b(theta)}, with a
+    and b reduced at theta by ``_specializer`` on the tables the count reads."""
+    count, values = _digit_counter(kv), _specializer(kv, (a, b))
+    return lambda theta: count(*values(theta))
+
+
+# ---------------------------------------------------------------------------
+# the places of each degree, and the recount
+
+
+_PLACE_MODELS: dict = {}  # (field key, d) -> the (F, roots) of ``place_model``
+
+
+def place_model(field, d: int) -> tuple:
+    """(F, roots): F the model of GF(q^d) (``field`` itself at d = 1, else
+    modulo ``find_irreducible(field, d)``), and for every monic irreducible
+    pi over ``field`` of degree d, in sort-key order, (``Place.sort_key()`` of
+    pi, the raw coefficients of pi, the raw value of one root of pi in F).
+    Built once per (field value, d) per process, as raw values and keys."""
+    key = (field.key, d)
+    if key not in _PLACE_MODELS:
+        F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs,
+                                                check_irreducible=False)
+        _PLACE_MODELS[key] = F, tuple(
+            ((1, d) + tuple(map(field.raw_key, pi)), pi, theta)
+            for pi, theta in _minimal_polynomials(field, F)
+        )
+    return _PLACE_MODELS[key]
+
+
+def _minimal_polynomials(base, F) -> tuple:
+    """The (raw coefficients of pi, root) of ``place_model``, sorted: monic
+    coefficient tuples of one length sort as their places do.
+
+    Each generator theta of F is keyed by its minimal polynomial, the
+    product of (T - theta^(q^i)) over i < d, whose coefficients lie in
+    ``base``.  theta -> theta^q is base-linear, so it is applied as the sum
+    of theta's coordinates times the q-th powers of the basis 1, x, ...,
+    x^(d-1).  Conjugates of a keyed root are skipped."""
+    if F.key == base.key:
+        return tuple(sorted(((base.raw_neg(c), base.one), c) for c in base.raw_values()))
+    d, q, bzero = F.degree, base.q, base.zero
+    add, mul, neg, scale = F.raw_add, F.raw_mul, F.raw_neg, base.raw_mul
+    frob_basis = [F.raw_pow(F.raw([0] * i + [1]), q) for i in range(d)]
+
+    def frob(theta):
+        out = F.zero
+        for c, xq in zip(theta, frob_basis):
+            if c != bzero:
+                out = add(out, tuple(scale(c, e) for e in xq))
+        return out
+
+    roots = []
+    seen = set()
+    for theta in F.raw_values():
+        if theta in seen:
+            continue
+        conj = [theta]
+        for _ in range(d - 1):
+            conj.append(frob(conj[-1]))
+        if len(set(conj)) < d:
+            continue  # theta lies in a proper subfield
+        seen.update(conj)
+        coeffs = [F.one]  # the product, low degree first
+        for c in conj:
+            shifted = [F.zero] + coeffs
+            coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero])]
+        roots.append((tuple(c[0] for c in coeffs), theta))
+    return tuple(sorted(roots))
+
+
+def place_lists(field, degree: int) -> list:
+    """[(d, F, roots) of ``place_model``] for d = 1..degree, each list of
+    places checked against the necklace count on every call."""
+    lists = []
+    for d in range(1, degree + 1):
+        F, roots = place_model(field, d)
+        expected = irreducible_count(field.q, d)
+        if len(roots) != expected:
+            raise InternalInconsistency(
+                f"place list of degree {d} over GF({field.q}) holds {len(roots)} "
+                f"places, not {expected}"
+            )
+        lists.append((d, F, roots))
+    return lists
+
+
+def recount(field, lists, a4: Poly, a6: Poly, factors: dict, bad: set):
+    """(places checked, None), or at the first place of ``lists`` whose
+    L_v(1) in ``factors`` (by sort key) is not its point count on y^2 = x^3 +
+    a4 x + a6, (places checked, (L_v(1), count, the place's label)).  Places
+    whose key is in ``bad`` are skipped; one ``specialized_point_counter``
+    per degree counts every other place at its root."""
+    checked = 0
+    for d, F, roots in lists:
+        count = specialized_point_counter(F, a4, a6)
+        for key, pi, theta in roots:
+            if key in bad:
+                continue
+            at_one = factors[key]
+            points = count(theta) + 1
+            if at_one != points:
+                return checked, (at_one, points, Place("finite", Poly(field, pi), d).label())
+            checked += 1
+    return checked, None

@@ -17,9 +17,7 @@ Euler number, local L-factor).
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import random as _random
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -38,7 +36,6 @@ from .exactalg import RatPoly
 from .ffield import (
     Place,
     Poly,
-    factorize,
     place_finite,
     place_infinity,
     poly_gcd,
@@ -46,6 +43,7 @@ from .ffield import (
     residue_field,
 )
 from .lattice import Mat, PairedGroup, FgGroup, discriminant
+from .oracle import affine_point_counter
 
 INF = 10**9  # valuation of the zero polynomial
 
@@ -77,27 +75,36 @@ class WeierstrassModel:
         c6 = -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
         self.a4_short = c4 * field.raw_inv(field.raw(-48))
         self.a6_short = c6 * field.raw_inv(field.raw(-864))
-        if short_discriminant(self.a4_short, self.a6_short).is_zero():
+        self.delta_short = short_discriminant(self.a4_short, self.a6_short)
+        if self.delta_short.is_zero():
             raise UnsupportedModel("discriminant vanishes identically")
 
     def coeff_list(self):
         return [self.a1, self.a2, self.a3, self.a4, self.a6]
 
     @cached_property
-    def minimal_short(self) -> tuple[Poly, Poly]:
-        """(a4, a6) of the short model minimalized at every finite place:
-        a4_short / u^4 and a6_short / u^6 for the largest monic u with
-        u^4 | a4_short and u^6 | a6_short.  Computed on first use."""
+    def _minimal_scale(self) -> Poly:
+        """The largest monic u with u^4 | a4_short and u^6 | a6_short."""
         a4, a6 = self.a4_short, self.a6_short
         u = Poly(self.field, [1])
         for pi in distinct_irreducible_factors(poly_gcd(a4, a6)):
             u = u * pi ** min(_val(a4, pi) // 4, _val(a6, pi) // 6)
-        return a4 // u**4, a6 // u**6
+        return u
+
+    @cached_property
+    def minimal_short(self) -> tuple[Poly, Poly]:
+        """(a4, a6) of the short model minimalized at every finite place:
+        a4_short / u^4 and a6_short / u^6 for u = ``_minimal_scale``.
+        Computed on first use."""
+        u = self._minimal_scale
+        return self.a4_short // u**4, self.a6_short // u**6
 
     @cached_property
     def minimal_delta(self) -> Poly:
-        """Delta of ``minimal_short``: its finite places are the bad ones."""
-        return short_discriminant(*self.minimal_short)
+        """Delta of ``minimal_short``, delta_short / u^12 (exact; the model's
+        own Delta when u = 1): its finite places are the bad ones."""
+        u = self._minimal_scale
+        return self.delta_short if u.degree == 0 else self.delta_short // u**12
 
     @cached_property
     def infinity_fiber(self) -> FiberData:
@@ -365,123 +372,6 @@ def synthetic_fiber(q: int, degree: int, kod: str, splitting=None, field=None) -
 
 
 # ---------------------------------------------------------------------------
-# point counting in residue fields
-
-
-_COUNTER_TABLES: dict = {}  # field key -> the tables of ``_counter_tables``
-
-
-def _primitive_element(kv):
-    """The first g in ``raw_values`` order with g^((q - 1)/r) != 1 for every prime r | q - 1."""
-    return next(g for g in kv.raw_values() if g != kv.zero
-                and all(kv.raw_pow(g, (kv.q - 1) // r) != kv.one for r in factorize(kv.q - 1)))
-
-
-def _counter_tables(kv):
-    """(by_p, by_3p, exp, log, cubes, roots, spread): kv's discrete-log
-    tables on ints, built once per field value per process.
-
-    An element's code sums its base-p digits (``raw_key``) times by_p =
-    (p^j), its 3p-code times by_3p = ((3p)^j).  For g from
-    ``_primitive_element``, exp[i] is the 3p-code of g^i (i < 2(q - 1), so
-    exp[log A + i] needs no reduction), log[code] its exponent (None at 0),
-    cubes[i] = exp[3i mod (q - 1)].  The powers must hit all q - 1 nonzero
-    codes, else ``InternalInconsistency``.  B + x^3 + A x summed on 3p-codes
-    has digits below 3p and indexes ``roots`` unreduced: 1 at 0, 2 at an even
-    power of g, 0 at an odd one.  ``spread``: exp in ``_specializer``'s radices."""
-    if kv.key in _COUNTER_TABLES:
-        return _COUNTER_TABLES[kv.key]
-    p, m, key, mul = kv.p, kv.q - 1, kv.raw_key, operator.mul
-    g, x = _primitive_element(kv), kv.one
-    by_p = [p**j for j in range(len(key(x)))]
-    by_3p = [(3 * p) ** j for j in range(len(by_p))]
-    log, exp = [None] * kv.q, []
-    for i in range(m):
-        log[sum(map(mul, key(x), by_p))] = i
-        exp.append(sum(map(mul, key(x), by_3p)))
-        x = kv.raw_mul(x, g)
-    if log[0] is not None or None in log[1:]:
-        raise InternalInconsistency(f"the powers of the generator of GF({kv.q}) hit "
-                                    f"{m - log[1:].count(None)} of its {m} nonzero elements")
-    exp += exp
-    roots = bytearray((3 * p) ** len(by_p))
-    for c in itertools.product(range(3), repeat=len(by_p)):
-        off = p * sum(map(mul, c, by_3p))  # z + p c reads as z
-        roots[off] = 1
-        for square in exp[:m:2]:
-            roots[square + off] = 2
-    cubes = [exp[3 * i % m] for i in range(m)]
-    _COUNTER_TABLES[kv.key] = by_p, by_3p, exp, log, cubes, memoryview(roots), {}
-    return _COUNTER_TABLES[kv.key]
-
-
-def _digit_counter(kv):
-    """(digits of A, of B) -> #{y^2 = x^3 + A x + B}: x = 0, then one flat loop over x = g^i."""
-    by_p, by_3p, exp, log, cubes, roots, _ = _counter_tables(kv)
-    m, add, mul = len(cubes), operator.add, operator.mul
-
-    def count(a, b) -> int:
-        at, i = roots[sum(map(mul, b, by_3p)) :], log[sum(map(mul, a, by_p))]
-        if i is None:
-            return at[0] + sum(map(at.__getitem__, cubes))
-        return at[0] + sum(map(at.__getitem__, map(add, cubes, exp[i : i + m])))
-
-    return count
-
-
-def affine_point_counter(kv):
-    """(A, B) -> #{(x,y) in kv^2 : y^2 = x^3 + A x + B} on raw values of
-    kv, read from kv's discrete-log tables (``_counter_tables``)."""
-    count, key = _digit_counter(kv), kv.raw_key
-    return lambda a, b: count(key(a), key(b))
-
-
-def _specializer(kv, polys):
-    """theta -> [the base-p digits of f(theta) for f in polys], for Polys over
-    kv or a subfield (whose c keys as the constant c of kv), at raw theta.
-
-    A nonzero term c_j theta^j = g^(log c_j + j log theta) is one read of exp
-    recoded in radix 2^w, w the bit length of (p - 1) times the most terms
-    of any f: no digit sum reaches 2^w, so the reads add up exactly, and each
-    digit is reduced mod p once."""
-    by_p, by_3p, exp, log, cubes, _, spread = _counter_tables(kv)
-    p, m, key, mul = kv.p, len(cubes), kv.raw_key, operator.mul
-    terms = [[(log[sum(map(mul, f.field.raw_key(c), by_p))], j)
-              for j, c in enumerate(f.coeffs) if c != f.field.zero] for f in polys]
-    width = (max(1, *map(len, terms)) * (p - 1)).bit_length()
-    shifts, mask = [width * j for j in range(len(by_p))], (1 << width) - 1
-    if width not in spread:
-        spread[width] = [sum(c // w % (3 * p) << s for w, s in zip(by_3p, shifts)) for c in exp[:m]]
-    wide = spread[width]
-
-    def values(theta) -> list[list[int]]:
-        i = log[sum(map(mul, key(theta), by_p))]  # None at theta = 0
-        totals = [sum(wide[lc] for lc, j in f if j == 0) if i is None
-                  else sum(wide[(lc + j * i) % m] for lc, j in f) for f in terms]
-        return [[(total >> s & mask) % p for s in shifts] for total in totals]
-
-    return values
-
-
-def specialized_point_counter(kv, a: Poly, b: Poly):
-    """theta -> #{(x,y) in kv^2 : y^2 = x^3 + a(theta) x + b(theta)}, with a
-    and b reduced at theta by ``_specializer`` on the tables the count reads."""
-    count, values = _digit_counter(kv), _specializer(kv, (a, b))
-    return lambda theta: count(*values(theta))
-
-
-def count_affine_points(kv, a, b) -> int:
-    """#{(x,y) in kv^2 : y^2 = x^3 + a x + b} for raw values a, b of kv, by
-    ``affine_point_counter(kv)`` (tables of O(q_v) products, once per field)."""
-    return affine_point_counter(kv)(a, b)
-
-
-def curve_point_count(kv, a, b) -> int:
-    """Projective point count of y^2 = x^3 + a x + b over kv (raw a, b)."""
-    return count_affine_points(kv, a, b) + 1
-
-
-# ---------------------------------------------------------------------------
 # the local algorithm
 
 
@@ -537,7 +427,7 @@ def _tate_at_prime(field, a: Poly, b: Poly, delta: Poly, pi: Poly, place: Place)
     vD = _val(delta, pi)
 
     if vD == 0:
-        count = curve_point_count(kv, red(a), red(b))
+        count = affine_point_counter(kv)(red(a), red(b)) + 1
         a_v = kv.q + 1 - count
         return make_fiber(place, q, "I0", None, a_v=a_v)
 

@@ -19,21 +19,13 @@ from fractions import Fraction
 
 from .errors import (
     EllsurfError,
-    InternalInconsistency,
     NoConsistentSign,
     NontrivialMW,
     PlaceBudgetExceeded,
 )
 from .exactalg import RatPoly, SpecialValue, leading_term
-from .ffield import (
-    ExtensionField,
-    Place,
-    Poly,
-    irreducible_count,
-    irreducible_modulus,
-    roots_by_minimal_polynomial,
-)
 from .lattice import discriminant, ns_lattice_build, symmetric_signature
+from .oracle import place_lists, recount
 from .tatefiber import (
     FiberData,
     SurfaceInvariants,
@@ -42,7 +34,6 @@ from .tatefiber import (
     bad_fibers,
     component_lattice_base_gram,
     global_invariants,
-    specialized_point_counter,
 )
 from .zeta import (
     DEFAULT_BUDGET,
@@ -289,21 +280,16 @@ def build_ns(inv, fibers, metadata):
         return None, str(exc)
 
 
-def check_ns_discriminant(ns, ns_reason, fibers, inv) -> tuple[CheckResult, SpecialValue | None]:
+def check_ns_discriminant(ns, ns_reason, agg_value, agg_power) -> tuple[CheckResult, SpecialValue | None]:
+    """disc(NS) against prod |disc(R_v)| * (log q)^2, the product being
+    ``check_flach_siebel``'s aggregate (agg_value, agg_power)."""
     name = "ns_discriminant_product"
     if ns is None:
         return CheckResult(name, SKIPPED, details=ns_reason), None
     sv = discriminant(ns)
     pos, neg, zero = symmetric_signature(ns.pairing)
     rho_ns = ns.group.n_gens
-    rhs_value = Fraction(1)
-    rhs_power = 2
-    for f in fibers:
-        if f.is_good:
-            continue
-        d = arithmetic_component_discriminant(f)
-        rhs_value *= d.value
-        rhs_power += d.log_power
+    rhs_value, rhs_power = agg_value, 2 + agg_power
     ok = sv.value == rhs_value and sv.log_power == rhs_power
     sig_ok = (pos, zero) == (1, 0) and neg == rho_ns - 1
     details = f"signature ({pos},{neg},{zero})"
@@ -390,43 +376,19 @@ AUDIT_DEGREE = 2  # the good-place audit's depth, fixed whatever the point budge
 def check_good_place_sanity(model, fibers) -> CheckResult:
     """L_v(1) = #E(k(v)) at every finite place of degree <= AUDIT_DEGREE
     without a bad fiber: the local factor the L-function uses (from
-    ``euler_factors``) against a pure-Python recount on the minimal short
-    model.
-
-    All places of one degree d share one model F of GF(q^d): the base field
-    at d = 1, else the field modulo ``find_irreducible(field, d)``.
-    ``roots_by_minimal_polynomial`` lists the places of degree d from F,
-    each with a root theta of its pi, and must list ``irreducible_count(q,
-    d)`` of them.  Those lists must give exactly the finite places of the
-    Euler product.  A place's residue field is F through t -> theta, so one
-    ``specialized_point_counter`` per degree reduces a4 and a6 at theta on
-    F's discrete-log tables and counts every place; a place is built only
-    for a FAIL's label.  The modulus, the root lists with their sort keys,
-    the kernel's place keys and the counter tables are built once per field
-    value per process; the necklace count, the place-set comparison and
-    every count run on each call."""
+    ``euler_factors``) against the pure-Python recount of ``oracle`` on the
+    minimal short model.  The oracle's place lists must give exactly the
+    finite places of the Euler product, keyed by ``zeta.place_keys``."""
     name = "good_place_lfactor"
     field = model.field
-    a4, a6 = model.minimal_short
     bad = {f.place.sort_key() for f in fibers if not f.is_good}
     fiber_factors, good = euler_factors(model, fibers, AUDIT_DEGREE, budget=field.q**AUDIT_DEGREE)
     factors = {key: f.eval(1) for key, (_, f) in fiber_factors.items()}
     for d, (t, a_v) in good.items():
         at_one = (1 - a + field.q**d for a in a_v.tolist())
         factors.update(zip(place_keys(model, d, t), at_one))
-    models = []
-    for d in range(1, AUDIT_DEGREE + 1):
-        F = field if d == 1 else ExtensionField(
-            field, irreducible_modulus(field, d), check_irreducible=False)
-        roots = roots_by_minimal_polynomial(field, F)
-        expected = irreducible_count(field.q, d)
-        if len(roots) != expected:
-            raise InternalInconsistency(
-                f"place list of degree {d} over GF({field.q}) holds {len(roots)} "
-                f"places, not {expected}"
-            )
-        models.append((d, F, roots))
-    places = {key for _, _, roots in models for key, _, _ in roots}
+    lists = place_lists(field, AUDIT_DEGREE)
+    places = {key for _, _, roots in lists for key, _, _ in roots}
     extra = [k for k in factors if k != (0,) and k not in places]
     missing = [k for k in places if k not in factors]
     if extra or missing:
@@ -439,18 +401,10 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
             f"finite places of the Euler product against the place list: "
             f"{len(missing)} missing, {len(extra)} extra",
         )
-    checked = 0
-    for d, F, roots in models:
-        count = specialized_point_counter(F, a4, a6)
-        for key, pi, theta in roots:
-            if key in bad:
-                continue
-            at_one = factors[key]
-            points = count(theta) + 1
-            if at_one != points:
-                v = Place("finite", Poly(field, pi), d)
-                return CheckResult(name, FAIL, str(at_one), str(points), None, f"at {v.label()}")
-            checked += 1
+    checked, wrong = recount(field, lists, *model.minimal_short, factors, bad)
+    if wrong:
+        at_one, points, label = wrong
+        return CheckResult(name, FAIL, str(at_one), str(points), None, f"at {label}")
     return CheckResult(name, PASS, details=f"{checked} good places recounted")
 
 
@@ -538,7 +492,7 @@ def run_verification(
             model_coeffs=_echo(model),
             invariants=inv,
             fibers=fibers,
-            counts=tuple(counts.counts),
+            counts=counts,
             p2_counts=None,
             p2_product=RatPoly([1]),
             l_poly=l_poly,
@@ -559,17 +513,17 @@ def run_verification(
 
     ord_l = l_star.order
     p2_counts = None
-    while p2_counts is None and len(counts.counts) >= half:
+    while p2_counts is None and len(counts) >= half:
         try:
             p2_counts = p2_from_counts(counts, inv, q)
         except NoConsistentSign:
             # vanishing middle coefficients: further counts separate the two
             # self-dual completions, budget permitting
-            deeper = len(counts.counts) + 1
+            deeper = len(counts) + 1
             if q**deeper > limits.point_budget:
                 break
             counts = surface_counts(model, fibers, deeper, budget=limits.point_budget)
-    checks.append(check_p2_dual_route(p2_counts, p2_product, counts.counts, q))
+    checks.append(check_p2_dual_route(p2_counts, p2_product, counts, q))
 
     p2_star = leading_term(p2_product, q)
     rho = p2_star.order
@@ -588,7 +542,7 @@ def run_verification(
     checks.append(check_flach_siebel_aggregate(c_j, q2_star, agg_value, agg_power))
 
     ns, ns_reason = build_ns(inv, fibers, metadata)
-    ns_check, ns_disc = check_ns_discriminant(ns, ns_reason, fibers, inv)
+    ns_check, ns_disc = check_ns_discriminant(ns, ns_reason, agg_value, agg_power)
     checks.append(ns_check)
     checks.append(check_lie_euler(inv))
 
@@ -603,7 +557,7 @@ def run_verification(
         model_coeffs=_echo(model),
         invariants=inv,
         fibers=fibers,
-        counts=tuple(counts.counts),
+        counts=counts,
         p2_counts=p2_counts,
         p2_product=p2_product,
         l_poly=l_poly,

@@ -27,8 +27,8 @@ Only A and B are evaluated at the representatives: the fiber over t is
 good when 4 A^3 + 27 B^2 != 0 there, since Delta = -16 (4 A^3 + 27 B^2)
 and -16 is a unit for p >= 5.  A good fiber over t has q^n + 1 + S(t)
 points, and a good finite place of degree d with root t has a_v = -S(t).
-The pure-Python point count of ``tatefiber`` stays the independent oracle
-for it (``verify.check_good_place_sanity``).
+The pure-Python counts of ``oracle``, which shares nothing with the
+kernel, audit it (``verify.check_good_place_sanity``).
 
 Route one counts points.  With first and third Betti numbers zero (the
 supported class), #X(GF(q^n)) = 1 + q^(2n) + s_n where s_n is the n-th power
@@ -56,7 +56,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,14 +87,6 @@ from .tatefiber import (
 
 DEFAULT_BUDGET = 25_000
 DEFAULT_SURPLUS = 2
-
-
-@dataclass(frozen=True)
-class CountVector:
-    counts: tuple  # N_n for n = 1..n_max
-
-    def __len__(self):
-        return len(self.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +494,8 @@ def surface_counts(
     fibers: list[FiberData],
     n_max: int,
     budget: int = DEFAULT_BUDGET,
-) -> CountVector:
-    """#X(GF(q^n)) for n = 1..n_max over the minimal regular model.
+) -> tuple:
+    """(#X(GF(q^n)) for n = 1..n_max) over the minimal regular model.
 
     The good fibers over affine t contribute q^n + 1 + S(t) each, summed
     over Frobenius orbits by the character-sum kernel; each bad place of
@@ -528,14 +519,14 @@ def surface_counts(
                 total += f.d_v * fiber_point_count(f, n // f.d_v)
         total += fiber_point_count(inf_fiber, n)
         counts.append(total)
-    return CountVector(tuple(counts))
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
 # P2 from counts
 
 
-def p2_from_counts(counts: CountVector, inv: SurfaceInvariants, q: int) -> RatPoly:
+def p2_from_counts(counts: tuple, inv: SurfaceInvariants, q: int) -> RatPoly:
     """Reconstruct P2 from point counts via Newton identities and the
     weight-2 functional equation; every supplied count is re-verified."""
     b2 = inv.b2
@@ -544,7 +535,7 @@ def p2_from_counts(counts: CountVector, inv: SurfaceInvariants, q: int) -> RatPo
         raise TruncationInsufficient(
             f"need counts to n = {half}, got {len(counts)}"
         )
-    sums = [counts.counts[k - 1] - 1 - q ** (2 * k) for k in range(1, len(counts) + 1)]
+    sums = [counts[k - 1] - 1 - q ** (2 * k) for k in range(1, len(counts) + 1)]
     partial = newton_from_power_sums(sums[:half], half)
     candidates = []
     for sign in (1, -1):

@@ -1,5 +1,5 @@
-"""The per-process caches keyed by field value (root lists, irreducible
-moduli, point-counter tables, the kernel's place keys) and by fiber type (component discriminants)
+"""The per-process caches keyed by field value (the oracle's place models
+and point-counter tables, the kernel's place keys) and by fiber type (component discriminants)
 change no report: reports made in one process that interleaves base fields,
 an extension base field and the catalog are byte-identical to the same
 reports made with every one of those caches emptied first."""
@@ -7,7 +7,7 @@ reports made with every one of those caches emptied first."""
 import contextlib
 import io
 
-from ellsurf import ffield, tatefiber, zeta
+from ellsurf import oracle, tatefiber, zeta
 from ellsurf.cli import main
 
 GF25 = "[field]\np = 5\nmodulus = 2, 0, 1\n[model]\na4 = 0, 1\na6 = 0, 1\n"
@@ -22,9 +22,8 @@ SWEEP_F11 = (
     "[metadata]\nmw_rank = 0\nmw_torsion_order = 1\n[limits]\nn_max = 2\n"
 )
 CACHES = (
-    ffield._ROOTS,
-    ffield._MODULI,
-    tatefiber._COUNTER_TABLES,
+    oracle._PLACE_MODELS,
+    oracle._COUNTER_TABLES,
     tatefiber._COMPONENT_DISCRIMINANTS,
     zeta._PLACE_KEYS,
 )

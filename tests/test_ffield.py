@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsurf import ffield
+from ellsurf.oracle import place_model
 from ellsurf.errors import CharTooSmall, DivisionByZero, NotIrreducible, NotPrime
 from ellsurf.ffield import (
     ExtensionField,
@@ -18,7 +19,6 @@ from ellsurf.ffield import (
     moebius,
     poly_is_irreducible,
     residue_field,
-    roots_by_minimal_polynomial,
 )
 
 F5 = PrimeField(5)
@@ -28,12 +28,11 @@ F625 = ExtensionField(F25, find_irreducible(F25, 2).coeffs)  # nested over GF(25
 
 
 def places_of_degree(field, d):
-    """(place, root) from roots_by_minimal_polynomial in the model of GF(q^d)
-    the good-place audit uses: ``field`` itself at d = 1, else
+    """(place, root) from the oracle's ``place_model`` in the model of
+    GF(q^d) the good-place audit uses: ``field`` itself at d = 1, else
     ``find_irreducible``."""
-    F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs)
     return [(Place("finite", Poly(field, pi), d), theta)
-            for _, pi, theta in roots_by_minimal_polynomial(field, F)]
+            for _, pi, theta in place_model(field, d)[1]]
 
 
 def test_field_make_prime():
@@ -274,8 +273,7 @@ def test_roots_by_minimal_polynomial_list_every_place(field):
     places in sort order, each of degree d with its sort key and a root
     theta, pi(theta) = 0, in the shared model of its degree."""
     for d in (1, 2):
-        F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs)
-        roots = roots_by_minimal_polynomial(field, F)
+        F, roots = place_model(field, d)
         keys = [key for key, _, _ in roots]
         assert len(roots) == irreducible_count(field.q, d)
         assert keys == sorted(set(keys))
@@ -283,5 +281,5 @@ def test_roots_by_minimal_polynomial_list_every_place(field):
             v = Place("finite", Poly(field, pi), d)
             assert v.sort_key() == key
             assert v.degree == v.poly.degree == d
-            pi = v.poly if F is field else Poly(F, [(c,) + F.zero[1:] for c in v.poly.coeffs])
+            pi = v.poly if d == 1 else Poly(F, [(c,) + F.zero[1:] for c in v.poly.coeffs])
             assert pi.eval(theta) == F.zero

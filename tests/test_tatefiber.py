@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ellsurf import tatefiber
+from ellsurf import oracle, tatefiber
 from ellsurf.errors import GoodFiber, UnsupportedModel
 from ellsurf.exactalg import RatPoly
 from ellsurf.ffield import (
@@ -16,13 +16,12 @@ from ellsurf.ffield import (
     residue_field,
 )
 from ellsurf.lattice import discriminant
+from ellsurf.oracle import affine_point_counter
 from ellsurf.tatefiber import (
     WeierstrassModel,
-    affine_point_counter,
     arithmetic_component_discriminant,
     component_group_fixed_order,
     component_lattice,
-    count_affine_points,
     distinct_irreducible_factors,
     fiber_point_count,
     global_invariants,
@@ -106,7 +105,7 @@ def test_short_pair_counts_like_the_long_form(field):
                 for y in range(p)
                 if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
             )
-            assert long_count == count_affine_points(field, m.a4_short.eval(c), m.a6_short.eval(c))
+            assert long_count == affine_point_counter(field)(m.a4_short.eval(c), m.a6_short.eval(c))
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +122,22 @@ def _infinity_consistency(m):
     assert short_discriminant(a4, a6) == m.minimal_delta.reverse(12 * k)
     assert a4 == a4_min.reverse(4 * k)
     assert a6 == a6_min.reverse(6 * k)
+
+
+def test_minimal_delta_is_the_discriminant_of_the_minimal_pair():
+    """minimal_delta, derived from the Delta the model keeps, against Delta
+    of minimal_short: on the non-minimal y^2 = x^3 + t^4 x + t^6 + t^7 over
+    GF(5) (u = t, so Delta is divided by t^12) and on every catalog surface
+    (u = 1, Delta itself)."""
+    from ellsurf.catalog import CATALOG
+    from ellsurf.cli import build_model, parse_config
+
+    twin = model(F5, [0] * 4 + [1], [0] * 6 + [1, 1])
+    assert twin.minimal_short == (Poly(F5, [1]), Poly(F5, [1, 1]))
+    models = [twin] + [build_model(parse_config(e.config_text))[0] for e in CATALOG.values()]
+    for m in models:
+        assert m.minimal_delta == short_discriminant(*m.minimal_short)
+    assert twin.minimal_delta != twin.delta_short
 
 
 def test_model_at_infinity_x3t():
@@ -397,7 +412,7 @@ def test_count_affine_points_matches_naive():
         naive = sum(
             1 for x in range(7) for y in range(7) if (y * y - x**3 - a * x - b) % 7 == 0
         )
-        assert count_affine_points(F7, a, b) == naive
+        assert affine_point_counter(F7)(a, b) == naive
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +542,7 @@ def test_count_affine_points_nested_extension_by_euler_criterion():
         for x in elems:
             rhs = add(mul(x, add(mul(x, x), a)), b)
             euler += 1 if rhs == f625.zero else (2 if f625.is_square(rhs) else 0)
-        assert count_affine_points(f625, a, b) == euler
+        assert affine_point_counter(f625)(a, b) == euler
 
 
 def _counter_fields():
@@ -574,7 +589,7 @@ def test_counter_log_tables_against_the_field_arithmetic(name):
     import itertools
 
     kv = _counter_fields()[name]
-    by_p, by_3p, exp, log, cubes, roots, _ = tatefiber._counter_tables(kv)
+    by_p, by_3p, exp, log, cubes, roots, _ = oracle._counter_tables(kv)
     m, p, key, mul = kv.q - 1, kv.p, kv.raw_key, kv.raw_mul
     code = lambda x: sum(d * w for d, w in zip(key(x), by_p))
     code_3p = lambda x: sum(d * w for d, w in zip(key(x), by_3p))
@@ -600,10 +615,10 @@ def test_counter_tables_refuse_a_generator_that_is_not_primitive(monkeypatch, ca
     from ellsurf.cli import main
     from ellsurf.errors import InternalInconsistency
 
-    primitive = tatefiber._primitive_element
+    primitive = oracle._primitive_element
     square = lambda kv: kv.raw_mul(primitive(kv), primitive(kv))
-    monkeypatch.setattr(tatefiber, "_primitive_element", square)
-    monkeypatch.setattr(tatefiber, "_COUNTER_TABLES", {})
+    monkeypatch.setattr(oracle, "_primitive_element", square)
+    monkeypatch.setattr(oracle, "_COUNTER_TABLES", {})
     with pytest.raises(InternalInconsistency, match="hit 2 of its 4 nonzero elements"):
         affine_point_counter(F5)
     assert main(["verify", "--catalog", "x3_plus_t_f5"]) == 4
@@ -619,17 +634,16 @@ def test_specializer_matches_poly_eval_at_every_root(name, d):
     GF(25), the log-table values of seeded random a4 and a6 are their
     values by Horner in the field; a4 is read with its coefficients in the
     base field, as the audit reads it, and a6 with them embedded in F."""
-    from ellsurf.ffield import ExtensionField, irreducible_modulus, roots_by_minimal_polynomial
+    from ellsurf.ffield import ExtensionField
 
     base = {"F5": F5, "F11": PrimeField(11), "F25": ExtensionField(F5, [2, 0, 1])}[name]
-    F = base if d == 1 else ExtensionField(base, irreducible_modulus(base, 2))
-    embed = (lambda c: c) if F is base else (lambda c: (c,) + F.zero[1:])
+    F, roots = oracle.place_model(base, d)
+    embed = (lambda c: c) if d == 1 else (lambda c: (c,) + F.zero[1:])
     rng = random.Random(F.q)
     elems = list(base.raw_values())
     coeffs = [[rng.choice(elems) for _ in range(rng.randrange(2, 9))] for _ in range(2)]
     in_F = [Poly(F, [embed(c) for c in cs]) for cs in coeffs]
-    values = tatefiber._specializer(F, [Poly(base, coeffs[0]), in_F[1]])
-    roots = roots_by_minimal_polynomial(base, F)
+    values = oracle._specializer(F, [Poly(base, coeffs[0]), in_F[1]])
     assert len(roots) > 1
     for _, _, theta in roots:
         assert values(theta) == [list(F.raw_key(f.eval(theta))) for f in in_F], theta
@@ -645,20 +659,21 @@ def test_specializer_radix_holds_the_digit_sums_of_a_degree_40_polynomial():
     rng = random.Random(40)
     coeffs = [rng.randrange(1, 101) for _ in range(41)]
     f = Poly(f101, coeffs)
-    values = tatefiber._specializer(f101, [f, Poly(f101, [1])])
+    values = oracle._specializer(f101, [f, Poly(f101, [1])])
     for theta in f101.raw_values():
         assert values(theta) == [[f.eval(theta)], [1]], theta
     big = ExtensionField(f101, find_irreducible(f101, 2).coeffs)
     f_big = Poly(big, [(c, 0) for c in coeffs])
-    values = tatefiber._specializer(big, [f_big])
+    values = oracle._specializer(big, [f_big])
     for _ in range(200):
         theta = (rng.randrange(101), rng.randrange(101))
         assert values(theta) == [list(f_big.eval(theta))], theta
 
 
 def test_point_count_oracle_loads_neither_numpy_nor_the_kernel():
-    """The good-place oracle (tatefiber's counter, ffield's roots) stays
-    independent of the character-sum kernel and its numpy tables."""
+    """The good-place oracle (``ellsurf.oracle``: its counters, fields and
+    place lists) stays independent of the character-sum kernel and its
+    numpy tables, and of the verifier and Tate's algorithm that read it."""
     import os
     import subprocess
     import sys
@@ -668,8 +683,9 @@ def test_point_count_oracle_loads_neither_numpy_nor_the_kernel():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import sys\n"
-        "import ellsurf.tatefiber, ellsurf.ffield\n"
-        "print(sorted(m for m in ('numpy', 'ellsurf.zeta') if m in sys.modules))\n"
+        "import ellsurf.oracle\n"
+        "print(sorted(m for m in ('numpy', 'ellsurf.zeta', 'ellsurf.verify', 'ellsurf.tatefiber')\n"
+        "             if m in sys.modules))\n"
     )
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

@@ -166,7 +166,7 @@ def test_half_expanded_l_sign_matches_counts():
     m = model(F5, [0, 0, 1, 0, 0, 4], [0] * 8 + [2])
     report = run_verification(m, limits=Limits(n_max=2))
     counts = surface_counts(m, report.fibers, 8, budget=5**8)
-    assert lefschetz_counts(report.p2_product, 5, 8) == list(counts.counts)
+    assert lefschetz_counts(report.p2_product, 5, 8) == list(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +245,17 @@ def test_good_place_audit_without_a_root_raises_a_typed_error(monkeypatch, capsy
     """A place the root list drops is caught by the necklace count as an
     internal inconsistency of the oracle: exit 4 with one line, not a
     good_place_lfactor FAIL blamed on the kernel."""
-    from ellsurf import verify
+    from ellsurf import oracle
     from ellsurf.cli import main
     from ellsurf.errors import InternalInconsistency
 
-    roots = verify.roots_by_minimal_polynomial
-    monkeypatch.setattr(verify, "roots_by_minimal_polynomial", lambda base, F: roots(base, F)[1:])
+    place_model = oracle.place_model
+
+    def without_a_root(field, d):
+        F, roots = place_model(field, d)
+        return F, roots[1:]
+
+    monkeypatch.setattr(oracle, "place_model", without_a_root)
     with pytest.raises(InternalInconsistency, match="holds 4 places, not 5"):
         check_good_place_sanity(GENERIC_I1, global_invariants(GENERIC_I1)[1])
     assert main(["verify", "--catalog", "x3_plus_t_f5"]) == 4
@@ -301,10 +306,8 @@ def test_removing_any_fiber_flips_a_check(x3t_parts):
 
 
 def test_counts_injection_detects_corruption(x3t_parts):
-    from ellsurf.zeta import CountVector
-
     inv, fibers, counts = x3t_parts
-    bad_counts = CountVector(tuple(c + (1 if i == 3 else 0) for i, c in enumerate(counts.counts)))
+    bad_counts = tuple(c + (1 if i == 3 else 0) for i, c in enumerate(counts))
     assert _rerun_with(fibers, bad_counts)
 
 
