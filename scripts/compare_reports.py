@@ -8,10 +8,10 @@ draw of random long-form models (a1, a2, a3 nonzero) over GF(5), GF(7),
 GF(11) and GF(25), one model with a degree-72 discriminant over GF(11)
 (high-degree factoring and Tate, exit 3), and a few pool models made
 non-minimal as (u^4 a4, u^6 a6) for u irreducible of degree 2 and 4,
-through `ellsurf report` in one process per tree (the two run side by
-side), and compares stdout, stderr and the exit status of each.
-Prints one line per difference and a summary with each tree's total
-seconds; exits 1 if anything differs.
+through `ellsurf report` in one process per tree (one tree after the
+other, so their total seconds compare), and compares stdout, stderr and
+the exit status of each.  Prints one line per difference and a summary
+with each tree's total seconds; exits 1 if anything differs.
 """
 
 import argparse
@@ -188,17 +188,16 @@ def main() -> int:
             jobs.append((name, ["report", "--config", str(path)]))
         jobs_path = Path(tmp) / "jobs.json"
         jobs_path.write_text(json.dumps(jobs))
-        procs = []
+        runs = []
         for tag, src in (("base", args.base_src), ("head", args.head_src)):
             env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
             out_path = Path(tmp) / f"{tag}.json"
-            procs.append((out_path, subprocess.Popen(
+            subprocess.run(
                 [sys.executable, __file__, "--worker", str(jobs_path), str(out_path)],
-                env=env,
-            )))
-        for _, proc in procs:
-            proc.wait()
-        base_run, head_run = (json.loads(path.read_text()) for path, _ in procs)
+                env=env, check=True,
+            )
+            runs.append(json.loads(out_path.read_text()))
+        base_run, head_run = runs
     base, head = base_run["results"], head_run["results"]
     differ = [name for name, _ in jobs if base[name] != head[name]]
     for name in differ:

@@ -7,9 +7,18 @@ is an integer or a parenthesized vector ``(c0 c1 ...)`` over GF(p) for
 extension fields.  Unknown sections or keys, and integers in [metadata] or
 [limits] below their minimum, are rejected with their line number.
 
+The config's [limits] and [metadata] keys, and the command-line flags
+(``_apply_flags``), are set directly on the ``verify.Limits`` and
+``verify.Metadata`` that ``Config`` holds.
+
+Commands: ``analyze`` prints the fiber table, ``verify`` the table of
+checks, ``report`` the canonical JSON report and ``catalog`` the built-in
+fixtures.
+
 Exit statuses: 0 success, 2 configuration error (config file or command
 line), 3 unsupported model, 4 at least one FAILed check or an internal
-inconsistency.  Every status other than 0 comes with one line on stderr.
+inconsistency; each error class names its status (``exit_status``).  Every
+status other than 0 comes with one line on stderr.
 """
 
 from __future__ import annotations
@@ -24,15 +33,11 @@ from dataclasses import dataclass, field as dc_field
 from .catalog import CATALOG, DIGESTS
 from .errors import (
     BadField,
-    CharTooSmall,
     EllsurfError,
-    EulerNotTwelveDivisible,
     NotIrreducible,
     NotPrime,
     ParseError,
-    PlaceBudgetExceeded,
     UnknownKey,
-    UnsupportedModel,
 )
 from .ffield import field_make
 from .tatefiber import WeierstrassModel
@@ -70,13 +75,8 @@ class Config:
     p: int = None
     modulus: list | None = None
     a: dict = dc_field(default_factory=dict)  # "a1".."a6" -> list of coeffs
-    mw_rank: int | None = None
-    mw_torsion_order: int | None = None
-    notes: str = ""
-    n_max: int | None = Limits.n_max
-    place_degree_cap: int = Limits.place_degree_cap
-    surplus_margin: int = Limits.surplus_margin
-    point_budget: int = Limits.point_budget
+    limits: Limits = dc_field(default_factory=Limits)
+    metadata: Metadata = dc_field(default_factory=Metadata)
 
 
 def _parse_coeff(tok: str, lineno: int):
@@ -142,9 +142,10 @@ def parse_config(text: str) -> Config:
         elif section == "model":
             cfg.a[key] = [_parse_coeff(tok, lineno) for tok in _split_top_level(value)]
         elif key == "notes":
-            cfg.notes = value
+            cfg.metadata.notes = value
         else:
-            setattr(cfg, key, _at_least_minimum(key, _int_field(value, lineno), lineno))
+            target = cfg.limits if section == "limits" else cfg.metadata
+            setattr(target, key, _at_least_minimum(key, _int_field(value, lineno), lineno))
     if cfg.p is None:
         raise BadField("missing field characteristic p", None)
     return cfg
@@ -166,7 +167,7 @@ def _at_least_minimum(key: str, n: int, lineno: int | None) -> int:
 def build_model(cfg: Config):
     try:
         fq = field_make(cfg.p, cfg.modulus)
-    except (NotPrime, CharTooSmall, NotIrreducible) as exc:
+    except (NotPrime, NotIrreducible) as exc:
         raise BadField(str(exc), None)
 
     def coeffs(key):
@@ -179,14 +180,7 @@ def build_model(cfg: Config):
     model = WeierstrassModel(
         fq, coeffs("a1"), coeffs("a2"), coeffs("a3"), coeffs("a4"), coeffs("a6")
     )
-    metadata = Metadata(cfg.mw_rank, cfg.mw_torsion_order, cfg.notes)
-    limits = Limits(
-        n_max=cfg.n_max,
-        place_degree_cap=cfg.place_degree_cap,
-        surplus_margin=cfg.surplus_margin,
-        point_budget=cfg.point_budget,
-    )
-    return model, metadata, limits
+    return model, cfg.metadata, cfg.limits
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +211,8 @@ def _frac_json(x):
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def report_to_dict(report: Report, cfg: Config, limits: Limits) -> dict:
-    inv = report.invariants
+def report_to_dict(report: Report, cfg: Config) -> dict:
+    inv, limits = report.invariants, cfg.limits
     return {
         "schema_version": SCHEMA_VERSION,
         "q": report.q,
@@ -284,8 +278,8 @@ def report_to_dict(report: Report, cfg: Config, limits: Limits) -> dict:
     }
 
 
-def report_json(report: Report, cfg: Config, limits: Limits) -> str:
-    return json.dumps(report_to_dict(report, cfg, limits), separators=(",", ":"))
+def report_json(report: Report, cfg: Config) -> str:
+    return json.dumps(report_to_dict(report, cfg), separators=(",", ":"))
 
 
 def report_digest(json_text: str) -> str:
@@ -312,11 +306,17 @@ def _load_config(args) -> Config:
 
 
 def _apply_flags(cfg: Config, args) -> None:
-    flags = (("n_max", "nmax"), ("place_degree_cap", "place_cap"), ("mw_rank", "assume_rank"))
-    for key, flag in flags:
-        value = getattr(args, flag, None)
+    flags = (
+        (cfg.limits, "n_max", "nmax"),
+        (cfg.limits, "place_degree_cap", "place_cap"),
+        (cfg.metadata, "mw_rank", "assume_rank"),
+    )
+    for target, key, flag in flags:
+        value = getattr(args, flag)
         if value is not None:
-            setattr(cfg, key, _at_least_minimum(key, value, None))
+            setattr(target, key, _at_least_minimum(key, value, None))
+    cfg.limits.threads = args.threads
+    cfg.limits.seed = args.seed
 
 
 def _fiber_table(report: Report) -> str:
@@ -330,17 +330,15 @@ def _fiber_table(report: Report) -> str:
 
 
 def _run(args):
-    """(model, report, cfg, limits) of the config with the flags applied."""
+    """(model, report, cfg) of the config with the flags applied."""
     cfg = _load_config(args)
     _apply_flags(cfg, args)
     model, metadata, limits = build_model(cfg)
-    limits.threads = args.threads
-    limits.seed = args.seed
-    return model, run_verification(model, metadata, limits), cfg, limits
+    return model, run_verification(model, metadata, limits), cfg
 
 
 def cmd_analyze(args) -> int:
-    _, report, _, _ = _run(args)
+    _, report, _ = _run(args)
     inv = report.invariants
     print(f"q = {report.q}")
     print(
@@ -355,7 +353,8 @@ def cmd_analyze(args) -> int:
 
 
 def _run_full(args):
-    model, report, cfg, limits = _run(args)
+    model, report, cfg = _run(args)
+    limits = cfg.limits
     # independence of the L-function from the order of its local factors
     try:
         l_again = compute_l(model, report.fibers, report.invariants, limits, seed=limits.seed)
@@ -374,27 +373,24 @@ def _run_full(args):
         report.checks.append(
             CheckResult("l_function_order_independence", "FAIL", details=str(exc))
         )
-    return report, cfg, limits
+    return report, cfg
 
 
 def cmd_verify(args) -> int:
-    report, cfg, limits = _run_full(args)
-    if args.json:
-        print(report_json(report, cfg, limits))
-    else:
-        for c in report.checks:
-            extra = f"  [{c.details}]" if c.details else ""
-            print(f"{c.status:<12} {c.name}{extra}")
-        print(
-            f"predicted orders: Br = {_frac_json(report.predicted_br)}, "
-            f"Sha = {_frac_json(report.predicted_sha)}"
-        )
+    report, _ = _run_full(args)
+    for c in report.checks:
+        extra = f"  [{c.details}]" if c.details else ""
+        print(f"{c.status:<12} {c.name}{extra}")
+    print(
+        f"predicted orders: Br = {_frac_json(report.predicted_br)}, "
+        f"Sha = {_frac_json(report.predicted_sha)}"
+    )
     return 4 if report.has_failure() else 0
 
 
 def cmd_report(args) -> int:
-    report, cfg, limits = _run_full(args)
-    print(report_json(report, cfg, limits))
+    report, cfg = _run_full(args)
+    print(report_json(report, cfg))
     return 4 if report.has_failure() else 0
 
 
@@ -432,7 +428,6 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a config file")
         p.add_argument("--catalog", help="name of a built-in fixture")
-        p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument("--nmax", type=int, default=None, help="count points up to GF(q^n)")
         p.add_argument("--assume-rank", type=int, default=None, dest="assume_rank")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized cross-checks")
@@ -448,21 +443,13 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         return args.fn(args)
-    except (ParseError, UnknownKey, BadField) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        UnsupportedModel,
-        CharTooSmall,
-        EulerNotTwelveDivisible,
-        PlaceBudgetExceeded,
-    ) as exc:
-        print(f"unsupported model: {exc}", file=sys.stderr)
-        return 3
     except EllsurfError as exc:
-        # an internal inconsistency is a failed check
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        # exit 4: an internal inconsistency is a failed check
+        prefix = {2: "configuration error", 3: "unsupported model"}.get(
+            exc.exit_status, f"internal error: {type(exc).__name__}"
+        )
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_status
 
 
 if __name__ == "__main__":

@@ -1,8 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class carries the command-line exit status it ends in: 2 for a
+configuration error, 3 for an unsupported model, 4 (the default) for an
+internal inconsistency, which counts as a failed check.
+"""
 
 
 class EllsurfError(Exception):
     """Base class for all library errors."""
+
+    exit_status = 4
 
 
 # field / places
@@ -11,7 +18,7 @@ class NotPrime(EllsurfError):
 
 
 class CharTooSmall(EllsurfError):
-    pass
+    exit_status = 3
 
 
 class NotIrreducible(EllsurfError):
@@ -23,7 +30,7 @@ class DivisionByZero(EllsurfError):
 
 
 class PlaceBudgetExceeded(EllsurfError):
-    pass
+    exit_status = 3
 
 
 # exact algebra
@@ -45,11 +52,11 @@ class GoodFiber(EllsurfError):
 
 
 class EulerNotTwelveDivisible(EllsurfError):
-    pass
+    exit_status = 3
 
 
 class UnsupportedModel(EllsurfError):
-    pass
+    exit_status = 3
 
 
 class InconsistentFiberData(EllsurfError):
@@ -108,6 +115,8 @@ class NontrivialMW(EllsurfError):
 
 # configuration
 class ParseError(EllsurfError):
+    exit_status = 2
+
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line

@@ -322,9 +322,6 @@ class FiberData:
     def is_good(self) -> bool:
         return self.kodaira == "I0"
 
-    def geometric_component_count(self) -> int:
-        return sum(r for r, _ in self.components)
-
     def r_product(self) -> int:
         return math.prod(r for r, _ in self.components)
 

@@ -476,81 +476,61 @@ def run_verification(
     if counts is None:
         counts = surface_counts(model, fibers, n_feasible, budget=limits.point_budget)
 
-    checks: list[CheckResult] = []
-
-    # placeholders for the failure report when compute_l itself raises
+    # placeholders for the failure report when the pipeline below raises
     l_poly, l_star = RatPoly([1]), SpecialValue(1, 1, 1, 0, 0)
+    p2_product, p2_star = RatPoly([1]), SpecialValue(1, 1, 1, 0, 0)
+    rho, q2_star, p2_counts = 0, None, None
+    rank = metadata.mw_rank
+    rank_source = "declared" if rank is not None else "unknown"
+    br = sha = None
     try:
         l_poly = compute_l(model, fibers, inv, limits)
         l_star = leading_term(l_poly, q)
-        correction, q2_star, m = bad_correction(fibers, q)
+        correction, q2, _ = bad_correction(fibers, q)
         p2_product = p2_from_product(l_poly, correction, inv, q)
     except EllsurfError as exc:
         # the report cannot be assembled beyond this point; record and bail
-        rep = Report(
-            q=q,
-            model_coeffs=_echo(model),
-            invariants=inv,
-            fibers=fibers,
-            counts=counts,
-            p2_counts=None,
-            p2_product=RatPoly([1]),
-            l_poly=l_poly,
-            q2_star=None,
-            p2_star=SpecialValue(1, 1, 1, 0, 0),
-            l_star=l_star,
-            m=inv.m,
-            rho=0,
-            rank=metadata.mw_rank,
-            rank_source="declared" if metadata.mw_rank is not None else "unknown",
-            predicted_br=None,
-            predicted_sha=None,
-        )
-        rep.checks.append(
-            CheckResult("pipeline", FAIL, details=f"{type(exc).__name__}: {exc}")
-        )
-        return rep
-
-    ord_l = l_star.order
-    p2_counts = None
-    while p2_counts is None and len(counts) >= half:
-        try:
-            p2_counts = p2_from_counts(counts, inv, q)
-        except NoConsistentSign:
-            # vanishing middle coefficients: further counts separate the two
-            # self-dual completions, budget permitting
-            deeper = len(counts) + 1
-            if q**deeper > limits.point_budget:
-                break
-            counts = surface_counts(model, fibers, deeper, budget=limits.point_budget)
-    checks.append(check_p2_dual_route(p2_counts, p2_product, counts, q))
-
-    p2_star = leading_term(p2_product, q)
-    rho = p2_star.order
-    checks.append(check_special_value(p2_star, l_star, q2_star))
-    checks.append(check_q2_closed_form(q2_star))
-
-    if metadata.mw_rank is not None:
-        rank, rank_source = metadata.mw_rank, "declared"
+        checks = [CheckResult("pipeline", FAIL, details=f"{type(exc).__name__}: {exc}")]
     else:
-        rank, rank_source = ord_l, "inferred from ord L"
-    checks.extend(check_tate_shioda(rho, rank, rank_source, inv.m, ord_l))
+        q2_star = q2  # only here: the failure report leaves Q* None
+        checks = []
+        ord_l = l_star.order
+        while p2_counts is None and len(counts) >= half:
+            try:
+                p2_counts = p2_from_counts(counts, inv, q)
+            except NoConsistentSign:
+                # vanishing middle coefficients: further counts separate the
+                # two self-dual completions, budget permitting
+                deeper = len(counts) + 1
+                if q**deeper > limits.point_budget:
+                    break
+                counts = surface_counts(model, fibers, deeper, budget=limits.point_budget)
+        checks.append(check_p2_dual_route(p2_counts, p2_product, counts, q))
 
-    c_j = tamagawa_product(fibers)
-    local_checks, agg_value, agg_power = check_flach_siebel(fibers)
-    checks.extend(local_checks)
-    checks.append(check_flach_siebel_aggregate(c_j, q2_star, agg_value, agg_power))
+        p2_star = leading_term(p2_product, q)
+        rho = p2_star.order
+        checks.append(check_special_value(p2_star, l_star, q2_star))
+        checks.append(check_q2_closed_form(q2_star))
 
-    ns, ns_reason = build_ns(inv, fibers, metadata)
-    ns_check, ns_disc = check_ns_discriminant(ns, ns_reason, agg_value, agg_power)
-    checks.append(ns_check)
-    checks.append(check_lie_euler(inv))
+        if rank is None:
+            rank, rank_source = ord_l, "inferred from ord L"
+        checks.extend(check_tate_shioda(rho, rank, rank_source, inv.m, ord_l))
 
-    br, sha, order_check = predict_orders(
-        p2_star, l_star, ns_disc, inv, c_j, rank, metadata, q
-    )
-    checks.append(order_check)
-    checks.append(check_good_place_sanity(model, fibers))
+        c_j = tamagawa_product(fibers)
+        local_checks, agg_value, agg_power = check_flach_siebel(fibers)
+        checks.extend(local_checks)
+        checks.append(check_flach_siebel_aggregate(c_j, q2_star, agg_value, agg_power))
+
+        ns, ns_reason = build_ns(inv, fibers, metadata)
+        ns_check, ns_disc = check_ns_discriminant(ns, ns_reason, agg_value, agg_power)
+        checks.append(ns_check)
+        checks.append(check_lie_euler(inv))
+
+        br, sha, order_check = predict_orders(
+            p2_star, l_star, ns_disc, inv, c_j, rank, metadata, q
+        )
+        checks.append(order_check)
+        checks.append(check_good_place_sanity(model, fibers))
 
     return Report(
         q=q,

@@ -328,9 +328,9 @@ def test_criterion_9_mutation_sensitivity(catalog_runs):
 def test_criterion_10_determinism(capsys):
     outputs = []
     for args in (
-        ["verify", "--catalog", "legendre_f5", "--json"],
-        ["verify", "--catalog", "legendre_f5", "--json"],
-        ["verify", "--catalog", "legendre_f5", "--json", "--threads", "4"],
+        ["report", "--catalog", "legendre_f5"],
+        ["report", "--catalog", "legendre_f5"],
+        ["report", "--catalog", "legendre_f5", "--threads", "4"],
     ):
         assert main(args) == 0
         outputs.append(capsys.readouterr().out)

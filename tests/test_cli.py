@@ -28,7 +28,7 @@ def test_parse_catalog_roundtrip():
     cfg = parse_config(CATALOG["x3_plus_t_f5"].config_text)
     assert cfg.p == 5
     assert cfg.a["a6"] == [0, 1]
-    assert cfg.mw_rank == 0 and cfg.mw_torsion_order == 1
+    assert cfg.metadata.mw_rank == 0 and cfg.metadata.mw_torsion_order == 1
     model, metadata, limits = build_model(cfg)
     assert model.field.q == 5
 
@@ -216,9 +216,13 @@ def test_extension_base_field_surface_verifies(tmp_path, capsys):
 
 
 def test_cli_unsupported_model_exit_3(tmp_path, capsys):
-    iso = tmp_path / "iso.cfg"
-    iso.write_text("[field]\np = 5\n[model]\na4 = 1\na6 = 1\n")
-    assert main(["analyze", "--config", str(iso)]) == 3
+    """An isotrivial model, and a characteristic below 5, exit 3 with one line."""
+    for p, a6 in ((5, "1"), (3, "0, 1")):
+        cfg = tmp_path / f"unsupported{p}.cfg"
+        cfg.write_text(f"[field]\np = {p}\n[model]\na4 = 1\na6 = {a6}\n")
+        assert main(["analyze", "--config", str(cfg)]) == 3, p
+        err = capsys.readouterr().err
+        assert err.startswith("unsupported model: ") and err.count("\n") == 1, err
 
 
 def test_cli_analyze_prints_table(capsys):
@@ -246,18 +250,18 @@ def test_report_json_byte_identical(capsys):
 
 
 def test_report_threads_flag_same_content(capsys):
-    assert main(["verify", "--catalog", "legendre_f5", "--json"]) == 0
+    assert main(["report", "--catalog", "legendre_f5"]) == 0
     plain = json.loads(capsys.readouterr().out)
-    assert main(["verify", "--catalog", "legendre_f5", "--json", "--threads", "3"]) == 0
+    assert main(["report", "--catalog", "legendre_f5", "--threads", "3"]) == 0
     threaded = json.loads(capsys.readouterr().out)
     plain["flags"]["threads"] = threaded["flags"]["threads"]
     assert json.dumps(plain) == json.dumps(threaded)
 
 
 def test_report_seed_changes_only_flag_echo(capsys):
-    assert main(["verify", "--catalog", "x3_plus_t_f5", "--json", "--seed", "7"]) == 0
+    assert main(["report", "--catalog", "x3_plus_t_f5", "--seed", "7"]) == 0
     a = json.loads(capsys.readouterr().out)
-    assert main(["verify", "--catalog", "x3_plus_t_f5", "--json", "--seed", "8"]) == 0
+    assert main(["report", "--catalog", "x3_plus_t_f5", "--seed", "8"]) == 0
     b = json.loads(capsys.readouterr().out)
     a["flags"]["seed"] = b["flags"]["seed"]
     for rep in (a, b):  # the seeded check echoes the seed in its details
@@ -359,7 +363,14 @@ def test_vector_coefficient_not_in_the_field_exits_2(tmp_path, capsys, field_lin
 
 
 def test_bad_command_line_is_a_one_line_configuration_error(capsys):
-    for argv in (["verify", "--bogus"], ["verify", "--nmax", "x"], ["frobnicate"], []):
+    bad = (
+        ["verify", "--bogus"],
+        ["verify", "--nmax", "x"],
+        ["verify", "--catalog", "x3_plus_t_f5", "--json"],  # `report` prints the JSON
+        ["frobnicate"],
+        [],
+    )
+    for argv in bad:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
