@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Compare `ellsurf report` between two source trees, byte for byte.
+"""Compare `ellsurf` output between two source trees, byte for byte.
 
     python3 scripts/compare_reports.py BASE/src HEAD/src [--random 160] [--seed 1]
 
-Runs every config of `bench/pool.json`, the built-in catalog, a seeded
-draw of random long-form models (a1, a2, a3 nonzero) over GF(5), GF(7),
-GF(11) and GF(25), one model with a degree-72 discriminant over GF(11)
+Runs `ellsurf report` on every config of `bench/pool.json`, the built-in
+catalog, a seeded draw of random long-form models (a1, a2, a3 nonzero)
+over GF(5), GF(7), GF(11) and GF(25) at `n_max = 2`, a second draw of 80
+such models (seed 3) at the default limits, where some end in a FAILed
+check and exit 4, one model with a degree-72 discriminant over GF(11)
 (high-degree factoring and Tate, exit 3), and a few pool models made
-non-minimal as (u^4 a4, u^6 a6) for u irreducible of degree 2 and 4,
-through `ellsurf report` in one process per tree (one tree after the
-other, so their total seconds compare), and compares stdout, stderr and
-the exit status of each.  Prints one line per difference and a summary
-with each tree's total seconds; exits 1 if anything differs.
+non-minimal as (u^4 a4, u^6 a6) for u irreducible of degree 2 and 4.  It
+also runs `ellsurf verify` and `ellsurf analyze` on the catalog, and one
+catalog report with `verify.compute_l` made to raise NonPolynomialTail,
+so that the pipeline-FAIL report is compared too.  Every job runs in one
+process per tree (one tree after the other, so their total seconds
+compare), and stdout, stderr and the exit status of each are compared.
+Prints one line per difference and a summary with each tree's total
+seconds; exits 1 if anything differs.
 """
 
 import argparse
@@ -62,9 +67,10 @@ def _poly(rng, p, ext, degree, nonzero):
             return ", ".join(cs)
 
 
-def random_configs(count: int, seed: int) -> list:
+def random_configs(count: int, seed: int, n_max: bool = True) -> list:
     """Long-form models: a1, a2, a3 nonzero of degree <= their weight,
-    a4 and a6 of degree <= their weight times k for k in {1, 2}."""
+    a4 and a6 of degree <= their weight times k for k in {1, 2}; at
+    `n_max = 2`, or at the default limits without ``n_max``."""
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -78,8 +84,9 @@ def random_configs(count: int, seed: int) -> list:
         for name, w, nonzero in (("a1", 1, True), ("a2", 2, True), ("a3", 3, True),
                                  ("a4", 4 * k, False), ("a6", 6 * k, False)):
             lines.append(f"{name} = {_poly(rng, p, ext, rng.randrange(w + 1), nonzero)}")
-        lines += ["[limits]", "n_max = 2", ""]
-        out.append((f"random-{i:03d}-gf{p}{'^2' if ext else ''}", "\n".join(lines)))
+        lines += ["[limits]", "n_max = 2", ""] if n_max else [""]
+        tag = "random" if n_max else "random-default"
+        out.append((f"{tag}-{i:03d}-gf{p}{'^2' if ext else ''}", "\n".join(lines)))
     return out
 
 
@@ -147,15 +154,26 @@ def _alarm(signum, frame):
     raise TimeoutError
 
 
+def _non_polynomial_tail(*args, **kwargs):
+    from ellsurf.errors import NonPolynomialTail
+
+    raise NonPolynomialTail("forced by compare_reports")
+
+
 def worker(jobs_path: str, out_path: str) -> None:
-    """Run each job's `ellsurf report` in this process and record its output."""
+    """Run each job's `ellsurf` command in this process and record its
+    output; a job that names a `verify` function runs with it raising."""
+    from ellsurf import verify
     from ellsurf.cli import main
 
     signal.signal(signal.SIGALRM, _alarm)
     results = {}
     start = time.perf_counter()
-    for name, argv in json.loads(Path(jobs_path).read_text()):
+    for name, argv, fails in json.loads(Path(jobs_path).read_text()):
         out, err = io.StringIO(), io.StringIO()
+        if fails:
+            original = getattr(verify, fails)
+            setattr(verify, fails, _non_polynomial_tail)
         signal.alarm(TIMEOUT_S)
         try:
             with redirect_stdout(out), redirect_stderr(err):
@@ -166,6 +184,8 @@ def worker(jobs_path: str, out_path: str) -> None:
             status = f"raised {type(exc).__name__}: {exc}"
         finally:
             signal.alarm(0)
+            if fails:
+                setattr(verify, fails, original)
         results[name] = [status, out.getvalue(), err.getvalue()]
     seconds = time.perf_counter() - start
     Path(out_path).write_text(json.dumps({"seconds": seconds, "results": results}))
@@ -179,13 +199,17 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        jobs = [(f"catalog-{name}", ["report", "--catalog", name])
-                for name in ("legendre_f5", "x3_plus_t_f5", "x3_plus_t_f7", "generic_i1_f5")]
-        configs = pool_configs() + random_configs(args.random, args.seed) + [DEGREE_72]
+        catalog = ("legendre_f5", "x3_plus_t_f5", "x3_plus_t_f7", "generic_i1_f5")
+        jobs = [(f"{command}-{name}", [command, "--catalog", name], None)
+                for command in ("report", "verify", "analyze") for name in catalog]
+        jobs.append(("report-legendre_f5-compute_l-raises",
+                     ["report", "--catalog", "legendre_f5"], "compute_l"))
+        configs = (pool_configs() + random_configs(args.random, args.seed)
+                   + random_configs(80, 3, n_max=False) + [DEGREE_72])
         for name, text in configs + twisted_configs():
             path = Path(tmp) / f"{name}.cfg"
             path.write_text(text)
-            jobs.append((name, ["report", "--config", str(path)]))
+            jobs.append((name, ["report", "--config", str(path)], None))
         jobs_path = Path(tmp) / "jobs.json"
         jobs_path.write_text(json.dumps(jobs))
         runs = []
@@ -199,11 +223,11 @@ def main() -> int:
             runs.append(json.loads(out_path.read_text()))
         base_run, head_run = runs
     base, head = base_run["results"], head_run["results"]
-    differ = [name for name, _ in jobs if base[name] != head[name]]
+    differ = [name for name, _, _ in jobs if base[name] != head[name]]
     for name in differ:
         print(f"DIFFERS {name}: exit {base[name][0]} -> {head[name][0]}")
     statuses = {}
-    for name, _ in jobs:
+    for name, _, _ in jobs:
         statuses[str(base[name][0])] = statuses.get(str(base[name][0]), 0) + 1
     print(f"{len(jobs)} reports, {len(differ)} differ; base exit statuses {statuses}; "
           f"base {base_run['seconds']:.1f} s, head {head_run['seconds']:.1f} s")

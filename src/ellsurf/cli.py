@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -59,7 +58,8 @@ _SECTIONS = {
     "limits": {"n_max", "place_degree_cap", "surplus_margin", "point_budget"},
 }
 
-# least allowed value of each integer in [metadata] and [limits]
+# least allowed value of each integer in [metadata] and [limits], and of
+# the --threads and --seed flags
 _MINIMUM = {
     "mw_rank": 0,
     "mw_torsion_order": 1,
@@ -67,6 +67,8 @@ _MINIMUM = {
     "place_degree_cap": 1,
     "surplus_margin": 0,
     "point_budget": 1,
+    "threads": 0,
+    "seed": 0,
 }
 
 
@@ -283,6 +285,9 @@ def report_json(report: Report, cfg: Config) -> str:
 
 
 def report_digest(json_text: str) -> str:
+    # imported here: hashlib loads libcrypto, which no report needs
+    import hashlib
+
     return hashlib.sha256(json_text.encode()).hexdigest()
 
 
@@ -310,13 +315,13 @@ def _apply_flags(cfg: Config, args) -> None:
         (cfg.limits, "n_max", "nmax"),
         (cfg.limits, "place_degree_cap", "place_cap"),
         (cfg.metadata, "mw_rank", "assume_rank"),
+        (cfg.limits, "threads", "threads"),
+        (cfg.limits, "seed", "seed"),
     )
     for target, key, flag in flags:
         value = getattr(args, flag)
         if value is not None:
             setattr(target, key, _at_least_minimum(key, value, None))
-    cfg.limits.threads = args.threads
-    cfg.limits.seed = args.seed
 
 
 def _fiber_table(report: Report) -> str:

@@ -16,13 +16,16 @@ the oracle's fields are its own.
 One character-sum kernel serves every base field GF(p^k) and feeds both
 routes: S(t) = sum_x chi(x^3 + A(t) x + B(t)) for the short model
 minimalized at the finite places, read at one representative of each
-Frobenius orbit of GF(q^n) on numpy-coded field tables.  The sums come
-from an exact transform: S(A, B) = S(u^-4 A, u^-6 B) puts A(t) in one of
-at most gcd(4, q^n - 1) scaling classes (A = 0 its own), and for each
-class the table of S over every B is a convolution over the additive
-group (Z/p)^(kn), computed by a p-point number-theoretic transform along
-each base-p digit axis modulo a prime r > 2 q^n + 1 (Pollard, "The fast
-Fourier transform in a finite field", 1971) and lifted to (-r/2, r/2].
+Frobenius orbit of GF(q^n) on numpy-coded field tables; a level's orbits
+depend only on (p, kn, q) and are built once per process.  The sums come
+from the substitution x -> l x (Ireland and Rosen, GTM 84, ch. 8):
+S(A, B) = chi(l) S(l^-2 A, l^-3 B).  It moves every nonzero A(t) to 1 or
+to the generator, and for each of these two the table of S over every B is
+a convolution over the additive group (Z/p)^(kn), computed by a p-point
+number-theoretic transform along each base-p digit axis modulo a prime
+r > 2 q^n + 1 (Pollard, "The fast Fourier transform in a finite field",
+1971) and lifted to (-r/2, r/2].  A = 0 takes no transform: it moves B to
+one of its at most three cube classes, whose sums are O(q^n) work.
 Only A and B are evaluated at the representatives: the fiber over t is
 good when 4 A^3 + 27 B^2 != 0 there, since Delta = -16 (4 A^3 + 27 B^2)
 and -16 is a unit for p >= 5.  A good fiber over t has q^n + 1 + S(t)
@@ -53,7 +56,6 @@ once per distinct (d, L_v), raised to its count.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 
@@ -93,7 +95,7 @@ DEFAULT_SURPLUS = 2
 # coded arithmetic tables for GF(p^n), prime p
 
 # candidate moduli tested per numpy step of ``_primitive_modulus``
-_SEARCH_BATCH = 32
+_SEARCH_BATCH = 4
 
 
 def _companion(coeffs, p: int):
@@ -166,8 +168,10 @@ class _CodedField:
     coefficients below x^n are ``modulus``).  x generates the unit group:
     exp[i] is the code of x^i and log inverts it.  The tables are numpy
     log/exp tables for multiplication, digit-wise addition, a
-    quadratic-character table and the character-sum tables of the scaling
-    classes met so far.  Nothing here uses ``ffield``'s field arithmetic,
+    quadratic-character table (chi(x^i) = (-1)^i), and the character sums
+    of ``_transform_sums``, each built on first use: at most two transform
+    tables, for A = 1 and A = x, and the three sums S(0, x^j) when 3
+    divides p^n - 1.  Nothing here uses ``ffield``'s field arithmetic,
     and before any table is read, exp must start at 1 and hit all p^n - 1
     nonzero codes, else ``InternalInconsistency``."""
 
@@ -207,11 +211,13 @@ class _CodedField:
         exp_ext[order : 2 * order] = exp
         self.exp, self.log, self.exp_ext = exp, log, exp_ext
         chi = np.zeros(self.N, dtype=np.int8)
-        nz = np.arange(1, self.N)
-        chi[nz] = np.where(log[nz] % 2 == 0, 1, -1)
+        chi[exp[0::2]] = 1
+        chi[exp[1::2]] = -1
         self.chi = chi
-        # scaling class -> character-sum table (``_build_sum_tables``)
+        # j -> S(gen^j, .) for j in {0, 1} (``_build_sum_tables``), and
+        # S(0, gen^j) for j < 3 when 3 divides N - 1 (``_transform_sums``)
         self.sum_tables: dict = {}
+        self.cube_sums = None
 
     def mul(self, a, b):
         """Elementwise product of broadcastable code arrays."""
@@ -301,21 +307,20 @@ def _digit_transform(a, p: int, n: int, powers, r: int):
 
 
 def _build_sum_tables(cf: _CodedField, classes) -> None:
-    """cf.sum_tables[j] = S(a0, b) = sum_x chi(x^3 + a0 x + b) for every
-    code b, for each scaling class j in ``classes`` (a0 = gen^j for
-    j < gcd(4, N - 1), a0 = 0 for the last class).  S(a0, .) is the
-    convolution over the additive group of the histogram of -(x^3 + a0 x)
-    with chi, by the digit-axis transform modulo the prime r > 2N + 1,
-    lifted to (-r/2, r/2]."""
+    """cf.sum_tables[j] = S(gen^j, b) = sum_x chi(x^3 + gen^j x + b) for
+    every code b, for each j in ``classes``, a subset of {0, 1}.  S(a0, .)
+    is the convolution over the additive group of the histogram of
+    -(x^3 + a0 x) with chi, by the digit-axis transform modulo the prime
+    r > 2N + 1, lifted to (-r/2, r/2].  chi's transform is computed here,
+    so only when a table is built."""
     p, n = cf.p, cf.n
     r, powers = _transform_prime(p, n)
     inverse = powers[-np.arange(p) % p]
     unscale = pow(cf.N, -1, r)
     chi_hat = _digit_transform(cf.chi.astype(np.int64) % r, p, n, powers, r)
-    g = math.gcd(4, cf.N - 1)
     x = np.arange(cf.N, dtype=np.int64)
     for j in classes:
-        a0 = cf.exp[j] if j < g else 0
+        a0 = cf.exp[j]
         # -(x^3 + a0 x) = (-1) x (x^2 + a0)
         hist = np.bincount(cf.mul(cf.mul(cf.add(cf.mul(x, x), a0), x), p - 1), minlength=cf.N)
         spec = _digit_transform(hist, p, n, powers, r) * chi_hat % r
@@ -328,26 +333,37 @@ def _transform_sums(cf: _CodedField, A, B):
     """S = sum over x in the field of chi(x^3 + A x + B), one sum per entry
     of the code arrays A and B, exact.
 
-    Under x -> u^2 x, S(A, B) = S(u^-4 A, u^-6 B), so a nonzero A moves to
-    one of the g = gcd(4, N - 1) representatives gen^j, j = log A mod g,
-    and A = 0 is a class of its own.  Each S is a lookup at u^-6 B in the
-    field's table of its class, built on first use."""
+    Under x -> lambda x, S(A, B) = chi(lambda) S(lambda^-2 A, lambda^-3 B),
+    since chi(lambda^3) = chi(lambda).  A nonzero A = gen^a moves to gen^j,
+    j = a mod 2, by lambda = gen^(a // 2): a lookup in one of the field's
+    two transform tables (``_build_sum_tables``, on first use).  For A = 0,
+    lambda = gen^(b // 3) moves B = gen^b to gen^(b mod 3) when 3 divides
+    N - 1, where S(0, c) = chi(c) + 3 sum_y chi(y + c) over the nonzero
+    cubes y, O(N) once per field; otherwise cubing permutes the field and
+    every S(0, B) is 0, as is S(0, 0)."""
     L = cf.N - 1
-    g = math.gcd(4, L)
-    a = cf.log[A]
+    out = np.zeros(len(A), dtype=np.int64)
     nonzero = A != 0
-    cls = np.where(nonzero, a % g, g)
-    # u = gen^l with 4 l = a - j (mod N - 1)
-    ell = (a - a % g) // g * pow(4 // g, -1, L // g) % (L // g)
-    B = np.where(nonzero, cf.mul(B, cf.exp[-6 * ell % L]), B)
-    picks = [(j, cls == j) for j in range(g + 1)]
-    picks = [(j, pick) for j, pick in picks if pick.any()]
-    missing = [j for j, _ in picks if j not in cf.sum_tables]
+    a = cf.log[A[nonzero]]
+    j, m = a % 2, a // 2
+    missing = [c for c in (0, 1) if c not in cf.sum_tables and (j == c).any()]
     if missing:
         _build_sum_tables(cf, missing)
-    out = np.zeros(len(A), dtype=np.int64)
-    for j, pick in picks:
-        out[pick] = cf.sum_tables[j][B[pick]]
+    B_scaled = cf.mul(B[nonzero], cf.exp[-3 * m % L])
+    S = np.zeros(len(a), dtype=np.int64)
+    for c, table in cf.sum_tables.items():
+        pick = j == c
+        S[pick] = table[B_scaled[pick]]
+    out[nonzero] = np.where(m % 2, -S, S)
+    zero = ~nonzero & (B != 0)
+    if L % 3 == 0 and zero.any():
+        if cf.cube_sums is None:
+            cubes = cf.exp[::3]
+            cf.cube_sums = np.array(
+                [int(cf.chi[c] + 3 * cf.chi[cf.add(cubes, c)].sum()) for c in cf.exp[:3]]
+            )
+        b = cf.log[B[zero]]
+        out[zero] = np.where(b // 3 % 2, -1, 1) * cf.cube_sums[b % 3]
     return out
 
 
@@ -405,18 +421,24 @@ class _CharSums:
     def level(self, n: int) -> _Level:
         if n not in self.levels:
             cf = coded_field(self.p, self.k * n)
-            L = cf.N - 1
             emb = self._embedding(cf)
-            logs = np.arange(L, dtype=np.int64)
-            least = logs.copy()
-            lengths = np.full(L, n, dtype=np.int64)
-            for i in range(n - 1, 0, -1):
-                image = logs * pow(self.q, i, L) % L
-                np.minimum(least, image, out=least)
-                lengths[image == logs] = i
-            rep = least == logs
-            t = np.concatenate(([0], cf.exp[rep]))
-            lengths = np.concatenate(([1], lengths[rep]))
+            key = (self.p, self.k * n, self.q)
+            if key not in _ORBITS:
+                L = cf.N - 1
+                logs = np.arange(L, dtype=np.int64)
+                least = logs.copy()
+                lengths = np.full(L, n, dtype=np.int64)
+                for i in range(n - 1, 0, -1):
+                    image = logs * pow(self.q, i, L) % L
+                    np.minimum(least, image, out=least)
+                    lengths[image == logs] = i
+                rep = least == logs
+                t = np.concatenate(([0], cf.exp[rep]))
+                lengths = np.concatenate(([1], lengths[rep]))
+                for arr in (t, lengths):
+                    arr.setflags(write=False)
+                _ORBITS[key] = t, lengths
+            t, lengths = _ORBITS[key]
             A, B = (cf.eval_poly(emb[c], t) for c in self.coeffs)
             # Delta = -16 (4 A^3 + 27 B^2) and -16 is a unit for p >= 5
             mul, p = cf.mul, self.p
@@ -443,6 +465,7 @@ def _char_sums(model: WeierstrassModel) -> _CharSums:
     return cs
 
 
+_ORBITS: dict = {}  # (p, kn, q) -> (orbit representatives, lengths), read-only
 _PLACE_KEYS: dict = {}  # (field key, d) -> {orbit representative code: key}
 
 

@@ -102,8 +102,11 @@ def test_cli_bad_config_value_exit_2(tmp_path, capsys, text):
 
 
 def test_cli_bad_flag_value_exit_2(capsys):
-    assert main(["report", "--catalog", "x3_plus_t_f5", "--nmax", "-3"]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
+    for argv in (["--catalog", "x3_plus_t_f5", "--nmax", "-3"],
+                 ["--catalog", "legendre_f5", "--threads", "-3"]):
+        assert main(["report", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
 
 
 def test_non_minimal_model_matches_its_minimal_twin(tmp_path, capsys):
@@ -195,6 +198,21 @@ def test_non_primitive_modulus_exits_4_with_one_line():
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in run.stderr
     assert "InternalInconsistency" in lines[0] and "GF(5^2)" in lines[0]
+
+
+def test_cli_import_loads_no_hashlib():
+    """``import ellsurf.cli`` loads neither hashlib nor _hashlib (and with
+    it libcrypto): only ``report_digest`` imports it, and no report needs
+    a digest."""
+    script = (
+        "import sys\n"
+        "import ellsurf.cli\n"
+        "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+    )
+    run = _run_python("-c", script)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
 
 def test_verify_same_under_python_O():
     """No runtime check of the pipeline is an assert: -O changes nothing."""

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsurf import ffield, oracle, zeta
+from ellsurf.cli import main
 from ellsurf.errors import (
     ClosedFormMismatch,
     InconsistentCounts,
@@ -308,15 +309,34 @@ def random_codes(cf, size, seed):
 
 @pytest.mark.parametrize(
     "p, n",
-    # gcd(4, N - 1) = 4: 5, 25, 625, 121; = 2: 7, 343.  GF(25) and GF(625)
-    # are levels 1 and 2 over the base GF(25); 101 and 131 are single-digit
-    # levels, 131 with the transform matrix split into blocks
-    [(5, 1), (5, 2), (5, 4), (7, 1), (7, 3), (11, 2), (101, 1), (131, 1)],
+    # gcd(4, N - 1) = 4 and 3 | N - 1: 25, 625, 49, 121, 13; 4 and 3 does
+    # not divide N - 1: 5, 125, 101; 2 and 3 | N - 1: 7, 343; 2 and 3 does
+    # not: 131.  GF(25) and GF(625) are levels 1 and 2 over the base GF(25);
+    # 101 and 131 are single-digit levels, 131 with the transform matrix
+    # split into blocks
+    [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (11, 2), (13, 1),
+     (101, 1), (131, 1)],
 )
 def test_transform_matches_direct_kernel(p, n):
     cf = zeta._CodedField(p, n)  # fresh: no tables from other tests
     A, B = random_codes(cf, min(400, 4 * cf.N), seed=p * 10 + n)
     assert np.array_equal(zeta._transform_sums(cf, A, B), _fiber_sums(cf, A, B))
+
+
+def test_reports_build_at_most_two_transform_tables_per_field(monkeypatch, capsys):
+    """S(A, B) = chi(l) S(l^-2 A, l^-3 B) leaves two tables for A != 0,
+    a0 in {1, gen}, and none for A = 0: the report of y^2 = x^3 + t over
+    GF(7) (A = 0 at every t) builds no transform table at any level, and
+    that of generic_i1_f5 at most two on each GF(5^n).  The cached orbit
+    arrays the levels share are read-only."""
+    for name, most in (("x3_plus_t_f7", 0), ("generic_i1_f5", 2)):
+        monkeypatch.setattr(zeta, "_CODED_CACHE", {})
+        assert main(["report", "--catalog", name]) == 0
+        capsys.readouterr()
+        assert zeta._CODED_CACHE
+        for cf in zeta._CODED_CACHE.values():
+            assert set(cf.sum_tables) <= {0, 1} and len(cf.sum_tables) <= most, (name, cf.N)
+    assert not any(a.flags.writeable for orbits in zeta._ORBITS.values() for a in orbits)
 
 
 def test_transform_in_small_blocks_matches_direct_kernel(monkeypatch):
