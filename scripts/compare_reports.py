@@ -8,11 +8,13 @@ catalog, a seeded draw of random long-form models (a1, a2, a3 nonzero)
 over GF(5), GF(7), GF(11) and GF(25) at `n_max = 2`, a second draw of 80
 such models (seed 3) at the default limits, where some end in a FAILed
 check and exit 4, one model with a degree-72 discriminant over GF(11)
-(high-degree factoring and Tate, exit 3), and a few pool models made
-non-minimal as (u^4 a4, u^6 a6) for u irreducible of degree 2 and 4.  It
-also runs `ellsurf verify` and `ellsurf analyze` on the catalog, and one
-catalog report with `verify.compute_l` made to raise NonPolynomialTail,
-so that the pipeline-FAIL report is compared too.  Every job runs in one
+(high-degree factoring and Tate, exit 3), five models with a place where
+p divides v(Delta) (the p-th root step of the squarefree decomposition),
+and a few pool models made non-minimal as (u^4 a4, u^6 a6) for u
+irreducible of degree 2 and 4.  It also runs `ellsurf verify` and
+`ellsurf analyze` on the catalog, and one catalog report with
+`verify.compute_l` made to raise NonPolynomialTail, so that the
+pipeline-FAIL report is compared too.  Every job runs in one
 process per tree (one tree after the other, so their total seconds
 compare), and stdout, stderr and the exit status of each are compared.
 Prints one line per difference and a summary with each tree's total
@@ -46,6 +48,20 @@ DEGREE_72 = ("degree72-gf11", "\n".join([
     "a6 = -5, -2, 14, -27", "",
 ]))
 
+# Delta with a finite place where p divides v(Delta) (10, 5, 10, 7 and 5), so
+# that its squarefree decomposition takes the p-th root step
+P_DIVIDES_V_DELTA = [
+    (f"p-divides-v-delta-{i}-gf{p}{'^2' if modulus else ''}", "\n".join(
+        ["[field]", f"p = {p}"] + ([f"modulus = {modulus}"] if modulus else [])
+        + ["[model]", f"a4 = {a4}", f"a6 = {a6}", ""]))
+    for i, (p, modulus, a4, a6) in enumerate([
+        (5, None, "0", "0, 0, 0, 0, 0, 1, 1"),
+        (5, None, "2", "2, 0, 0, 0, 0, 1"),
+        (5, None, "2", "2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1"),
+        (7, None, "-3", "2, 0, 0, 0, 0, 0, 0, 1"),
+        (5, "2, 0, 1", "2", "2, 0, 0, 0, 0, (0 1)"),
+    ])
+]
 
 # pool models twisted by u of each degree in TWIST_DEGREES
 TWISTED = ("s5-00", "s7-00", "s11-00", "d-fe-00")
@@ -205,7 +221,7 @@ def main() -> int:
         jobs.append(("report-legendre_f5-compute_l-raises",
                      ["report", "--catalog", "legendre_f5"], "compute_l"))
         configs = (pool_configs() + random_configs(args.random, args.seed)
-                   + random_configs(80, 3, n_max=False) + [DEGREE_72])
+                   + random_configs(80, 3, n_max=False) + [DEGREE_72] + P_DIVIDES_V_DELTA)
         for name, text in configs + twisted_configs():
             path = Path(tmp) / f"{name}.cfg"
             path.write_text(text)

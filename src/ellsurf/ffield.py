@@ -5,9 +5,10 @@ Fields are represented as context objects: ``PrimeField(p)`` for GF(p) and
 context has one arithmetic, on raw values: ints in [0, p) over GF(p), and
 for an extension tuples of its base's raw values (nested tuples over an
 extension base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_inv``,
-``raw_pow``, ``raw_values``, ``raw_key`` and ``is_square``; ``zero`` and
-``one`` are raw values too.  ``raw_key`` flattens a raw value to its base-p
-digits, on which addition is digit-wise mod p.  ``Poly`` holds raw
+``raw_pow``, ``raw_values``, ``raw_key``, ``is_square``, ``poly_mul`` and
+``poly_divmod`` (on coefficient lists, plain ints over GF(p)); ``zero``
+and ``one`` are raw values too.  ``raw_key`` flattens a raw value to its
+base-p digits, on which addition is digit-wise mod p.  ``Poly`` holds raw
 coefficients.  Everything is exact and immutable; contexts can be shared
 freely.  A context's ``key``, (p,) or (base key, modulus), is its value;
 per-process caches of field-only data are keyed by it.
@@ -42,9 +43,21 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
-def _is_square(field, a) -> bool:
-    """Whether the raw value a is a square, by Euler's criterion (q odd)."""
-    return a == field.zero or field.raw_pow(a, (field.q - 1) // 2) == field.one
+def _pack(cs, bits: int) -> int:
+    """The int with base-2^bits digits cs (non-negative, below 2^bits)."""
+    x = 0
+    for c in reversed(cs):
+        x = x << bits | c
+    return x
+
+
+def _unpack(x: int, bits: int, n: int, p: int) -> list:
+    """The low n base-2^bits digits of x, each reduced mod p."""
+    mask, out = (1 << bits) - 1, []
+    for _ in range(n):
+        out.append((x & mask) % p)
+        x >>= bits
+    return out
 
 
 class PrimeField:
@@ -92,7 +105,28 @@ class PrimeField:
     def raw_key(self, a: int) -> tuple:
         return (a,)
 
-    is_square = _is_square
+    def is_square(self, a: int) -> bool:  # Euler's criterion
+        return a == 0 or pow(a, (self.p - 1) // 2, self.p) == 1
+
+    def poly_mul(self, a, b) -> list:
+        """Product of nonzero trimmed raw lists by Kronecker substitution: the
+        lists packed in ints, slots wide enough for a product coefficient."""
+        bits = (min(len(a), len(b)) * (self.p - 1) ** 2).bit_length()
+        return _unpack(_pack(a, bits) * _pack(b, bits), bits, len(a) + len(b) - 1, self.p)
+
+    def poly_divmod(self, a, b) -> tuple[list, list]:
+        """(quotient, remainder) of trimmed raw lists, b nonzero: the rows
+        add as plain ints, reduced at each quotient digit and once at the end."""
+        p, db = self.p, len(b) - 1
+        inv, low = pow(b[-1], p - 2, p), b[:-1]
+        rem, quot = list(a), [0] * max(0, len(a) - db)
+        for k in range(len(a) - 1, db - 1, -1):
+            c = rem[k] * inv % p
+            if c:
+                quot[k - db] = c
+                for j, y in enumerate(low, k - db):
+                    rem[j] -= c * y
+        return quot, _trimmed([c % p for c in rem[:db]], 0)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -190,7 +224,43 @@ class ExtensionField:
         raw_key = self.base.raw_key
         return tuple(k for c in a for k in raw_key(c))
 
-    is_square = _is_square
+    def raw_norm(self, a: tuple):
+        """N(a) = Res(modulus, a) by Euclid: Res(f, g) = (-1)^(deg f deg g)
+        lc(g)^(deg f - deg r) Res(g, r) for r = f mod g, Res(f, c) = c^deg f."""
+        base, acc = self.base, self.base.one
+        f, g = self.modulus, _trimmed(list(a), self._bzero)
+        while len(g) > 1:
+            r = base.poly_divmod(f, g)[1]
+            acc = base.raw_mul(acc, base.raw_pow(g[-1], len(f) - len(r)))
+            acc = base.raw_neg(acc) if (len(f) - 1) * (len(g) - 1) % 2 else acc
+            f, g = g, r
+        return base.raw_mul(acc, base.raw_pow(g[0], len(f) - 1)) if g else self._bzero
+
+    def is_square(self, a: tuple) -> bool:
+        """N maps a generator to a generator: a is a square iff N(a) is."""
+        return a == self.zero or self.base.is_square(self.raw_norm(a))
+
+    def poly_mul(self, a, b) -> list:
+        """Product of nonzero trimmed raw lists."""
+        add, mul, zero = self.raw_add, self.raw_mul, self.zero
+        nb = len(b)
+        out = [zero] * (len(a) + nb - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                out[i : i + nb] = map(add, out[i : i + nb], [mul(x, y) for y in b])
+        return out
+
+    def poly_divmod(self, a, b) -> tuple[list, list]:
+        """(quotient, remainder) of trimmed raw lists, b nonzero."""
+        add, mul, zero = self.raw_add, self.raw_mul, self.zero
+        db, inv = len(b) - 1, self.raw_inv(b[-1])
+        minus = [self.raw_neg(y) for y in b[:-1]]
+        rem, quot = list(a), [zero] * max(0, len(a) - db)
+        for k in range(len(a) - 1, db - 1, -1):
+            if rem[k] != zero:
+                c = quot[k - db] = mul(rem[k], inv)
+                rem[k - db : k] = map(add, rem[k - db : k], [mul(c, y) for y in minus])
+        return quot, _trimmed(rem[:db], zero)
 
     def __repr__(self):
         return f"ExtensionField({self.base!r}, deg {self.degree})"
@@ -278,16 +348,7 @@ class Poly:
         other = self._coerce(other)
         if self.is_zero() or other.is_zero():
             return Poly._of_raw(self.field, ())
-        f = self.field
-        add, mul, zero = f.raw_add, f.raw_mul, f.zero
-        b = other.coeffs
-        nb = len(b)
-        out = [zero] * (len(self.coeffs) + nb - 1)
-        for i, a in enumerate(self.coeffs):
-            if a != zero:
-                out[i : i + nb] = map(add, out[i : i + nb], [mul(a, c) for c in b])
-        # over a field the product of the leading coefficients is nonzero
-        return Poly._of_raw(f, out)
+        return Poly._of_raw(self.field, self.field.poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -309,22 +370,8 @@ class Poly:
     def divmod(self, other):
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        f = self.field
-        add, mul, zero = f.raw_add, f.raw_mul, f.zero
-        rem = list(self.coeffs)
-        db = other.degree
-        lead_inv = f.raw_inv(other.coeffs[-1])
-        minus = [f.raw_neg(b) for b in other.coeffs]
-        quot = [zero] * max(0, len(rem) - db)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if c == zero:
-                continue
-            factor = mul(c, lead_inv)
-            quot[k - db] = factor
-            rem[k - db : k + 1] = map(add, rem[k - db : k + 1], [mul(factor, b) for b in minus])
-        # the top quotient coefficient is the nonzero lead of self over that of other
-        return Poly._of_raw(f, quot), Poly._of_raw(f, _trimmed(rem, zero))
+        quot, rem = self.field.poly_divmod(self.coeffs, other.coeffs)
+        return Poly._of_raw(self.field, quot), Poly._of_raw(self.field, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -347,20 +394,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = add(mul(acc, x), c)
         return acc
-
-    def valuation(self, pi: "Poly") -> int:
-        """Multiplicity of the irreducible pi in self; zero poly -> None."""
-        if self.is_zero():
-            return None
-        v = 0
-        cur = self
-        while True:
-            q, r = cur.divmod(pi)
-            if r.is_zero():
-                v += 1
-                cur = q
-            else:
-                return v
 
     def reverse(self, n: int) -> "Poly":
         """t^n * self(1/t); requires n >= degree."""
@@ -388,21 +421,24 @@ def _trimmed(cs: list, zero) -> list:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """The monic gcd (0 for two zeros), by Euclid on raw coefficients."""
+    field, x, y = a.field, a.coeffs, b.coeffs
+    while y:
+        x, y = y, field.poly_divmod(x, y)[1]
+    return Poly._of_raw(field, x).monic()
 
 
 def poly_pow_mod(base: Poly, n: int, mod: Poly) -> Poly:
-    """base^n mod ``mod``, by repeated squaring."""
-    result = Poly(base.field, [1])
-    b = base % mod
-    while n:
-        if n & 1:
-            result = (result * b) % mod
-        b = (b * b) % mod
-        n >>= 1
-    return result
+    """base^n mod ``mod``, by left-to-right squaring on raw coefficients."""
+    field, m = base.field, mod.coeffs
+    mulmod = lambda x, y: field.poly_divmod(field.poly_mul(x, y), m)[1] if x and y else []
+    b = (base % mod).coeffs
+    result = b if n else [field.one]
+    for bit in bin(n)[3:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, b)
+    return Poly._of_raw(field, result)
 
 
 def poly_is_irreducible(f: Poly) -> bool:

@@ -4,10 +4,10 @@ Everything here assumes residue characteristic >= 5, so a Weierstrass model
 is its short model y^2 = x^3 + a4 x + a6 and the reduction type is read off
 the valuations of (a4, a6, Delta) of the model's one minimal pair
 (``WeierstrassModel.minimal_short``, reversed at infinity), with a short
-translation cascade for the starred types.  Splitting questions (split
-vs non-split multiplicative fibers, rationality of extra components) are
-decided by explicit square and root tests in the exact residue field, never
-numerically.
+translation cascade for the starred types; v(Delta) comes from one
+factorization of Delta, the rest from pi-adic digits.  Splitting questions
+(split vs non-split fibers, rationality of extra components) are decided
+by explicit square and root tests in the exact residue field.
 
 The surface itself is never built as a scheme: its class in every identity
 checked downstream is determined by the per-place data assembled here
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random as _random
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (
     CharTooSmall,
@@ -44,8 +44,6 @@ from .ffield import (
 )
 from .lattice import Mat, PairedGroup, FgGroup, discriminant
 from .oracle import affine_point_counter
-
-INF = 10**9  # valuation of the zero polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -83,28 +81,31 @@ class WeierstrassModel:
         return [self.a1, self.a2, self.a3, self.a4, self.a6]
 
     @cached_property
-    def _minimal_scale(self) -> Poly:
-        """The largest monic u with u^4 | a4_short and u^6 | a6_short."""
-        a4, a6 = self.a4_short, self.a6_short
-        u = Poly(self.field, [1])
-        for pi in distinct_irreducible_factors(poly_gcd(a4, a6)):
-            u = u * pi ** min(_val(a4, pi) // 4, _val(a6, pi) // 6)
-        return u
+    def _delta_factored(self) -> tuple[Poly, dict]:
+        """(u, {coefficients of pi: v_pi(Delta_min)} at the bad finite pi)
+        from one factorization of Delta_short, u the largest monic with u^4 |
+        a4_short, u^6 | a6_short: only pi with v_pi(Delta_short) >= 12 enter."""
+        u, bad = Poly(self.field, [1]), {}
+        for pi, e in factorization(self.delta_short):
+            n = e // 12
+            if n:
+                va = _leading_digit(self.a4_short, pi, 4 * n)[0]
+                n = min(va // 4, _leading_digit(self.a6_short, pi, 6 * n)[0] // 6)
+                u, e = u * pi**n, e - 12 * n
+            if e:
+                bad[pi.coeffs] = e
+        return u, bad
 
     @cached_property
     def minimal_short(self) -> tuple[Poly, Poly]:
-        """(a4, a6) of the short model minimalized at every finite place:
-        a4_short / u^4 and a6_short / u^6 for u = ``_minimal_scale``.
-        Computed on first use."""
-        u = self._minimal_scale
+        """(a4_short / u^4, a6_short / u^6), minimal at every finite place."""
+        u = self._delta_factored[0]
         return self.a4_short // u**4, self.a6_short // u**6
 
     @cached_property
     def minimal_delta(self) -> Poly:
-        """Delta of ``minimal_short``, delta_short / u^12 (exact; the model's
-        own Delta when u = 1): its finite places are the bad ones."""
-        u = self._minimal_scale
-        return self.delta_short if u.degree == 0 else self.delta_short // u**12
+        """Delta of ``minimal_short``: delta_short / u^12."""
+        return self.delta_short // self._delta_factored[0] ** 12
 
     @cached_property
     def infinity_fiber(self) -> FiberData:
@@ -326,11 +327,18 @@ class FiberData:
         return math.prod(r for r, _ in self.components)
 
 
+@cache
+def _type_tables(kod: str, splitting) -> tuple:
+    """(components, c_v, f_v, e_v) of a Kodaira type and its splitting."""
+    return (component_data(kod, splitting), tamagawa_number(kod, splitting),
+            kodaira_conductor(kod), kodaira_euler(kod))
+
+
 def make_fiber(place: Place, q: int, kod: str, splitting, a_v: int | None = None) -> FiberData:
     """Assemble FiberData from the type tables (used by the local analysis
     and for synthetic fiber sets in identity tests)."""
     q_v = q**place.degree
-    comps = component_data(kod, splitting)
+    comps, c_v, f_v, e_v = _type_tables(kod, splitting)
     if kod == "I0":
         if a_v is None:
             raise ValueError("good fibers need a Frobenius trace")
@@ -345,9 +353,9 @@ def make_fiber(place: Place, q: int, kod: str, splitting, a_v: int | None = None
         splitting=splitting,
         m_v=len(comps),
         components=comps,
-        c_v=tamagawa_number(kod, splitting),
-        f_v=kodaira_conductor(kod),
-        e_v=kodaira_euler(kod),
+        c_v=c_v,
+        f_v=f_v,
+        e_v=e_v,
         a_v=a_v,
         l_factor=l_factor,
         d_v=place.degree,
@@ -372,17 +380,20 @@ def synthetic_fiber(q: int, degree: int, kod: str, splitting=None, field=None) -
 # the local algorithm
 
 
-def _val(poly: Poly, pi: Poly) -> int:
-    v = poly.valuation(pi)
-    return INF if v is None else v
-
-
-def _shift(poly: Poly, pi: Poly, k: int) -> Poly:
-    """poly / pi^k, which must be exact."""
-    quot, rem = poly.divmod(pi**k)
-    if rem:
-        raise NotMinimalizable("claimed valuation not attained")
-    return quot
+def _leading_digit(f: Poly, pi: Poly, cap: int) -> tuple[int, tuple]:
+    """(v, d): v = min(v_pi(f), cap), d the coefficients of the pi-adic
+    digit d_v of f = sum d_i pi^i (deg d_i < deg pi), () if v = cap; by
+    division by pi, and for pi = t the d_i are f's coefficients."""
+    zero = f.field.zero
+    if pi.coeffs == (zero, f.field.one):
+        cs = f.coeffs[:cap]
+        v = next((i for i, c in enumerate(cs) if c != zero), cap)
+        return v, cs[v : v + 1]
+    for v in range(cap):
+        f, r = f.divmod(pi)
+        if r:
+            return v, r.coeffs
+    return cap, ()
 
 
 def _translate_x(A2: Poly, A4: Poly, A6: Poly, s: Poly):
@@ -396,42 +407,39 @@ def _translate_x(A2: Poly, A4: Poly, A6: Poly, s: Poly):
 def tate_local(model: WeierstrassModel, place: Place) -> FiberData:
     """Kodaira type and local data of the minimal regular model at a place."""
     field = model.field
+    u, bad = model._delta_factored
     if place.is_infinity:
         s = Poly(field, [0, 1])
-        a, b = short_at_infinity(model)
-        # Delta(a, b) = s^(12k) Delta(1/s), so the model's Delta serves reversed
-        delta = model.minimal_delta.reverse(12 * _infinity_weight(model))
-        fd = _tate_at_prime(field, a, b, delta, s, place_finite(s))
+        # Delta of the pair at infinity is s^(12k) Delta_min(1/s)
+        vD = 12 * _infinity_weight(model) - (model.delta_short.degree - 12 * u.degree)
+        fd = _tate_at_prime(field, *short_at_infinity(model), vD, s, place_finite(s))
         return replace(fd, place=place)
-    return _tate_at_prime(field, *model.minimal_short, model.minimal_delta, place.poly, place)
+    return _tate_at_prime(field, *model.minimal_short, bad.get(place.poly.coeffs, 0), place.poly, place)
 
 
-def _tate_at_prime(field, a: Poly, b: Poly, delta: Poly, pi: Poly, place: Place) -> FiberData:
-    """Tate's algorithm on y^2 = x^3 + a x + b, of discriminant ``delta``,
-    at the prime pi, for a pair minimal at pi (v(a) < 4 or v(b) < 6); any
-    other pair reaches II* with v(Delta) >= 12 and raises
-    InconsistentFiberData.  Residue arithmetic
-    runs on Polys in GF(q)[t], each reduced once by ``red`` to a raw value
-    of kv."""
+def _tate_at_prime(field, a: Poly, b: Poly, vD: int, pi: Poly, place: Place) -> FiberData:
+    """Tate's algorithm on y^2 = x^3 + a x + b at the prime pi, given
+    vD = v_pi(Delta), for a pair minimal at pi (v(a) < 4 or v(b) < 6); any
+    other reaches II* with v(Delta) >= 12 and raises InconsistentFiberData.
+    v(a), v(b) (capped at 4 and 6) and the residues are pi-adic digits."""
     q = field.q
-    kv, red = residue_field(field, place)
-    zero = kv.zero
-
-    def lift(e) -> Poly:
-        return Poly(field, [e] if kv is field else e)
-
-    va, vb = _val(a, pi), _val(b, pi)
-    vD = _val(delta, pi)
+    kv, _ = residue_field(field, place)
+    zero, mul, add = kv.zero, kv.raw_mul, kv.raw_add
+    res = (lambda cs: cs[0] if cs else zero) if kv is field else kv.raw
+    lift = lambda e: Poly(field, [e] if kv is field else e)
+    va, da = _leading_digit(a, pi, 4)
+    vb, db = _leading_digit(b, pi, 6)
+    at = lambda v, d, i: res(d) if v == i else zero  # the digit at i <= v
 
     if vD == 0:
-        count = affine_point_counter(kv)(red(a), red(b)) + 1
+        count = affine_point_counter(kv)(at(va, da, 0), at(vb, db, 0)) + 1
         a_v = kv.q + 1 - count
         return make_fiber(place, q, "I0", None, a_v=a_v)
 
     if va == 0:
         # multiplicative: node at x0 = -3b/(2a) with tangent cone
         # y^2 = 3 x0 (x - x0)^2, and 3 x0 = -2ab (3/(2a))^2
-        split = kv.is_square(red(-2 * a * b))
+        split = kv.is_square(mul(kv.raw(-2), mul(at(va, da, 0), at(vb, db, 0))))
         fd = make_fiber(place, q, f"I{vD}", "split" if split else "nonsplit")
     # additive: the singular point of y^2 = x^3 + a x + b sits at the origin
     elif vb == 1:
@@ -439,25 +447,25 @@ def _tate_at_prime(field, a: Poly, b: Poly, delta: Poly, pi: Poly, place: Place)
     elif va == 1:
         fd = make_fiber(place, q, "III", None)
     elif vb == 2:
-        split = kv.is_square(red(_shift(b, pi, 2)))
+        split = kv.is_square(res(db))
         fd = make_fiber(place, q, "IV", "split" if split else "nonsplit")
     else:
         # P(T) = T^3 + (a/pi^2) T + (b/pi^3) over the residue field
-        alpha, beta = _shift(a, pi, 2), _shift(b, pi, 3)
-        alpha_r, beta_r = red(alpha), red(beta)
-        if red(-4 * alpha * alpha * alpha - 27 * beta * beta) != zero:
-            fd = make_fiber(place, q, "I0*", _cubic_root_count(kv, [beta_r, alpha_r, 0, 1]))
-        elif alpha_r != zero or beta_r != zero:
+        alpha, beta = at(va, da, 2), at(vb, db, 3)
+        disc = add(mul(kv.raw(-4), mul(alpha, mul(alpha, alpha))), mul(kv.raw(-27), mul(beta, beta)))
+        if disc != zero:
+            fd = make_fiber(place, q, "I0*", _cubic_root_count(kv, [beta, alpha, 0, 1]))
+        elif alpha != zero or beta != zero:
             # the double root of P (disc = 0 and P != T^3 force alpha != 0)
-            theta = kv.raw_mul(red(-3 * beta), kv.raw_inv(red(2 * alpha)))
+            theta = mul(mul(kv.raw(-3), beta), kv.raw_inv(mul(kv.raw(2), alpha)))
             A2l, A4l, A6l = _translate_x(Poly(field, []), a, b, lift(theta) * pi)
-            m, far_split = _istar_loop(kv, red, lift, pi, A2l, A4l, A6l, vD)
+            m, far_split = _istar_loop(kv, res, lift, pi, A2l, A4l, A6l, vD)
             fd = make_fiber(place, q, f"I{m}*", "split" if far_split else "nonsplit")
         else:
             # triple root at the origin: v(a) >= 3, v(b) >= 4, and the model
             # is minimal (v(a) < 4 or v(b) < 6), so the last case is v(b) = 5
             if vb == 4:
-                split = kv.is_square(red(_shift(b, pi, 4)))
+                split = kv.is_square(res(db))
                 fd = make_fiber(place, q, "IV*", "split" if split else "nonsplit")
             elif va == 3:
                 fd = make_fiber(place, q, "III*", None)
@@ -478,26 +486,32 @@ def _cubic_root_count(kv, P) -> int:
     return poly_gcd(poly_pow_mod(t, kv.q, cubic) - t, cubic).degree
 
 
-def _istar_loop(kv, red, lift, pi, A2, A4, A6, vD):
+def _istar_loop(kv, res, lift, pi, A2, A4, A6, vD):
     """Tate's subprocedure for I_m* (m >= 1): returns (m, far pair split?).
 
     Entering state: v(A2) = 1, v(A4) >= 3, v(A6) >= 4.  Odd stages test a
     quadratic in y, even stages a quadratic in x, translating through double
-    roots until the quadratic separates."""
+    roots until the quadratic separates; it tests pi-adic digits."""
+    mul = kv.raw_mul
+
+    def digit(f: Poly, i: int):  # the residue of f's digit at i, for v(f) >= i
+        v, d = _leading_digit(f, pi, i + 1)
+        if v < i:
+            raise NotMinimalizable("claimed valuation not attained")
+        return res(d)
+
     m = 1
     while True:
         if m % 2 == 1:
-            c = red(_shift(A6, pi, m + 3))
+            c = digit(A6, m + 3)
             if c != kv.zero:
                 return m, kv.is_square(c)
         else:
-            a2_1 = _shift(A2, pi, 1)
-            a4_c = _shift(A4, pi, (m + 4) // 2)
-            a6_c = _shift(A6, pi, m + 3)
-            disc = red(a4_c * a4_c - 4 * a2_1 * a6_c)
+            a2_1, a4_c, a6_c = digit(A2, 1), digit(A4, (m + 4) // 2), digit(A6, m + 3)
+            disc = kv.raw_add(mul(a4_c, a4_c), mul(kv.raw(-4), mul(a2_1, a6_c)))
             if disc != kv.zero:
                 return m, kv.is_square(disc)
-            r = kv.raw_mul(red(-a4_c), kv.raw_inv(red(2 * a2_1)))
+            r = mul(kv.raw_neg(a4_c), kv.raw_inv(mul(kv.raw(2), a2_1)))
             A2, A4, A6 = _translate_x(A2, A4, A6, lift(r) * pi ** ((m + 2) // 2))
         m += 1
         if m > vD - 6:
@@ -522,27 +536,34 @@ class SurfaceInvariants:
     dim_b: int = 0
 
 
+def factorization(f: Poly) -> list[tuple[Poly, int]]:
+    """(pi, multiplicity) for the monic irreducible factors of f != 0, in
+    canonical order: each squarefree part split by DDF, then EDF."""
+    out = [(h, e) for g, e in _squarefree_parts(f.monic()) for h in _factor_squarefree(g)]
+    return sorted(out, key=lambda he: (he[0].degree,) + he[0].key())
+
+
 def distinct_irreducible_factors(f: Poly) -> list[Poly]:
-    """Monic irreducible factors of f, each once, deterministic order."""
-    field = f.field
-    out: dict[tuple, Poly] = {}
-    stack = [f.monic()]
-    while stack:
-        g = stack.pop()
-        if g.degree <= 0:
-            continue
-        gp = _derivative(g)
-        if gp.is_zero():
-            stack.append(_pth_root(g))
-            continue
-        r = poly_gcd(g, gp)
-        v = (g // r).monic()
-        if v.degree > 0:
-            for h in _factor_squarefree(v):
-                out[h.key()] = h
-        if r.degree > 0:
-            stack.append(r)
-    return sorted(out.values(), key=lambda h: (h.degree,) + h.key())
+    """Monic irreducible factors of f, each once, in canonical order."""
+    return [h for h, _ in factorization(f)]
+
+
+def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
+    """(g, e) with g squarefree and coprime, monic f the product of the g^e:
+    c = gcd(f, f') holds pi^(e-1) (pi^e if p | e), each round moves the pi
+    whose e is reached out of w = f / c, and the p-th power left in c
+    recurses by its p-th root (Yun's chain, 1976, reads e >= p as e mod p)."""
+    out = []
+    c = poly_gcd(f, _derivative(f))
+    w = f // c
+    e = 1
+    while w.degree > 0:
+        y = poly_gcd(w, c)
+        out.append((w // y, e))
+        w, c, e = y, c // y, e + 1
+    if c.degree > 0:
+        out += [(g, k * f.field.char) for g, k in _squarefree_parts(_pth_root(c))]
+    return out
 
 
 def _derivative(f: Poly) -> Poly:
@@ -553,24 +574,16 @@ def _derivative(f: Poly) -> Poly:
 
 def _pth_root(f: Poly) -> Poly:
     """For f = h(t^p), return h (coefficientwise p-th roots)."""
-    field = f.field
-    p, zero = field.char, field.zero
-    coeffs = []
-    for i, c in enumerate(f.coeffs):
-        if i % p == 0:
-            coeffs.append(field.raw_pow(c, field.q // p))
-        elif c != zero:
-            raise InternalInconsistency("zero derivative but not a p-th power polynomial")
-    return Poly(field, coeffs)
+    field, p = f.field, f.field.char
+    if any(c != field.zero for i, c in enumerate(f.coeffs) if i % p):
+        raise InternalInconsistency("not a p-th power polynomial")
+    return Poly(field, [field.raw_pow(c, field.q // p) for c in f.coeffs[::p]])
 
 
 def _factor_squarefree(f: Poly) -> list[Poly]:
     """Distinct-degree then (seeded) equal-degree splitting of a squarefree
     monic polynomial."""
-    field = f.field
-    out = []
-    d = 1
-    rest = f
+    field, out, d, rest = f.field, [], 1, f
     t = xq = Poly(field, [0, 1])
     while rest.degree > 0 and d <= rest.degree:
         if 2 * d > rest.degree:
@@ -587,37 +600,28 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
 
 
 def _equal_degree_split(f: Poly, d: int) -> list[Poly]:
-    """Cantor-Zassenhaus with a seed derived from the input (bit-stable)."""
+    """Cantor-Zassenhaus with a seed derived from the input (bit-stable);
+    the factors in no particular order."""
     field = f.field
     if f.degree == d:
         return [f.monic()]
     rng = _random.Random(hash((f.key(), d)) & 0xFFFFFFFF)
     p, k = field.p, field.degree
-
-    def draw():
-        code = rng.randrange(field.q)
-        return code if k == 1 else [code // p**i % p for i in range(k)]
-
+    draw = lambda: rng.randrange(p) if k == 1 else [rng.randrange(p) for _ in range(k)]
     while True:
         u = Poly(field, [draw() for _ in range(f.degree)])
-        if u.degree < 1:
-            continue
         g = poly_gcd(u, f)
         if not 0 < g.degree < f.degree:
-            w = poly_pow_mod(u, (field.q**d - 1) // 2, f) - Poly(field, [1])
-            g = poly_gcd(w, f)
+            g = poly_gcd(poly_pow_mod(u, (field.q**d - 1) // 2, f) - 1, f)
         if 0 < g.degree < f.degree:
-            return sorted(
-                _equal_degree_split(g, d) + _equal_degree_split((f // g).monic(), d),
-                key=lambda h: (h.degree,) + h.key(),
-            )
+            return _equal_degree_split(g, d) + _equal_degree_split((f // g).monic(), d)
 
 
 def bad_fibers(model: WeierstrassModel, threads: int = 0) -> list[FiberData]:
     """Fiber data at every place of bad reduction, sorted in the canonical
     place order: Tate at each finite factor of Delta of the minimal pair,
     whose fibers are all bad, and at infinity."""
-    places = [place_finite(piq) for piq in distinct_irreducible_factors(model.minimal_delta)]
+    places = [place_finite(Poly(model.field, cs)) for cs in model._delta_factored[1]]
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

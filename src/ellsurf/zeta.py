@@ -95,7 +95,7 @@ DEFAULT_SURPLUS = 2
 # coded arithmetic tables for GF(p^n), prime p
 
 # candidate moduli tested per numpy step of ``_primitive_modulus``
-_SEARCH_BATCH = 4
+_SEARCH_BATCH = 16
 
 
 def _companion(coeffs, p: int):

@@ -113,6 +113,86 @@ def test_is_square():
             assert field.is_square(v) == (v in squares)
 
 
+def _euler(field, a) -> bool:
+    return a == field.zero or field.raw_pow(a, (field.q - 1) // 2) == field.one
+
+
+@pytest.mark.parametrize("p,d,sample", [(5, 2, None), (7, 2, None), (5, 3, None), (5, 8, 300)],
+                         ids=["F25", "F49", "F125", "F5^8"])
+def test_square_test_through_the_norm_matches_euler(p, d, sample):
+    """is_square reads the norm to GF(p), Res(modulus, a) by the Euclidean
+    algorithm: on every element of GF(25), GF(49) and GF(125) and on a
+    seeded sample of GF(5^8) it agrees with Euler's criterion, and the norm
+    is a^(1 + p + ... + p^(d-1)) embedded as a constant."""
+    base = PrimeField(p)
+    field = ExtensionField(base, find_irreducible(base, d).coeffs)
+    if sample:
+        rng = random.Random(d)
+        elems = [tuple(rng.randrange(p) for _ in range(d)) for _ in range(sample)]
+        elems += [field.zero, field.one]
+    else:
+        elems = list(field.raw_values())
+    for a in elems:
+        assert field.is_square(a) == _euler(field, a), a
+        power = field.raw_pow(a, (field.q - 1) // (p - 1))
+        assert power == field.raw(field.raw_norm(a)), a
+
+
+def _naive_mul(field, a, b) -> list:
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.raw_add(out[i + j], field.raw_mul(x, y))
+    return out
+
+
+def _random_coeffs(field, rng, n) -> list:
+    """n seeded raw values with a nonzero last one."""
+    if field is F25:
+        draw = lambda: (rng.randrange(5), rng.randrange(5))
+    else:
+        draw = lambda: rng.randrange(field.p)
+    cs = [draw() for _ in range(n)]
+    while cs[-1] == field.zero:
+        cs[-1] = draw()
+    return cs
+
+
+@pytest.mark.parametrize("p", [5, 11, 1000003])
+def test_prime_poly_mul_matches_a_naive_double_loop(p):
+    """PrimeField.poly_mul, which adds rows as plain ints and reduces each
+    coefficient once, against a double loop mod p, over both orders of the
+    factors and lengths 1 to 30."""
+    field, rng = PrimeField(p), random.Random(p)
+    for _ in range(60):
+        a = _random_coeffs(field, rng, rng.randrange(1, 31))
+        b = _random_coeffs(field, rng, rng.randrange(1, 31))
+        naive = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                naive[i + j] = (naive[i + j] + x * y) % p
+        assert field.poly_mul(a, b) == field.poly_mul(b, a) == naive
+
+
+@pytest.mark.parametrize("field", [F5, PrimeField(11), PrimeField(1000003), F25],
+                         ids=["F5", "F11", "F1000003", "F25"])
+def test_poly_divmod_is_division_with_remainder(field):
+    """poly_divmod(a, b) = (q, r) with a = q b + r and deg r < deg b, the
+    product taken by a naive double loop; divisors of degree 0 to 8, monic
+    and not, and dividends shorter than the divisor."""
+    rng = random.Random(field.q)
+    for _ in range(60):
+        a = _random_coeffs(field, rng, rng.randrange(1, 25))
+        b = _random_coeffs(field, rng, rng.randrange(1, 10))
+        quot, rem = field.poly_divmod(a, b)
+        assert len(rem) < len(b) and (not rem or rem[-1] != field.zero)
+        rebuilt = _naive_mul(field, quot, b) if quot else []
+        rebuilt += [field.zero] * (len(a) - len(rebuilt))
+        for i, c in enumerate(rem):
+            rebuilt[i] = field.raw_add(rebuilt[i], c)
+        assert rebuilt == a
+
+
 def test_places_f2_degree3():
     # module-local context relaxing p >= 5
     f2 = PrimeField(2, _allow_small=True)

@@ -13,6 +13,7 @@ from ellsurf.ffield import (
     find_irreducible,
     place_finite,
     place_infinity,
+    poly_is_irreducible,
     residue_field,
 )
 from ellsurf.lattice import discriminant
@@ -23,6 +24,7 @@ from ellsurf.tatefiber import (
     component_group_fixed_order,
     component_lattice,
     distinct_irreducible_factors,
+    factorization,
     fiber_point_count,
     global_invariants,
     bad_fibers,
@@ -35,6 +37,7 @@ from ellsurf.tatefiber import (
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F25 = field_make(5, [2, 0, 1])
 
 T = [0, 1]  # the polynomial t
 
@@ -470,6 +473,90 @@ def test_distinct_factor_extraction_with_p_power_multiplicity():
     assert distinct_irreducible_factors(g) == [g]
     factors = distinct_irreducible_factors(h**5 * g)
     assert factors == sorted([h, g], key=lambda x: (x.degree,) + x.key())
+
+
+@pytest.mark.parametrize("field", [F5, F7, F25], ids=["F5", "F7", "F25"])
+def test_factorization_multiplicities_against_repeated_division(field):
+    """factorization of seeded products c g1^e1 g2^e2 g3^e3 of distinct
+    monic irreducibles (by Rabin's test) of degree 1 and 2, with every
+    multiplicity of 1..12, p and 2p in turn on g1: it returns the drawn
+    pairs, pi^e divides f and pi^(e + 1) does not, and the product of the
+    pi^e rebuilds f.monic()."""
+    rng = random.Random(field.q)
+    elems = list(field.raw_values())
+    p = field.char
+    mults = sorted(set(range(1, 13)) | {p, 2 * p})
+    for first in mults:
+        drawn = {}
+        while len(drawn) < 3:
+            g = Poly(field, [rng.choice(elems) for _ in range(rng.randrange(1, 3))] + [field.one])
+            if poly_is_irreducible(g):
+                drawn[g.coeffs] = g
+        pairs = [(g, first if i == 0 else rng.choice(mults)) for i, g in enumerate(drawn.values())]
+        f = Poly(field, [rng.choice(elems[1:])])
+        for g, e in pairs:
+            f = f * g**e
+        got = factorization(f)
+        assert got == sorted(pairs, key=lambda ge: (ge[0].degree,) + ge[0].key())
+        rebuilt = Poly(field, [1])
+        for pi, e in got:
+            assert (f % pi**e).is_zero() and not (f % pi ** (e + 1)).is_zero()
+            rebuilt = rebuilt * pi**e
+        assert rebuilt == f.monic()
+
+
+# models whose Delta has a finite place with p | v(Delta), so its squarefree
+# decomposition takes the p-th root step: (field, a4, a6, bad fibers)
+P_DIVIDES_V_DELTA = [
+    (F5, [0], [0, 0, 0, 0, 0, 1, 1], [("(t)", "II*", None), ("(t + 1)", "II", None)]),
+    (F5, [2], [2, 0, 0, 0, 0, 1],
+     [("oo", "II", None), ("(t)", "I5", "nonsplit"), ("(t + 4)", "I5", "nonsplit")]),
+    (F5, [2], [2] + [0] * 9 + [1],
+     [("oo", "IV", "split"), ("(t)", "I10", "nonsplit"), ("(t + 1)", "I5", "nonsplit"),
+      ("(t + 4)", "I5", "nonsplit")]),
+    (F7, [-3], [2, 0, 0, 0, 0, 0, 0, 1],
+     [("oo", "II*", None), ("(t)", "I7", "nonsplit"), ("(t + 4)", "I7", "split")]),
+    (F25, [2], [2, 0, 0, 0, 0, [0, 1]],
+     [("oo", "II", None), ("((1, 0)*t)", "I5", "split"), ("((1, 0)*t + (0, 2))", "I5", "split")]),
+]
+
+
+@pytest.mark.parametrize("field,a4,a6,fibers", P_DIVIDES_V_DELTA)
+def test_fibers_where_p_divides_v_delta(field, a4, a6, fibers):
+    """Pinned fibers of models with v(Delta) = 10, 5, 10 and 5, 7 and 5 at
+    finite places over GF(5), GF(7) and GF(25)."""
+    got = [(fd.place.label(), fd.kodaira, fd.splitting) for fd in bad_fibers(model(field, a4, a6))]
+    assert got == fibers
+
+
+def test_tate_reads_v_delta_from_the_factorization():
+    """On the catalog and the Kodaira zoo: at infinity v(Delta) = 12k -
+    deg Delta_min is the valuation at s of minimal_delta.reverse(12k),
+    which is Delta of the pair at infinity, and the infinity fiber's Euler
+    number (0 when good); at every bad finite place pi the Euler number is
+    v_pi(minimal_delta) by repeated division."""
+    from ellsurf.catalog import CATALOG
+    from ellsurf.cli import build_model, parse_config
+
+    models = [build_model(parse_config(e.config_text))[0] for e in CATALOG.values()]
+    models += [model(F5, a4, a6) for a4, a6, *_ in ZOO]
+    for m in models:
+        a4, a6 = m.minimal_short
+        k = next(k for k in range(8) if a4.degree <= 4 * k and a6.degree <= 6 * k)
+        delta = m.minimal_delta
+        reversed_delta = delta.reverse(12 * k)
+        assert reversed_delta == short_discriminant(*short_at_infinity(m))
+        v = next(i for i, c in enumerate(reversed_delta.coeffs) if c != m.field.zero)
+        assert v == 12 * k - delta.degree
+        fd = m.infinity_fiber
+        assert (0 if fd.is_good else fd.e_v) == v
+        for fd in bad_fibers(m):
+            if fd.place.is_infinity:
+                continue
+            g, v = delta, 0
+            while (g % fd.place.poly).is_zero():
+                g, v = g // fd.place.poly, v + 1
+            assert fd.e_v == v, fd.place.label()
 
 
 def test_factoring_higher_degree():
