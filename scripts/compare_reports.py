@@ -5,7 +5,9 @@
 
 Runs `ellsurf report` on every config of `bench/pool.json`, the built-in
 catalog, a seeded draw of random long-form models (a1, a2, a3 nonzero)
-over GF(5), GF(7), GF(11) and GF(25) at `n_max = 2`, a second draw of 80
+over GF(5), GF(7), GF(11) and GF(25) at `n_max = 2`, a `random-ns-*` copy
+of that draw that declares `mw_rank = 0, mw_torsion_order = 1` (so its
+Neron-Severi check runs rather than SKIPs), a second draw of 80
 such models (seed 3) at the default limits, where some end in a FAILed
 check and exit 4, one model with a degree-72 discriminant over GF(11)
 (high-degree factoring and Tate, exit 3), five models with a place where
@@ -104,6 +106,13 @@ def random_configs(count: int, seed: int, n_max: bool = True) -> list:
         tag = "random" if n_max else "random-default"
         out.append((f"{tag}-{i:03d}-gf{p}{'^2' if ext else ''}", "\n".join(lines)))
     return out
+
+
+def ns_configs(configs: list) -> list:
+    """``random_configs`` output as `random-ns-*` copies that declare a
+    trivial Mordell-Weil group, so that their NS lattice is built."""
+    metadata = "[metadata]\nmw_rank = 0\nmw_torsion_order = 1\n"
+    return [(name.replace("random-", "random-ns-", 1), text + metadata) for name, text in configs]
 
 
 def pool_configs() -> list:
@@ -220,8 +229,9 @@ def main() -> int:
                 for command in ("report", "verify", "analyze") for name in catalog]
         jobs.append(("report-legendre_f5-compute_l-raises",
                      ["report", "--catalog", "legendre_f5"], "compute_l"))
-        configs = (pool_configs() + random_configs(args.random, args.seed)
-                   + random_configs(80, 3, n_max=False) + [DEGREE_72] + P_DIVIDES_V_DELTA)
+        drawn = random_configs(args.random, args.seed)
+        configs = (pool_configs() + drawn + random_configs(80, 3, n_max=False)
+                   + [DEGREE_72] + P_DIVIDES_V_DELTA + ns_configs(drawn))
         for name, text in configs + twisted_configs():
             path = Path(tmp) / f"{name}.cfg"
             path.write_text(text)

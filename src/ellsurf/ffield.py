@@ -353,13 +353,12 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = Poly(self.field, [self.field.one])
-        b = self
-        while n:
-            if n & 1:
-                result = result * b
-            b = b * b
-            n >>= 1
+        """self^n, n >= 0, by left-to-right square-and-multiply from self."""
+        result = self if n else Poly(self.field, [self.field.one])
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def _coerce(self, other):

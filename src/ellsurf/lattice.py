@@ -10,8 +10,9 @@ Exact linear algebra on Mat has two cores: ``snf`` for everything over Z
 (kernels, spans, indices, group invariants) and ``_bareiss``, one
 fraction-free Gauss-Jordan elimination on integer rows that gives
 ``mat_det`` and ``mat_inverse``; rational matrices are scaled to integers
-first.  ``symmetric_signature`` runs the same fraction-free step as a
-symmetric congruence elimination (Sylvester's law of inertia).
+first.  ``symmetric_elimination`` runs the same fraction-free step as a
+symmetric congruence elimination, one pass for both the signature
+(Sylvester's law of inertia) and the determinant, its last pivot.
 
 Discriminant signs are computed and carried, but the identity checks that
 consume them compare absolute values and report sign agreement separately;
@@ -370,8 +371,6 @@ class FgGroup:
 
     def free_basis(self) -> Mat:
         """Columns of Z^n_gens projecting to a basis of the free quotient."""
-        if not self.relations.n:  # Z^n_gens itself
-            return Mat.identity(self.n_gens)
         D, U, rank, _ = self.smith_data()
         Uinv = mat_inverse(U)
         r = min(D.m, D.n)
@@ -420,14 +419,22 @@ def free_paired(gram_rows, log_grade: int = 0) -> PairedGroup:
 
 def discriminant(P: PairedGroup) -> SpecialValue:
     """det(psi(b_i, b_j)) / (N : N')^2 on a maximal independent subset."""
-    B = P.group.free_basis()
-    torsion = P.group.torsion_order()
-    G = B.transpose().mul(P.pairing).mul(B)
-    det = mat_det(G)
+    return discriminant_and_signature(P)[0]
+
+
+def discriminant_and_signature(P: PairedGroup):
+    """(``discriminant(P)``, the signature of the pairing).  With no relations
+    the generators are a free basis and the torsion is 1, so both come from
+    one ``symmetric_elimination``, with no ``snf`` and no B^T psi B."""
+    det, signature = symmetric_elimination(P.pairing)
+    rank = P.group.n_gens
+    if P.group.relations.n:
+        B = P.group.free_basis()
+        det = mat_det(B.transpose().mul(P.pairing).mul(B)) / Fraction(P.group.torsion_order()) ** 2
+        rank = B.n
     if det == 0:
         raise DegeneratePairing("pairing degenerate on the free quotient")
-    value = det / Fraction(torsion) ** 2
-    return SpecialValue.from_fraction(value, P.log_grade * B.n, 0)
+    return SpecialValue.from_fraction(det, P.log_grade * rank, 0), signature
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +655,19 @@ def orthogonal_split_check(P: PairedGroup, sub_gens: Mat):
 # signatures
 
 
-def symmetric_signature(M: Mat):
-    """(positives, negatives, zeros) of a symmetric rational matrix.
+def symmetric_elimination(M: Mat):
+    """(det M, (positives, negatives, zeros)) of a symmetric rational matrix.
 
-    By Sylvester's law of inertia these are the pivot signs of a symmetric
-    congruence elimination, run with the fraction-free step: after pivots
-    p_1 .. p_k the trailing block is p_k times the Schur complement, so the
-    next Schur pivot has the sign of p_(k+1) p_k.  A pivot is a nonzero
-    diagonal entry swapped in; failing one, adding row and column j to k
-    makes the pivot 2 a[k][j]; a zero row is a zero eigenvalue."""
-    a, _ = _cleared(M)
+    By Sylvester's law of inertia the counts are the pivot signs of a
+    symmetric congruence elimination, run with the fraction-free step: after
+    pivots p_1 .. p_k the trailing block is p_k times the Schur complement,
+    so the next Schur pivot has the sign of p_(k+1) p_k.  A pivot is a
+    nonzero diagonal entry swapped in; failing one, adding row and column j
+    to k makes the pivot 2 a[k][j]; a zero row is a zero eigenvalue, and
+    det M = 0.  Else, as the congruences have determinant +-1 and the step
+    keeps every entry a minor (Bareiss, Math. Comp. 22, 1968), the last
+    pivot is det(l M) = l^n det M, l the common denominator (``mat_det``)."""
+    a, l = _cleared(M)
     n = M.m
     pos = neg = zeros = 0
     prev = 1
@@ -680,7 +690,8 @@ def symmetric_signature(M: Mat):
         else:
             neg += 1
         prev = _bareiss_step(a, k, prev, range(k + 1, n))
-    return pos, neg, zeros
+    det = 0 if zeros else prev
+    return (det if l == 1 else Fraction(det, l**n)), (pos, neg, zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ The counts read discrete-log tables of F built with F's own ``raw_mul``:
 the powers of a primitive element g, which must hit every nonzero element
 before any count reads them, indexed by ``raw_key`` digits, with the cubes
 and the number of square roots of every element read off the exponents.
-a4 and a6 reduce at theta as one table read per term in an exact digit
-radix, and each count is the x = 0 term plus one flat loop over x = g^i.
-F, its place list with sort keys and its tables are built once per field
-value per process; the necklace count and every point count run on each
-call.
+a4 and a6 reduce at the log of a place's root, kept with the place, as
+one table read per term in an exact digit radix, straight to what the
+count reads: the x = 0 term plus one flat loop over x = g^i.  F, its
+place list with sort keys and its tables are built once per field value
+per process; the necklace count and every point count run on each call.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ def _counter_tables(kv):
     return _COUNTER_TABLES[kv.key]
 
 
-def _digit_counter(kv):
-    """(digits of A, of B) -> #{y^2 = x^3 + A x + B}: x = 0, then one flat loop over x = g^i."""
-    by_p, by_3p, exp, log, cubes, roots, _ = _counter_tables(kv)
-    m, add, mul = len(cubes), operator.add, operator.mul
+def _log_counter(kv):
+    """(log A, None at A = 0; the 3p-code of B) -> #{y^2 = x^3 + A x + B}:
+    x = 0, then one flat loop over x = g^i."""
+    _, _, exp, _, cubes, roots, _ = _counter_tables(kv)
+    m, add = len(cubes), operator.add
 
-    def count(a, b) -> int:
-        at, i = roots[sum(map(mul, b, by_3p)) :], log[sum(map(mul, a, by_p))]
+    def count(i, b) -> int:
+        at = roots[b:]
         if i is None:
             return at[0] + sum(map(at.__getitem__, cubes))
         return at[0] + sum(map(at.__getitem__, map(add, cubes, exp[i : i + m])))
@@ -100,42 +101,42 @@ def _digit_counter(kv):
 def affine_point_counter(kv):
     """(A, B) -> #{(x,y) in kv^2 : y^2 = x^3 + A x + B} on raw values of
     kv, read from kv's discrete-log tables (``_counter_tables``)."""
-    count, key = _digit_counter(kv), kv.raw_key
-    return lambda a, b: count(key(a), key(b))
+    by_p, by_3p, _, log, *_ = _counter_tables(kv)
+    count, key, mul = _log_counter(kv), kv.raw_key, operator.mul
+    return lambda a, b: count(log[sum(map(mul, key(a), by_p))], sum(map(mul, key(b), by_3p)))
 
 
-def _specializer(kv, polys):
-    """theta -> [the base-p digits of f(theta) for f in polys], for Polys over
-    kv or a subfield (whose c keys as the constant c of kv), at raw theta.
+def _specializer(kv, a: Poly, b: Poly):
+    """log theta (None at theta = 0) -> (log a(theta), None at 0; the
+    3p-code of b(theta)), the arguments of ``_log_counter``, for Polys over
+    kv or a subfield (whose c keys as the constant c of kv).
 
     A nonzero term c_j theta^j = g^(log c_j + j log theta) is one read of exp
     recoded in radix 2^w, w the bit length of (p - 1) times the most terms
-    of any f: no digit sum reaches 2^w, so the reads add up exactly, and each
-    digit is reduced mod p once."""
+    of a or b: no digit sum reaches 2^w, so the reads add up exactly, and
+    each digit is reduced mod p once, straight into the code."""
     by_p, by_3p, exp, log, cubes, _, spread = _counter_tables(kv)
-    p, m, key, mul = kv.p, len(cubes), kv.raw_key, operator.mul
+    p, m, mul = kv.p, len(cubes), operator.mul
     terms = [[(log[sum(map(mul, f.field.raw_key(c), by_p))], j)
-              for j, c in enumerate(f.coeffs) if c != f.field.zero] for f in polys]
+              for j, c in enumerate(f.coeffs) if c != f.field.zero] for f in (a, b)]
     width = (max(1, *map(len, terms)) * (p - 1)).bit_length()
     shifts, mask = [width * j for j in range(len(by_p))], (1 << width) - 1
     if width not in spread:
         spread[width] = [sum(c // w % (3 * p) << s for w, s in zip(by_3p, shifts)) for c in exp[:m]]
     wide = spread[width]
 
-    def values(theta) -> list[list[int]]:
-        i = log[sum(map(mul, key(theta), by_p))]  # None at theta = 0
-        totals = [sum(wide[lc] for lc, j in f if j == 0) if i is None
-                  else sum(wide[(lc + j * i) % m] for lc, j in f) for f in terms]
-        return [[(total >> s & mask) % p for s in shifts] for total in totals]
+    def code(total: int, radix) -> int:  # total's digits reduced mod p, in radix
+        out = 0
+        for w in radix:
+            out, total = out + (total & mask) % p * w, total >> width
+        return out
+
+    def values(i) -> tuple:
+        total_a, total_b = (sum(wide[lc] for lc, j in f if j == 0) if i is None
+                            else sum([wide[(lc + j * i) % m] for lc, j in f]) for f in terms)
+        return log[code(total_a, by_p)], code(total_b, by_3p)
 
     return values
-
-
-def specialized_point_counter(kv, a: Poly, b: Poly):
-    """theta -> #{(x,y) in kv^2 : y^2 = x^3 + a(theta) x + b(theta)}, with a
-    and b reduced at theta by ``_specializer`` on the tables the count reads."""
-    count, values = _digit_counter(kv), _specializer(kv, (a, b))
-    return lambda theta: count(*values(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +150,17 @@ def place_model(field, d: int) -> tuple:
     """(F, roots): F the model of GF(q^d) (``field`` itself at d = 1, else
     modulo ``find_irreducible(field, d)``), and for every monic irreducible
     pi over ``field`` of degree d, in sort-key order, (``Place.sort_key()`` of
-    pi, the raw coefficients of pi, the raw value of one root of pi in F).
+    pi, the raw coefficients of pi, the raw value of one root theta of pi
+    in F, the discrete log of theta in F's counter tables, None at 0).
     Built once per (field value, d) per process, as raw values and keys."""
     key = (field.key, d)
     if key not in _PLACE_MODELS:
         F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs,
                                                 check_irreducible=False)
+        by_p, _, _, log, *_ = _counter_tables(F)
         _PLACE_MODELS[key] = F, tuple(
-            ((1, d) + tuple(map(field.raw_key, pi)), pi, theta)
+            ((1, d) + tuple(map(field.raw_key, pi)), pi, theta,
+             log[sum(map(operator.mul, F.raw_key(theta), by_p))])
             for pi, theta in _minimal_polynomials(field, F)
         )
     return _PLACE_MODELS[key]
@@ -223,16 +227,17 @@ def recount(field, lists, a4: Poly, a6: Poly, factors: dict, bad: set):
     """(places checked, None), or at the first place of ``lists`` whose
     L_v(1) in ``factors`` (by sort key) is not its point count on y^2 = x^3 +
     a4 x + a6, (places checked, (L_v(1), count, the place's label)).  Places
-    whose key is in ``bad`` are skipped; one ``specialized_point_counter``
-    per degree counts every other place at its root."""
+    whose key is in ``bad`` are skipped; every other place is counted at
+    its root's log, with a4 and a6 reduced there by one ``_specializer``
+    per degree."""
     checked = 0
     for d, F, roots in lists:
-        count = specialized_point_counter(F, a4, a6)
-        for key, pi, theta in roots:
+        count, values = _log_counter(F), _specializer(F, a4, a6)
+        for key, pi, _, i in roots:
             if key in bad:
                 continue
             at_one = factors[key]
-            points = count(theta) + 1
+            points = count(*values(i)) + 1
             if at_one != points:
                 return checked, (at_one, points, Place("finite", Poly(field, pi), d).label())
             checked += 1

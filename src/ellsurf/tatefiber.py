@@ -687,26 +687,28 @@ def component_lattice(f: FiberData) -> PairedGroup:
     return PairedGroup(FgGroup(len(rest)), Mat(gram, len(rest)), log_grade=0)
 
 
+_COMPONENT_LATTICES: dict = {}  # (kodaira, splitting, d_v) -> (base Gram, discriminant)
+
+
 def component_lattice_base_gram(f: FiberData) -> Mat:
-    """Orbit Gram scaled to base-field intersection numbers (factor d_v)."""
-    P = component_lattice(f)
-    return Mat([[f.d_v * x for x in row] for row in P.pairing.rows], P.pairing.n)
-
-
-_COMPONENT_DISCRIMINANTS: dict = {}  # (kodaira, splitting, d_v) -> SpecialValue
+    """Orbit Gram scaled to base-field intersection numbers (factor d_v).
+    It depends on the fiber only through its Kodaira type, splitting and
+    d_v, and is built with its discriminant once per those per process:
+    the Mat is shared, read, not changed."""
+    key = (f.kodaira, f.splitting, f.d_v)
+    if key not in _COMPONENT_LATTICES:
+        P = component_lattice(f)
+        gram = Mat([[f.d_v * x for x in row] for row in P.pairing.rows], P.pairing.n)
+        _COMPONENT_LATTICES[key] = gram, discriminant(PairedGroup(P.group, gram, log_grade=1))
+    return _COMPONENT_LATTICES[key][0]
 
 
 def arithmetic_component_discriminant(f: FiberData):
     """Discriminant of the height pairing on the component lattice, an
     element of Q * (log q)^(m_v - 1); the place degree enters through
-    log q_v = d_v log q.  It depends on the fiber only through its Kodaira
-    type, splitting and d_v, and is computed once per those per process."""
-    key = (f.kodaira, f.splitting, f.d_v)
-    if key not in _COMPONENT_DISCRIMINANTS:
-        P = component_lattice(f)
-        scaled = PairedGroup(P.group, component_lattice_base_gram(f), log_grade=1)
-        _COMPONENT_DISCRIMINANTS[key] = discriminant(scaled)
-    return _COMPONENT_DISCRIMINANTS[key]
+    log q_v = d_v log q.  Kept with ``component_lattice_base_gram``."""
+    component_lattice_base_gram(f)
+    return _COMPONENT_LATTICES[f.kodaira, f.splitting, f.d_v][1]
 
 
 def component_group_fixed_order(f: FiberData) -> int:

@@ -24,7 +24,7 @@ from .errors import (
     PlaceBudgetExceeded,
 )
 from .exactalg import RatPoly, SpecialValue, leading_term
-from .lattice import discriminant, ns_lattice_build, symmetric_signature
+from .lattice import discriminant_and_signature, ns_lattice_build
 from .oracle import place_lists, recount
 from .tatefiber import (
     FiberData,
@@ -282,12 +282,12 @@ def build_ns(inv, fibers, metadata):
 
 def check_ns_discriminant(ns, ns_reason, agg_value, agg_power) -> tuple[CheckResult, SpecialValue | None]:
     """disc(NS) against prod |disc(R_v)| * (log q)^2, the product being
-    ``check_flach_siebel``'s aggregate (agg_value, agg_power)."""
+    ``check_flach_siebel``'s aggregate (agg_value, agg_power), and NS of
+    signature (1, rho - 1): both from one elimination of the Gram matrix."""
     name = "ns_discriminant_product"
     if ns is None:
         return CheckResult(name, SKIPPED, details=ns_reason), None
-    sv = discriminant(ns)
-    pos, neg, zero = symmetric_signature(ns.pairing)
+    sv, (pos, neg, zero) = discriminant_and_signature(ns)
     rho_ns = ns.group.n_gens
     rhs_value, rhs_power = agg_value, 2 + agg_power
     ok = sv.value == rhs_value and sv.log_power == rhs_power
@@ -375,10 +375,11 @@ AUDIT_DEGREE = 2  # the good-place audit's depth, fixed whatever the point budge
 
 def check_good_place_sanity(model, fibers) -> CheckResult:
     """L_v(1) = #E(k(v)) at every finite place of degree <= AUDIT_DEGREE
-    without a bad fiber: the local factor the L-function uses (from
-    ``euler_factors``) against the pure-Python recount of ``oracle`` on the
-    minimal short model.  The oracle's place lists must give exactly the
-    finite places of the Euler product, keyed by ``zeta.place_keys``."""
+    without a bad fiber: the local factor the L-function uses (the same
+    ``euler_factors`` copy, built once per model and fibers) against the
+    pure-Python recount of ``oracle`` on the minimal short model.  The
+    oracle's place lists must give exactly the finite places of the Euler
+    product, keyed by ``zeta.place_keys``."""
     name = "good_place_lfactor"
     field = model.field
     bad = {f.place.sort_key() for f in fibers if not f.is_good}
@@ -388,7 +389,7 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
         at_one = (1 - a + field.q**d for a in a_v.tolist())
         factors.update(zip(place_keys(model, d, t), at_one))
     lists = place_lists(field, AUDIT_DEGREE)
-    places = {key for _, _, roots in lists for key, _, _ in roots}
+    places = {root[0] for _, _, roots in lists for root in roots}
     extra = [k for k in factors if k != (0,) and k not in places]
     missing = [k for k in places if k not in factors]
     if extra or missing:

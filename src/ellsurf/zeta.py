@@ -25,7 +25,7 @@ a convolution over the additive group (Z/p)^(kn), computed by a p-point
 number-theoretic transform along each base-p digit axis modulo a prime
 r > 2 q^n + 1 (Pollard, "The fast Fourier transform in a finite field",
 1971) and lifted to (-r/2, r/2].  A = 0 takes no transform: it moves B to
-one of its at most three cube classes, whose sums are O(q^n) work.
+one of its at most three cube classes, whose sums take one O(q^n) pass.
 Only A and B are evaluated at the representatives: the fiber over t is
 good when 4 A^3 + 27 B^2 != 0 there, since Delta = -16 (4 A^3 + 27 B^2)
 and -16 is a unit for p >= 5.  A good fiber over t has q^n + 1 + S(t)
@@ -48,10 +48,11 @@ product over the kernel's Frobenius orbits (``euler_factors``): a place with
 a fiber takes the fiber's factor, a good infinity Tate's algorithm, and
 every other good finite place 1 - a_v T + q_v T^2 with a_v from the
 kernel's array of its degree.  No list of places is enumerated on this
-route, and no place is keyed.  To order N, every factor of degree d with
-2 d > N adds only -c_1 t^d, so those degrees enter as one coefficient
-each (sum a_v over the good places); at 2 d <= N the series is divided
-once per distinct (d, L_v), raised to its count.
+route, and no place is keyed; these traces are built once per (model,
+fibers), for L, its re-run and the good-place audit.  To order N, every
+factor of degree d with 2 d > N adds only -c_1 t^d, so those degrees
+enter as one coefficient each (sum a_v over the good places); at 2 d <= N
+the series is divided once per distinct (d, L_v), raised to its count.
 """
 
 from __future__ import annotations
@@ -170,10 +171,10 @@ class _CodedField:
     log/exp tables for multiplication, digit-wise addition, a
     quadratic-character table (chi(x^i) = (-1)^i), and the character sums
     of ``_transform_sums``, each built on first use: at most two transform
-    tables, for A = 1 and A = x, and the three sums S(0, x^j) when 3
-    divides p^n - 1.  Nothing here uses ``ffield``'s field arithmetic,
-    and before any table is read, exp must start at 1 and hit all p^n - 1
-    nonzero codes, else ``InternalInconsistency``."""
+    tables, for A = 1 and A = x, and the three sums S(0, x^j) of one pass
+    over exp when 3 divides p^n - 1.  Nothing here uses ``ffield``'s field
+    arithmetic, and before any table is read, exp must start at 1 and hit
+    all p^n - 1 nonzero codes, else ``InternalInconsistency``."""
 
     def __init__(self, p: int, n: int):
         self.p, self.n = p, n
@@ -338,9 +339,10 @@ def _transform_sums(cf: _CodedField, A, B):
     j = a mod 2, by lambda = gen^(a // 2): a lookup in one of the field's
     two transform tables (``_build_sum_tables``, on first use).  For A = 0,
     lambda = gen^(b // 3) moves B = gen^b to gen^(b mod 3) when 3 divides
-    N - 1, where S(0, c) = chi(c) + 3 sum_y chi(y + c) over the nonzero
-    cubes y, O(N) once per field; otherwise cubing permutes the field and
-    every S(0, B) is 0, as is S(0, 0)."""
+    N - 1, where S(0, gen^j) = chi(gen^j) (1 + 3 sum chi(1 + gen^i)) over
+    i = -j mod 3 (the nonzero cubes are gen^(i + j)), 1 + gen^i being exp[i]
+    with its low digit raised by one: one O(N) pass per field.  Otherwise
+    cubing permutes the field and every S(0, B) is 0, as is S(0, 0)."""
     L = cf.N - 1
     out = np.zeros(len(A), dtype=np.int64)
     nonzero = A != 0
@@ -358,9 +360,10 @@ def _transform_sums(cf: _CodedField, A, B):
     zero = ~nonzero & (B != 0)
     if L % 3 == 0 and zero.any():
         if cf.cube_sums is None:
-            cubes = cf.exp[::3]
+            p, exp = cf.p, cf.exp
+            chi_1 = cf.chi[exp + np.where(exp % p == p - 1, 1 - p, 1)]  # chi(1 + gen^i)
             cf.cube_sums = np.array(
-                [int(cf.chi[c] + 3 * cf.chi[cf.add(cubes, c)].sum()) for c in cf.exp[:3]]
+                [int(cf.chi[exp[j]]) * (1 + 3 * int(chi_1[-j % 3 :: 3].sum())) for j in range(3)]
             )
         b = cf.log[B[zero]]
         out[zero] = np.where(b // 3 % 2, -1, 1) * cf.cube_sums[b % 3]
@@ -403,6 +406,7 @@ class _CharSums:
         self.base_code = base_code
         self.coeffs = [[base_code(c) for c in f.coeffs] for f in model.minimal_short]
         self.levels: dict[int, _Level] = {}
+        self.euler: dict = {}  # (d, fiber place keys) -> ``euler_factors``' (t, a_v)
 
     def _embedding(self, cf: _CodedField):
         codes = np.arange(self.q, dtype=np.int64)
@@ -622,7 +626,8 @@ def euler_factors(
     T = q_v^(-s), at each place with a fiber (an injected fiber wins) and
     at infinity (Tate's algorithm when it has none); the good traces
     {d: (t, a_v)}, the kernel's ``good_traces(d)`` less the roots t of
-    those fibers' pi, each place with the factor 1 - a_v T + q^d T^2.
+    those fibers' pi, each place with the factor 1 - a_v T + q^d T^2: built
+    once per model and sort keys of those places, then shared read-only.
     Raises PlaceBudgetExceeded, before any kernel level is built, when
     q^order > budget."""
     q = model.field.q
@@ -633,14 +638,18 @@ def euler_factors(
     kernel = _char_sums(model)
     good = {}
     for d in range(1, order + 1):
-        lv = kernel.level(d)
-        t, a_v = kernel.good_traces(d)
-        for f in own.values():
-            if f.d_v == d and not f.place.is_infinity:
-                pi = [lv.emb[kernel.base_code(c)] for c in f.place.poly.coeffs]
-                keep = lv.cf.eval_poly(pi, t) != 0
+        pis = {key: f.place.poly for key, f in own.items() if f.d_v == d and key != (0,)}
+        places = d, frozenset(pis)
+        if places not in kernel.euler:
+            lv = kernel.level(d)
+            t, a_v = kernel.good_traces(d)
+            for pi in pis.values():
+                keep = lv.cf.eval_poly([lv.emb[kernel.base_code(c)] for c in pi.coeffs], t) != 0
                 t, a_v = t[keep], a_v[keep]
-        good[d] = (t, a_v)
+            for arr in (t, a_v):  # shared by every caller: read-only
+                arr.setflags(write=False)
+            kernel.euler[places] = t, a_v
+        good[d] = kernel.euler[places]
     return {key: (f.d_v, f.l_factor) for key, f in own.items()}, good
 
 

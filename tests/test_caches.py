@@ -1,9 +1,9 @@
 """The per-process caches keyed by field value (the oracle's place models
 and point-counter tables, the kernel's place keys and Frobenius orbits) and
-by fiber type (component discriminants) change no report: reports made in
-one process that interleaves base fields, an extension base field and the
-catalog are byte-identical to the same reports made with every one of those
-caches emptied first."""
+by fiber type (component Grams and discriminants) change no report:
+reports made in one process that interleaves base fields, an extension
+base field and the catalog are byte-identical to the same reports made
+with every one of those caches emptied first."""
 
 import contextlib
 import io
@@ -25,7 +25,7 @@ SWEEP_F11 = (
 CACHES = (
     oracle._PLACE_MODELS,
     oracle._COUNTER_TABLES,
-    tatefiber._COMPONENT_DISCRIMINANTS,
+    tatefiber._COMPONENT_LATTICES,
     zeta._PLACE_KEYS,
     zeta._ORBITS,
 )

@@ -32,7 +32,7 @@ def places_of_degree(field, d):
     GF(q^d) the good-place audit uses: ``field`` itself at d = 1, else
     ``find_irreducible``."""
     return [(Place("finite", Poly(field, pi), d), theta)
-            for _, pi, theta in place_model(field, d)[1]]
+            for _, pi, theta, _ in place_model(field, d)[1]]
 
 
 def test_field_make_prime():
@@ -191,6 +191,31 @@ def test_poly_divmod_is_division_with_remainder(field):
         for i, c in enumerate(rem):
             rebuilt[i] = field.raw_add(rebuilt[i], c)
         assert rebuilt == a
+
+
+def test_poly_cube_takes_two_products(monkeypatch):
+    """a ** 3 is one squaring and one product by a, left to right: two
+    ``poly_mul`` calls, where a right-to-left ladder makes four."""
+    calls = []
+    poly_mul = PrimeField.poly_mul
+    monkeypatch.setattr(PrimeField, "poly_mul", lambda self, a, b: calls.append(1) or poly_mul(self, a, b))
+    a = Poly(F5, [1, 2, 0, 3, 1])
+    cube = a**3
+    assert len(calls) == 2
+    assert cube == a * a * a
+
+
+@pytest.mark.parametrize("field", [F5, F25], ids=["F5", "F25"])
+def test_poly_power_is_the_repeated_product(field):
+    """a ** n against a * a * ... * a for n = 0..13, for a random a of
+    degree 4 and for the zero polynomial (0 ** 0 = 1)."""
+    rng = random.Random(field.q)
+    a = Poly(field, _random_coeffs(field, rng, 5))
+    for base in (a, Poly(field, [])):
+        product = Poly(field, [field.one])
+        for n in range(14):
+            assert base**n == product, n
+            product = product * base
 
 
 def test_places_f2_degree3():
@@ -354,10 +379,10 @@ def test_roots_by_minimal_polynomial_list_every_place(field):
     theta, pi(theta) = 0, in the shared model of its degree."""
     for d in (1, 2):
         F, roots = place_model(field, d)
-        keys = [key for key, _, _ in roots]
+        keys = [key for key, *_ in roots]
         assert len(roots) == irreducible_count(field.q, d)
         assert keys == sorted(set(keys))
-        for key, pi, theta in roots:
+        for key, pi, theta, _ in roots:
             v = Place("finite", Poly(field, pi), d)
             assert v.sort_key() == key
             assert v.degree == v.poly.degree == d

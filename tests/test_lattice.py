@@ -10,6 +10,7 @@ from ellsurf.lattice import (
     Mat,
     PairedGroup,
     discriminant,
+    discriminant_and_signature,
     free_paired,
     kernel_basis,
     mat_det,
@@ -20,7 +21,7 @@ from ellsurf.lattice import (
     preimage_kernel,
     snf,
     subgroup_quotient,
-    symmetric_signature,
+    symmetric_elimination,
     two_term,
     yun_split,
     z_invariant,
@@ -161,14 +162,31 @@ def test_snf_randomized_against_determinantal_divisors():
 
 
 def test_det_and_inverse_match_fraction_gauss_oracle():
+    """mat_det and mat_inverse on random rational matrices, and the
+    determinant of the one-pass symmetric elimination on their symmetric
+    parts M + M^T, a third of them with the diagonal zeroed so that no
+    diagonal pivot is at hand."""
     rng = random.Random(31)
     singular = 0
+    symmetric = {"singular": 0, "zero diagonal": 0, "rational": 0}
     for _ in range(400):
         n = rng.randint(1, 6)
         den = rng.choice([1, 1, 2, 6])
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(n)] for _ in range(n)]
         if den == 1:
             rows = [[int(x) for x in r] for r in rows]
+        sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+        if rng.random() < 0.3:
+            for i in range(n):
+                sym[i][i] = 0
+            symmetric["zero diagonal"] += 1
+        sym_det = fraction_gauss(sym)[0]
+        symmetric["singular"] += sym_det == 0
+        symmetric["rational"] += den > 1
+        got_sym = symmetric_elimination(Mat(sym, n))[0]
+        assert got_sym == sym_det
+        integral = all(Fraction(x).denominator == 1 for r in sym for x in r)
+        assert type(got_sym) is (int if integral else Fraction)
         M = Mat(rows, n)
         det, inv = fraction_gauss(rows)
         got = mat_det(M)
@@ -182,6 +200,7 @@ def test_det_and_inverse_match_fraction_gauss_oracle():
             continue
         assert mat_inverse(M).rows == inv
     assert singular > 0
+    assert min(symmetric.values()) > 10
     # unimodular integer matrices invert to integer matrices
     for _ in range(50):
         U = random_unimodular(rng, rng.randint(1, 6))
@@ -199,33 +218,39 @@ def test_inverse_of_singular_matrix_raises():
 def test_signature_by_inertia_oracle():
     """M = P^T D P with P unimodular has the inertia of D.  D is block
     diagonal in signed and zero 1 x 1 blocks and hyperbolic planes
-    [[0, 1], [1, 0]] (zero diagonal, one positive and one negative
-    eigenvalue), so singular and zero-diagonal inputs both occur."""
+    [[0, b], [b, 0]] (zero diagonal, one positive and one negative
+    eigenvalue), so singular and zero-diagonal inputs both occur.  Its
+    determinant is det D = prod d * prod (-b^2), over 3^n when M is scaled
+    by 1/3, and the one-pass symmetric elimination gives both."""
     rng = random.Random(43)
     zero_diagonal = 0
     for _ in range(600):
         blocks = [rng.choice("+-0h") for _ in range(rng.randint(1, 5))]
         n = sum(2 if b == "h" else 1 for b in blocks)
         D = Mat.zero(n, n)
+        det = 1
         i = 0
         for b in blocks:
             if b == "h":
                 D.rows[i][i + 1] = D.rows[i + 1][i] = rng.randint(1, 3)
+                det *= -D.rows[i][i + 1] ** 2
                 i += 2
             else:
                 D.rows[i][i] = {"+": rng.randint(1, 4), "-": -rng.randint(1, 4), "0": 0}[b]
+                det *= D.rows[i][i]
                 i += 1
         P = random_unimodular(rng, n) if rng.random() < 0.7 else Mat.identity(n)
         M = P.transpose().mul(D).mul(P)
         if rng.random() < 0.2:
             M = Mat([[Fraction(x, 3) for x in r] for r in M.rows], n)
+            det = Fraction(det, 3**n)
         zero_diagonal += all(M.rows[k][k] == 0 for k in range(n))
         h = blocks.count("h")
         expected = (blocks.count("+") + h, blocks.count("-") + h, blocks.count("0"))
-        assert symmetric_signature(M) == expected
+        assert symmetric_elimination(M) == (det, expected)
     assert zero_diagonal > 0
-    assert symmetric_signature(Mat([[0, 1], [1, 0]])) == (1, 1, 0)
-    assert symmetric_signature(Mat.zero(3, 3)) == (0, 0, 3)
+    assert symmetric_elimination(Mat([[0, 1], [1, 0]])) == (-1, (1, 1, 0))
+    assert symmetric_elimination(Mat.zero(3, 3)) == (0, (0, 0, 3))
 
 
 def test_kernel_and_preimage():
@@ -559,20 +584,18 @@ def test_ns_lattice_rank10_unimodular():
     block = Mat(_e8_gram(), 8)
     ns = ns_lattice_build(1, [block], 0, 1)
     assert ns.group.n_gens == 10
-    sv = discriminant(ns)
+    sv, signature = discriminant_and_signature(ns)
     assert abs(sv.signed_value) == 1 and sv.log_power == 10
-    pos, neg, zero = symmetric_signature(ns.pairing)
-    assert (pos, neg, zero) == (1, 9, 0)
+    assert signature == (1, 9, 0)
 
 
 def test_ns_lattice_single_i3_block():
     block = Mat([[-2, 1], [1, -2]], 2)
     ns = ns_lattice_build(1, [block], 0, 1)
     assert ns.group.n_gens == 4
-    sv = discriminant(ns)
+    sv, signature = discriminant_and_signature(ns)
     assert abs(sv.signed_value) == 3
-    pos, neg, zero = symmetric_signature(ns.pairing)
-    assert (pos, neg, zero) == (1, 3, 0)
+    assert signature == (1, 3, 0)
 
 
 def test_ns_lattice_refuses_nontrivial_mw():

@@ -713,13 +713,23 @@ def test_counter_tables_refuse_a_generator_that_is_not_primitive(monkeypatch, ca
     assert err.startswith("internal error: InternalInconsistency: the powers of the generator")
 
 
+def _counter_args(kv, a, b):
+    """(log a, None at 0; the 3p-code of b) on kv's counter tables: what
+    ``oracle._specializer`` reads off a4 and a6 for the count."""
+    by_p, by_3p, _, log, *_ = oracle._counter_tables(kv)
+    code = lambda v, radix: sum(x * w for x, w in zip(kv.raw_key(v), radix))
+    return log[code(a, by_p)], code(b, by_3p)
+
+
 @pytest.mark.parametrize("name", ["F5", "F11", "F25"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_specializer_matches_poly_eval_at_every_root(name, d):
     """At every root of a place of degree 1 and 2 over GF(5), GF(11) and
-    GF(25), the log-table values of seeded random a4 and a6 are their
-    values by Horner in the field; a4 is read with its coefficients in the
-    base field, as the audit reads it, and a6 with them embedded in F."""
+    GF(25), read at the log the place model keeps for it, the log-table
+    values of seeded random a4 and a6 (the log of a4, the 3p-code of a6)
+    are those of their values by Horner in the field; a4 is read with its
+    coefficients in the base field, as the audit reads it, and a6 with them
+    embedded in F."""
     from ellsurf.ffield import ExtensionField
 
     base = {"F5": F5, "F11": PrimeField(11), "F25": ExtensionField(F5, [2, 0, 1])}[name]
@@ -729,10 +739,11 @@ def test_specializer_matches_poly_eval_at_every_root(name, d):
     elems = list(base.raw_values())
     coeffs = [[rng.choice(elems) for _ in range(rng.randrange(2, 9))] for _ in range(2)]
     in_F = [Poly(F, [embed(c) for c in cs]) for cs in coeffs]
-    values = oracle._specializer(F, [Poly(base, coeffs[0]), in_F[1]])
+    values = oracle._specializer(F, Poly(base, coeffs[0]), in_F[1])
     assert len(roots) > 1
-    for _, _, theta in roots:
-        assert values(theta) == [list(F.raw_key(f.eval(theta))) for f in in_F], theta
+    for _, _, theta, i in roots:
+        assert i == _counter_args(F, theta, theta)[0]
+        assert values(i) == _counter_args(F, *(f.eval(theta) for f in in_F)), theta
 
 
 def test_specializer_radix_holds_the_digit_sums_of_a_degree_40_polynomial():
@@ -745,15 +756,17 @@ def test_specializer_radix_holds_the_digit_sums_of_a_degree_40_polynomial():
     rng = random.Random(40)
     coeffs = [rng.randrange(1, 101) for _ in range(41)]
     f = Poly(f101, coeffs)
-    values = oracle._specializer(f101, [f, Poly(f101, [1])])
+    values = oracle._specializer(f101, f, Poly(f101, [1]))
     for theta in f101.raw_values():
-        assert values(theta) == [[f.eval(theta)], [1]], theta
+        i = _counter_args(f101, theta, theta)[0]
+        assert values(i) == _counter_args(f101, f.eval(theta), 1), theta
     big = ExtensionField(f101, find_irreducible(f101, 2).coeffs)
     f_big = Poly(big, [(c, 0) for c in coeffs])
-    values = oracle._specializer(big, [f_big])
+    values = oracle._specializer(big, f_big, f_big)
     for _ in range(200):
         theta = (rng.randrange(101), rng.randrange(101))
-        assert values(theta) == [list(f_big.eval(theta))], theta
+        i = _counter_args(big, theta, theta)[0]
+        assert values(i) == _counter_args(big, f_big.eval(theta), f_big.eval(theta)), theta
 
 
 def test_point_count_oracle_loads_neither_numpy_nor_the_kernel():

@@ -366,6 +366,76 @@ def test_long_form_model_with_a1_a3():
 
 
 # ---------------------------------------------------------------------------
+# one pass per report: each object is built once and shared
+
+SWEEP_F7 = (
+    "[field]\np = 7\n[model]\na4 = 0, 0, 4\na6 = 0, 0, 0, 4\n"
+    "[metadata]\nmw_rank = 0\nmw_torsion_order = 1\n[limits]\nn_max = 2\n"
+)
+
+
+@pytest.mark.parametrize("source", ["x3_plus_t_f7", "sweep_f7"])
+def test_a_report_reads_the_euler_data_and_eliminates_ns_once(monkeypatch, tmp_path, capsys, source):
+    """One report (two I0* over GF(7) for the sweep config, II* and II for
+    x3_plus_t_f7) reads the kernel's good traces once per degree for L, its
+    order-independence re-run and the good-place audit together, and runs
+    one elimination of the NS Gram matrix, the largest matrix it meets,
+    for both its determinant and its signature."""
+    import json
+
+    from ellsurf import lattice, zeta
+    from ellsurf.cli import main
+
+    degrees, sizes = [], []
+    good_traces, cleared = zeta._CharSums.good_traces, lattice._cleared
+    monkeypatch.setattr(zeta._CharSums, "good_traces",
+                        lambda self, d: degrees.append(d) or good_traces(self, d))
+    monkeypatch.setattr(lattice, "_cleared", lambda M: sizes.append(M.m) or cleared(M))
+    if source == "sweep_f7":
+        (tmp_path / "s.cfg").write_text(SWEEP_F7)
+        argv = ["report", "--config", str(tmp_path / "s.cfg")]
+    else:
+        argv = ["report", "--catalog", source]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c["status"] for c in report["checks"]}
+    assert checks["ns_discriminant_product"] == checks["l_function_order_independence"] == PASS
+    assert checks["good_place_lfactor"] == PASS
+    assert sorted(degrees) == list(range(1, max(degrees) + 1)) and max(degrees) >= 2
+    assert max(sizes) == report["rho"] and sizes.count(max(sizes)) == 1
+
+
+def test_true_perturbed_and_true_fibers_on_one_model_match_fresh_models(x3t_parts):
+    """Reports and order-shuffled L-functions of X3T with its own fibers,
+    then with a wrong good trace injected at a degree-1 and at a degree-2
+    place, then with its own fibers again, all made on one model, equal
+    those made on a fresh model each time: the model's Euler data follows
+    the fibers it is given."""
+    from ellsurf.ffield import Poly, place_finite
+    from ellsurf.tatefiber import make_fiber
+    from ellsurf.verify import compute_l
+
+    from ellsurf.errors import EllsurfError
+
+    def l_again(m, rep):
+        try:
+            return compute_l(m, rep.fibers, rep.invariants, Limits(), seed=3)
+        except EllsurfError as exc:
+            return repr(exc)
+
+    inv, fibers, counts = x3t_parts
+    wrong_1 = make_fiber(place_finite(Poly(F5, [-1, 1])), 5, "I0", None, a_v=1)
+    wrong_2 = make_fiber(place_finite(Poly(F5, [2, 0, 1])), 5, "I0", None, a_v=9)
+    one = model(F5, 0, [0, 1])
+    for given in (fibers, fibers + [wrong_1], fibers + [wrong_2], fibers):
+        fresh = model(F5, 0, [0, 1])
+        got = run_verification(one, META["x3t"], fibers=given, counts=counts)
+        assert got == run_verification(fresh, META["x3t"], fibers=given, counts=counts)
+        assert l_again(one, got) == l_again(fresh, got)
+        assert got.has_failure() == (given is not fibers)
+
+
+# ---------------------------------------------------------------------------
 # the conditional big-surface path (counts budget below b2/2)
 
 

@@ -87,7 +87,7 @@ def finite_places(field, d_max):
     places = []
     for d in range(1, d_max + 1):
         places += [Place("finite", Poly(field, pi), d)
-                   for _, pi, _ in oracle.place_model(field, d)[1]]
+                   for _, pi, *_ in oracle.place_model(field, d)[1]]
     return places
 
 
@@ -309,12 +309,13 @@ def random_codes(cf, size, seed):
 
 @pytest.mark.parametrize(
     "p, n",
-    # gcd(4, N - 1) = 4 and 3 | N - 1: 25, 625, 49, 121, 13; 4 and 3 does
-    # not divide N - 1: 5, 125, 101; 2 and 3 | N - 1: 7, 343; 2 and 3 does
-    # not: 131.  GF(25) and GF(625) are levels 1 and 2 over the base GF(25);
-    # 101 and 131 are single-digit levels, 131 with the transform matrix
-    # split into blocks
-    [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (11, 2), (13, 1),
+    # gcd(4, N - 1) = 4 and 3 | N - 1: 25, 625, 49, 2401, 121, 13; 4 and 3
+    # does not divide N - 1: 5, 125, 101; 2 and 3 | N - 1: 7, 343; 2 and 3
+    # does not: 131.  GF(25) and GF(625) are levels 1 and 2 over the base
+    # GF(25); 101 and 131 are single-digit levels, 131 with the transform
+    # matrix split into blocks.  Where 3 | N - 1 the A = 0 entries read the
+    # three cube-class sums, GF(7^1..4), GF(13), GF(5^2) and GF(5^4) among them
+    [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (7, 4), (11, 2), (13, 1),
      (101, 1), (131, 1)],
 )
 def test_transform_matches_direct_kernel(p, n):
