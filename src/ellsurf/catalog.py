@@ -131,8 +131,8 @@ notes = fibers II, nonsplit I1, III*; (x,y) = (-1,2) has infinite order
 # canonical-report digests (sha256 of `ellsurf report --catalog NAME`);
 # regenerated by scripts/freeze_catalog.py after any intentional change
 DIGESTS = {
-    "generic_i1_f5": "f54b7983c2d928c4de703c3f6daa90a14d456f59aef416cdb9f486072d2f77f6",
-    "legendre_f5": "6da9f2724c74278df8e6d10cdfa993636fa5476f1b86528ae80ff574fc30f84a",
-    "x3_plus_t_f5": "adea47fa1ddc2514615c5e47dfe1618a241115372c29d8cbc13d01883ae2af0e",
-    "x3_plus_t_f7": "79884464babf03163d397569d6c7abfad41dddfd9fee9bd55e3b280923e1cbe6",
+    "generic_i1_f5": "bceff32b2dd1a09402be373489b5fd44b6e30b2dc9c5d8210a47ff33b197ab62",
+    "legendre_f5": "81a3d15903132988dd07ba092d9a0e1fc0ac83d99b031f07045ca005573ff7ae",
+    "x3_plus_t_f5": "28802f68f72cdac5113d70a003a3c6abdf70cc3e48f40159496c6a9577981b5d",
+    "x3_plus_t_f7": "778388c337bf2ad05a1af745b6bb485b00fcbe580dec5f5de81e1998ad37475e",
 }

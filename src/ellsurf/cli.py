@@ -4,8 +4,9 @@ Config files are INI-like: ``[section]`` headers with ``key = value`` lines
 and ``#`` comments.  Sections: field, model, metadata, limits.  Model
 coefficients are comma-separated lists in t, lowest degree first; each entry
 is an integer or a parenthesized vector ``(c0 c1 ...)`` over GF(p) for
-extension fields.  Unknown sections or keys, and integers in [metadata] or
-[limits] below their minimum, are rejected with their line number.
+extension fields.  Unknown sections or keys, keys given twice, and integers
+in [metadata] or [limits] below their minimum, are rejected with their line
+number.
 
 The config's [limits] and [metadata] keys, and the command-line flags
 (``_apply_flags``), are set directly on the ``verify.Limits`` and
@@ -40,14 +41,8 @@ from .errors import (
 )
 from .ffield import field_make
 from .tatefiber import WeierstrassModel
-from .verify import (
-    CheckResult,
-    Limits,
-    Metadata,
-    Report,
-    compute_l,
-    run_verification,
-)
+from .verify import Limits, Metadata, Report, require_q_in_budget, run_verification
+from .verify import compute_l  # noqa: F401  (bench/test_bench.py reads cli.compute_l)
 
 SCHEMA_VERSION = "1"
 
@@ -59,7 +54,7 @@ _SECTIONS = {
 }
 
 # least allowed value of each integer in [metadata] and [limits], and of
-# the --threads and --seed flags
+# the --threads flag
 _MINIMUM = {
     "mw_rank": 0,
     "mw_torsion_order": 1,
@@ -68,7 +63,6 @@ _MINIMUM = {
     "surplus_margin": 0,
     "point_budget": 1,
     "threads": 0,
-    "seed": 0,
 }
 
 
@@ -114,7 +108,7 @@ def _split_top_level(value: str):
 
 def parse_config(text: str) -> Config:
     cfg = Config()
-    section = None
+    section, seen = None, set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -134,6 +128,9 @@ def parse_config(text: str) -> Config:
         key, value = key.strip(), value.strip()
         if key not in _SECTIONS[section]:
             raise UnknownKey(f"unknown key {key!r} in [{section}]", lineno)
+        if (section, key) in seen:
+            raise ParseError(f"repeated key {key!r} in [{section}]", lineno)
+        seen.add((section, key))
         if section == "field":
             if key == "p":
                 cfg.p = _int_field(value, lineno)
@@ -167,6 +164,12 @@ def _at_least_minimum(key: str, n: int, lineno: int | None) -> int:
 
 
 def build_model(cfg: Config):
+    """(model, metadata, limits) of a config.  q = p^deg(modulus) is held
+    against the point budget before ``field_make`` tests p for primality
+    by trial division, which takes over 10 s for p past 10^16."""
+    if cfg.p > 1:
+        degree = max((i for i, c in enumerate(cfg.modulus or [0, 1]) if c % cfg.p), default=1)
+        require_q_in_budget(cfg.p**degree, cfg.limits)
     try:
         fq = field_make(cfg.p, cfg.modulus)
     except (NotPrime, NotIrreducible) as exc:
@@ -226,7 +229,6 @@ def report_to_dict(report: Report, cfg: Config) -> dict:
             "surplus_margin": limits.surplus_margin,
             "point_budget": limits.point_budget,
             "threads": limits.threads,
-            "seed": limits.seed,
         },
         "invariants": {
             "e": inv.e,
@@ -296,11 +298,11 @@ def report_digest(json_text: str) -> str:
 
 
 def _load_config(args) -> Config:
-    if getattr(args, "catalog", None):
+    if args.catalog:
         if args.catalog not in CATALOG:
             raise ParseError(f"unknown catalog entry {args.catalog!r}", None)
         return parse_config(CATALOG[args.catalog].config_text)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -316,7 +318,6 @@ def _apply_flags(cfg: Config, args) -> None:
         (cfg.limits, "place_degree_cap", "place_cap"),
         (cfg.metadata, "mw_rank", "assume_rank"),
         (cfg.limits, "threads", "threads"),
-        (cfg.limits, "seed", "seed"),
     )
     for target, key, flag in flags:
         value = getattr(args, flag)
@@ -357,32 +358,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _run_full(args):
-    model, report, cfg = _run(args)
-    limits = cfg.limits
-    # independence of the L-function from the order of its local factors
-    try:
-        l_again = compute_l(model, report.fibers, report.invariants, limits, seed=limits.seed)
-        ok = l_again == report.l_poly
-        report.checks.append(
-            CheckResult(
-                "l_function_order_independence",
-                "PASS" if ok else "FAIL",
-                _poly_json(report.l_poly),
-                _poly_json(l_again),
-                None,
-                f"seed {limits.seed}",
-            )
-        )
-    except EllsurfError as exc:
-        report.checks.append(
-            CheckResult("l_function_order_independence", "FAIL", details=str(exc))
-        )
-    return report, cfg
-
-
 def cmd_verify(args) -> int:
-    report, _ = _run_full(args)
+    _, report, _ = _run(args)
     for c in report.checks:
         extra = f"  [{c.details}]" if c.details else ""
         print(f"{c.status:<12} {c.name}{extra}")
@@ -394,7 +371,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report, cfg = _run_full(args)
+    _, report, cfg = _run(args)
     print(report_json(report, cfg))
     return 4 if report.has_failure() else 0
 
@@ -431,11 +408,11 @@ def make_parser() -> argparse.ArgumentParser:
         ("report", cmd_report),
     ]:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="path to a config file")
-        p.add_argument("--catalog", help="name of a built-in fixture")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="path to a config file")
+        source.add_argument("--catalog", help="name of a built-in fixture")
         p.add_argument("--nmax", type=int, default=None, help="count points up to GF(q^n)")
         p.add_argument("--assume-rank", type=int, default=None, dest="assume_rank")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized cross-checks")
         p.add_argument("--place-cap", type=int, default=None, dest="place_cap")
         p.add_argument("--threads", type=int, default=0)
         p.set_defaults(fn=fn)

@@ -22,7 +22,8 @@ no global sign convention is imposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -340,7 +341,10 @@ class FgGroup:
         if self.relations.m != self.n_gens:
             raise ValueError("relations rows must match generator count")
 
+    @cached_property
     def smith_data(self):
+        """(D, U, rank, torsion) from one ``snf`` of the relations, run on
+        first use: relations are not changed after construction."""
         D, U, V = snf(self.relations)
         r = min(D.m, D.n)
         diag = [D.rows[i][i] for i in range(r)]
@@ -350,28 +354,19 @@ class FgGroup:
         return D, U, rank, torsion
 
     def invariants(self):
-        _, _, rank, torsion = self.smith_data()
+        _, _, rank, torsion = self.smith_data
         return rank, sorted(torsion)
 
     def torsion_order(self) -> int:
-        _, _, _, torsion = self.smith_data()
-        prod = 1
-        for d in torsion:
-            prod *= d
-        return prod
+        return math.prod(self.smith_data[3])
 
     def order(self) -> int | None:
         rank, torsion = self.invariants()
-        if rank > 0:
-            return None
-        prod = 1
-        for d in torsion:
-            prod *= d
-        return prod
+        return None if rank > 0 else math.prod(torsion)
 
     def free_basis(self) -> Mat:
         """Columns of Z^n_gens projecting to a basis of the free quotient."""
-        D, U, rank, _ = self.smith_data()
+        D, U, rank, _ = self.smith_data
         Uinv = mat_inverse(U)
         r = min(D.m, D.n)
         free_idx = [i for i in range(self.n_gens) if i >= r or D.rows[i][i] == 0]

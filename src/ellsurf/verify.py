@@ -68,7 +68,6 @@ class Limits:
     surplus_margin: int = DEFAULT_SURPLUS
     point_budget: int = DEFAULT_BUDGET
     threads: int = 0
-    seed: int = 0
 
 
 @dataclass
@@ -415,18 +414,34 @@ def _half_expansion(inv, limits: Limits) -> bool:
     return inv.deg_l + limits.surplus_margin > limits.place_degree_cap
 
 
-def compute_l(model, fibers, inv, limits: Limits, seed=None):
+def compute_l(model, fibers, inv, limits: Limits, reverse: bool = False):
     """L by full expansion when the places fit the degree cap, otherwise by
-    half expansion plus weight-2 functional-equation completion; ``seed``
-    shuffles the order of the local factors."""
+    half expansion plus weight-2 functional-equation completion; ``reverse``
+    reverses the order of the local factors."""
     return l_function(
         model,
         fibers,
         inv,
         surplus=limits.surplus_margin,
-        seed=seed,
+        reverse=reverse,
         use_functional_equation=_half_expansion(inv, limits),
         budget=limits.point_budget,
+    )
+
+
+def check_l_order_independence(model, fibers, inv, limits: Limits, l_poly) -> CheckResult:
+    """L again, dividing by the local factors in reverse order (the Euler
+    data cached on the model is reused), against ``l_poly``."""
+    name = "l_function_order_independence"
+    try:
+        l_again = compute_l(model, fibers, inv, limits, reverse=True)
+    except EllsurfError as exc:
+        return CheckResult(name, FAIL, details=str(exc))
+    return CheckResult(
+        name,
+        PASS if l_again == l_poly else FAIL,
+        str([str(c) for c in l_poly.coeffs]),
+        str([str(c) for c in l_again.coeffs]),
     )
 
 
@@ -441,6 +456,12 @@ def l_places_depth(inv, limits: Limits) -> int:
 # the orchestrator
 
 
+def require_q_in_budget(q: int, limits: Limits) -> None:
+    """PlaceBudgetExceeded unless the field size q is within the point budget."""
+    if q > limits.point_budget:
+        raise PlaceBudgetExceeded(f"q = {q} exceeds point budget {limits.point_budget}")
+
+
 def run_verification(
     model: WeierstrassModel,
     metadata: Metadata | None = None,
@@ -449,7 +470,8 @@ def run_verification(
     counts=None,
 ) -> Report:
     """Full pipeline: fibers, counts, both P2 routes, L, special values and
-    every identity check.  ``fibers`` and ``counts`` can be injected (the
+    every identity check; the last, L's re-run in reverse order, is made
+    after a pipeline FAIL too.  ``fibers`` and ``counts`` can be injected (the
     mutation-sensitivity tests perturb them).  Raises PlaceBudgetExceeded,
     before any kernel work, when the L-series needs places of a
     degree d with q^d over the point budget, and before Tate's algorithm
@@ -457,8 +479,7 @@ def run_verification(
     metadata = metadata or Metadata()
     limits = limits or Limits()
     q = model.field.q
-    if q > limits.point_budget:
-        raise PlaceBudgetExceeded(f"q = {q} exceeds point budget {limits.point_budget}")
+    require_q_in_budget(q, limits)
     inv, fibers = global_invariants(
         model, fibers if fibers is not None else bad_fibers(model, limits.threads)
     )
@@ -532,6 +553,7 @@ def run_verification(
         )
         checks.append(order_check)
         checks.append(check_good_place_sanity(model, fibers))
+    checks.append(check_l_order_independence(model, fibers, inv, limits, l_poly))
 
     return Report(
         q=q,

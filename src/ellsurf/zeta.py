@@ -57,7 +57,6 @@ the series is divided once per distinct (d, L_v), raised to its count.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 
 import numpy as np
@@ -653,7 +652,7 @@ def euler_factors(
     return {key: (f.d_v, f.l_factor) for key, f in own.items()}, good
 
 
-def _euler_series(model, fibers, order: int, budget: int, seed=None) -> list[int]:
+def _euler_series(model, fibers, order: int, budget: int, reverse: bool = False) -> list[int]:
     """prod_v L_v(t^{d_v})^(-1) over ``euler_factors`` to t^order, on
     integers.  A factor of degree d with 2 d > order reaches the order only
     through its -c_1 t^d, and the product of two such terms lies past the
@@ -661,8 +660,8 @@ def _euler_series(model, fibers, order: int, budget: int, seed=None) -> list[int
     -c_1 over the factors of degree d (sum a_v at its good places): the
     series starts there.  It is then divided by each distinct (d, L_v) with
     2 d <= order once, raised to its count: the good traces of degree d are
-    grouped by value.  A ``seed`` shuffles those groups by
-    ``random.Random(seed)``."""
+    grouped by value.  ``reverse`` divides by those groups in reverse
+    order."""
     fiber_factors, good = euler_factors(model, fibers, order, budget)
     series = [1] + [0] * order
     groups = Counter()
@@ -684,10 +683,7 @@ def _euler_series(model, fibers, order: int, budget: int, seed=None) -> list[int
         counts = np.bincount(a_v - low)
         for i in np.flatnonzero(counts).tolist():
             groups[d, (1, -low - i, model.field.q**d)] += int(counts[i])
-    groups = list(groups.items())
-    if seed is not None:
-        random.Random(seed).shuffle(groups)
-    for (d, c), m in groups:
+    for (d, c), m in reversed(groups.items()) if reverse else groups.items():
         series = _divide_power(series, c, d, m)
     return series
 
@@ -697,13 +693,13 @@ def l_function(
     fibers: list[FiberData],
     inv: SurfaceInvariants,
     surplus: int = DEFAULT_SURPLUS,
-    seed=None,
+    reverse: bool = False,
     use_functional_equation: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> RatPoly:
     """The L-function of the generic-fiber Jacobian as a polynomial in t.
 
-    Expands the Euler product (``_euler_series``, with ``seed``) to degree
+    Expands the Euler product (``_euler_series``, with ``reverse``) to degree
     deg_l + surplus on integer coefficients (every fiber factor must lie in
     1 + T Z[T]); the surplus coefficients must vanish.  With
     ``use_functional_equation`` the series is only expanded to half the
@@ -720,7 +716,7 @@ def l_function(
     field = model.field
     if order == 0:
         return RatPoly([1])
-    series = _euler_series(model, fibers, order, budget, seed)
+    series = _euler_series(model, fibers, order, budget, reverse)
     if use_functional_equation:
         partial = RatPoly(series)
         cand = functional_equation_complete(partial, deg_l, field.q, 2)

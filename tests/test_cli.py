@@ -20,6 +20,7 @@ from ellsurf.cli import (
 )
 from ellsurf.errors import BadField, ParseError, UnknownKey
 from ellsurf.ffield import Poly, PrimeField, find_irreducible
+from ellsurf.verify import run_verification
 
 F5 = PrimeField(5)
 
@@ -43,6 +44,21 @@ def test_parse_unknown_key_with_line_number():
     with pytest.raises(UnknownKey) as exc:
         parse_config(text)
     assert exc.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("[field]\np = 5\n[model]\na4 = 1\na6 = 0, 1\na4 = 3\n", 6),
+        ("[field]\np = 5\np = 7\n", 3),
+        ("[field]\np = 5\n[limits]\nn_max = 2\n[limits]\nn_max = 3\n", 6),
+    ],
+    ids=["model", "field", "across_headers"],
+)
+def test_parse_repeated_key_with_line_number(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_config(text)
+    assert exc.value.line == line and "repeated key" in str(exc.value)
 
 
 def test_parse_errors():
@@ -276,17 +292,34 @@ def test_report_threads_flag_same_content(capsys):
     assert json.dumps(plain) == json.dumps(threaded)
 
 
-def test_report_seed_changes_only_flag_echo(capsys):
-    assert main(["report", "--catalog", "x3_plus_t_f5", "--seed", "7"]) == 0
-    a = json.loads(capsys.readouterr().out)
-    assert main(["report", "--catalog", "x3_plus_t_f5", "--seed", "8"]) == 0
-    b = json.loads(capsys.readouterr().out)
-    a["flags"]["seed"] = b["flags"]["seed"]
-    for rep in (a, b):  # the seeded check echoes the seed in its details
-        for c in rep["checks"]:
-            if c["name"] == "l_function_order_independence":
-                c["details"] = ""
-    assert json.dumps(a) == json.dumps(b)
+def test_seed_flag_exits_2(capsys):
+    """The order-independence re-run divides in a fixed (reverse) order, so
+    there is no --seed: the flag is a one-line configuration error."""
+    assert main(["report", "--catalog", "x3_plus_t_f5", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: ")
+
+
+def test_report_checks_are_run_verifications(monkeypatch, capsys):
+    """The command line adds no check: for each catalog surface the
+    report's check names are those of the Report that run_verification
+    returned, the L re-run last."""
+    from ellsurf import cli
+
+    returned = []
+
+    def recording(*args, **kwargs):
+        report = run_verification(*args, **kwargs)
+        returned.append([c.name for c in report.checks])
+        return report
+
+    monkeypatch.setattr(cli, "run_verification", recording)
+    for name in sorted(CATALOG):
+        assert main(["report", "--catalog", name]) == 0
+        names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert names == returned.pop(), name
+        assert names[-1] == "l_function_order_independence"
 
 
 def test_report_digests_frozen(capsys):
@@ -394,6 +427,33 @@ def test_bad_command_line_is_a_one_line_configuration_error(capsys):
         assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
+def test_config_and_catalog_exclude_each_other(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(CATALOG["legendre_f5"].config_text)
+    for command in ("analyze", "verify", "report"):
+        assert main([command, "--catalog", "x3_plus_t_f5", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize(
+    "field_lines",
+    ["p = 1000000000000000003", "p = 1000000000000000004", "p = 5\nmodulus = 2, 0, 0, 0, 0, 0, 0, 1"],
+    ids=["prime", "composite", "extension"],
+)
+def test_q_over_budget_exits_3_before_the_field_is_checked(tmp_path, field_lines):
+    """q = p^deg(modulus) over the point budget exits 3 with one line before
+    p's primality (trial division ran past 20 s at 10^18 + 3) or the
+    modulus's irreducibility is tested, so a composite p exits 3 too."""
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"[field]\n{field_lines}\n[model]\na4 = 1\na6 = 0, 1\n")
+    run = _run_python("-m", "ellsurf.cli", "analyze", "--config", str(cfg), timeout=10)
+    assert run.returncode == 3, run.stderr
+    assert run.stdout == "" and len(run.stderr.splitlines()) == 1
+    assert "exceeds point budget 25000" in run.stderr
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert capsys.readouterr().err.count("\n") == 1
@@ -412,7 +472,7 @@ _MODULUS = st.one_of(
     st.sampled_from(["2, 0, 1", "1, 1", "x", "", "1, (2)"]),
 )
 _FLAG = st.tuples(
-    st.sampled_from(["--nmax", "--place-cap", "--assume-rank", "--seed", "--threads"]),
+    st.sampled_from(["--nmax", "--place-cap", "--assume-rank", "--threads"]),
     st.integers(-3, 8).map(str),
 )
 _BAD_FLAG = st.sampled_from([("--json",), ("--nmax", "two"), ("--bogus",)])

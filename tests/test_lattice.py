@@ -526,6 +526,26 @@ def test_orthogonal_split_fixtures():
     assert holds
 
 
+def test_snf_runs_once_per_group(monkeypatch):
+    """A group's Smith data is computed once: the discriminant of a group
+    with relations (free basis, then torsion order) and every invariant
+    asked after it share one ``snf`` of the relations."""
+    import ellsurf.lattice as lattice
+
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return snf(M)
+
+    monkeypatch.setattr(lattice, "snf", counting)
+    P = PairedGroup(FgGroup(2, Mat([[0], [2]])), Mat([[5, 0], [0, 0]]))
+    assert discriminant(P).signed_value == Fraction(5, 4)
+    assert len(calls) == 1
+    assert (P.group.invariants(), P.group.order(), P.group.torsion_order()) == ((1, [2]), None, 2)
+    assert len(calls) == 1
+
+
 def test_orthogonal_split_randomized():
     rng = random.Random(59)
     done = 0

@@ -527,8 +527,7 @@ def test_l_function_generic_i1():
 def test_l_function_place_order_independent():
     inv, fibers = pipeline(GENERIC_I1)
     L = l_function(GENERIC_I1, fibers, inv)
-    for seed in (0, 1, 7, 2024):
-        assert l_function(GENERIC_I1, fibers, inv, seed=seed) == L
+    assert l_function(GENERIC_I1, fibers, inv, reverse=True) == L
 
 
 @pytest.mark.parametrize("factor", [[1, Fraction(1, 2), 5], [2, -5]], ids=["half", "constant2"])
@@ -623,9 +622,9 @@ def test_grouped_l_function_matches_per_place_product():
         orders = {3, inv.deg_l + zeta.DEFAULT_SURPLUS} | ({5} if q == 5 else set())
         for order in sorted(orders):
             for fs in (fibers, mutated):
-                for seed in (None, 3):
-                    series = zeta._euler_series(m, fs, order, q**order, seed)
-                    assert series == per_place_series(m, fs, order), (order, seed)
+                for reverse in (False, True):
+                    series = zeta._euler_series(m, fs, order, q**order, reverse)
+                    assert series == per_place_series(m, fs, order), (order, reverse)
 
 
 K3 = model(F5, 1, [0] * 7 + [1])  # y^2 = x^3 + x + t^7, b2 = 22
