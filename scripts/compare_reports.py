@@ -13,7 +13,11 @@ check and exit 4, one model with a degree-72 discriminant over GF(11)
 (high-degree factoring and Tate, exit 3), five models with a place where
 p divides v(Delta) (the p-th root step of the squarefree decomposition),
 and a few pool models made non-minimal as (u^4 a4, u^6 a6) for u
-irreducible of degree 2 and 4.  It also runs `ellsurf verify` and
+irreducible of degree 2 and 4.  The catalog configs and the LIMIT_POOL
+models run once more under each of LIMIT_CASES: place degree caps that
+switch L between full and half expansion, surplus margins, point budgets
+on both sides of q^d, count depths 0 and 12, and a combined case.  It
+also runs `ellsurf verify` and
 `ellsurf analyze` on the catalog, and one catalog report with
 `verify.compute_l` made to raise NonPolynomialTail, so that the
 pipeline-FAIL report is compared too.  Every job runs in one
@@ -64,6 +68,22 @@ P_DIVIDES_V_DELTA = [
         (5, "2, 0, 1", "2", "2, 0, 0, 0, 0, (0 1)"),
     ])
 ]
+
+# [limits] that reach both L paths (full and half expansion) and every
+# point-budget comparison on both sides of q^d: 124 < 5^3 = 125,
+# 624 < 5^4 = 625 and 3125 = 5^5
+LIMIT_CASES = (
+    [{"place_degree_cap": c} for c in (1, 2, 3)]
+    + [{"surplus_margin": s} for s in (0, 5)]
+    + [{"point_budget": b} for b in (124, 125, 624, 625, 3125)]
+    + [{"n_max": n} for n in (0, 12)]
+    + [{"place_degree_cap": 2, "surplus_margin": 0, "point_budget": 625, "n_max": 12}]
+)
+# pool models run under every LIMIT_CASES entry, with the catalog's
+LIMIT_POOL = (
+    [f"d-fe-{i:02d}" for i in range(4)] + [f"d-full-{i:02d}" for i in range(4)]
+    + ["s5-00", "s5-01", "s7-00", "s7-01", "s11-00", "s11-01"]
+)
 
 # pool models twisted by u of each degree in TWIST_DEGREES
 TWISTED = ("s5-00", "s7-00", "s11-00", "d-fe-00")
@@ -175,6 +195,24 @@ def twisted_configs() -> list:
     return out
 
 
+def limit_configs(catalog: dict) -> list:
+    """The catalog configs and the LIMIT_POOL models under each of
+    LIMIT_CASES: a config's own value of a key that the case sets is
+    dropped, and the case's values follow in a [limits] section of their
+    own."""
+    pool = dict(pool_configs())
+    sources = [(name, entry.config_text) for name, entry in catalog.items()]
+    sources += [(name, pool[name]) for name in LIMIT_POOL]
+    out = []
+    for case in LIMIT_CASES:
+        tag = "-".join(f"{key}{value}" for key, value in case.items())
+        for name, text in sources:
+            lines = [line for line in text.splitlines() if line.partition(" = ")[0] not in case]
+            lines += ["[limits]"] + [f"{key} = {value}" for key, value in case.items()]
+            out.append((f"{name}-{tag}", "\n".join(lines) + "\n"))
+    return out
+
+
 def _alarm(signum, frame):
     raise TimeoutError
 
@@ -223,6 +261,9 @@ def main() -> int:
     ap.add_argument("--random", type=int, default=160)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    sys.path.insert(0, str(Path(args.head_src).resolve()))
+    from ellsurf.catalog import CATALOG
+
     with tempfile.TemporaryDirectory() as tmp:
         catalog = ("legendre_f5", "x3_plus_t_f5", "x3_plus_t_f7", "generic_i1_f5")
         jobs = [(f"{command}-{name}", [command, "--catalog", name], None)
@@ -232,7 +273,7 @@ def main() -> int:
         drawn = random_configs(args.random, args.seed)
         configs = (pool_configs() + drawn + random_configs(80, 3, n_max=False)
                    + [DEGREE_72] + P_DIVIDES_V_DELTA + ns_configs(drawn))
-        for name, text in configs + twisted_configs():
+        for name, text in configs + twisted_configs() + limit_configs(CATALOG):
             path = Path(tmp) / f"{name}.cfg"
             path.write_text(text)
             jobs.append((name, ["report", "--config", str(path)], None))

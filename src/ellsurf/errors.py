@@ -84,10 +84,6 @@ class NonPolynomial(EllsurfError):
     pass
 
 
-class ClosedFormMismatch(EllsurfError):
-    pass
-
-
 # lattices
 class DegeneratePairing(EllsurfError):
     pass

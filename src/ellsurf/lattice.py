@@ -528,22 +528,6 @@ def z_triangle_check(K: GroupComplex, L: GroupComplex, M: GroupComplex, inj: lis
 # subquotients and the splitting identities
 
 
-def subgroup_group(P: PairedGroup, gens: Mat) -> PairedGroup:
-    """The subgroup generated by the given ambient columns, as an abstract
-    paired group on those generators."""
-    rels = preimage_kernel(gens, P.group.relations)
-    pairing = gens.transpose().mul(P.pairing).mul(gens)
-    return PairedGroup(FgGroup(gens.n, rels), pairing, P.log_grade)
-
-
-def _free_basis_ambient(grp: FgGroup, gens: Mat) -> Mat:
-    """Ambient vectors lifting a free basis of the subgroup spanned by gens
-    inside the presented group (its torsion is detected modulo relations)."""
-    sub = FgGroup(gens.n, preimage_kernel(gens, grp.relations))
-    B = sub.free_basis()
-    return gens.mul(B)
-
-
 def yun_split(P: PairedGroup, gamma: Mat, gamma_prime: Mat):
     """Discriminant bookkeeping for an isotropic subgroup.
 
@@ -589,7 +573,8 @@ def yun_split(P: PairedGroup, gamma: Mat, gamma_prime: Mat):
 
 
 def subgroup_quotient(P: PairedGroup, big: Mat, small: Mat) -> PairedGroup:
-    """big/small as a paired group (pairing restricted from the ambient)."""
+    """big/small as a paired group on the columns of big (pairing restricted
+    from the ambient); with no columns in small, the subgroup big spans."""
     rels = preimage_kernel(big, small.hstack(P.group.relations))
     pairing = big.transpose().mul(P.pairing).mul(big)
     return PairedGroup(FgGroup(big.n, rels), pairing, P.log_grade)
@@ -599,7 +584,7 @@ def mixed_discriminant(P: PairedGroup, gamma: Mat, gamma_prime: Mat) -> Fraction
     """Discriminant of gamma x (ambient/gamma') -> Z: determinant of the
     pairing matrix on free bases divided by both torsion indices."""
     n = P.group.n_gens
-    gam_grp = FgGroup(gamma.n, preimage_kernel(gamma, P.group.relations))
+    gam_grp = subgroup_quotient(P, gamma, Mat.zero(n, 0)).group
     BG = gamma.mul(gam_grp.free_basis())
     quot = FgGroup(n, gamma_prime.hstack(P.group.relations))
     BA = quot.free_basis()
@@ -623,10 +608,10 @@ def orthogonal_split_check(P: PairedGroup, sub_gens: Mat):
     """
     n = P.group.n_gens
     d_N = discriminant(P)
-    sub = subgroup_group(P, sub_gens)
+    sub = subgroup_quotient(P, sub_gens, Mat.zero(n, 0))
     d_sub = discriminant(sub)
 
-    B = _free_basis_ambient(P.group, sub_gens)  # ambient lift of N' basis
+    B = sub_gens.mul(sub.group.free_basis())  # ambient lift of N' basis
     r = B.n
     psi = P.pairing
     G1 = B.transpose().mul(psi).mul(B)

@@ -36,8 +36,6 @@ from .tatefiber import (
     global_invariants,
 )
 from .zeta import (
-    DEFAULT_BUDGET,
-    DEFAULT_SURPLUS,
     bad_correction,
     euler_factors,
     l_function,
@@ -63,10 +61,14 @@ class CheckResult:
 
 @dataclass
 class Limits:
+    """The run's limits and their defaults.  ``zeta`` computes to the count
+    depth and expansion order it is given; ``run_verification`` picks them
+    (``_l_order``) and alone holds them against the point budget."""
+
     n_max: int | None = None
     place_degree_cap: int = 8
-    surplus_margin: int = DEFAULT_SURPLUS
-    point_budget: int = DEFAULT_BUDGET
+    surplus_margin: int = 2
+    point_budget: int = 25_000
     threads: int = 0
 
 
@@ -179,12 +181,21 @@ def check_special_value(p2_star, l_star, q2_star) -> CheckResult:
     )
 
 
-def check_q2_closed_form(q2_star) -> CheckResult:
-    """Leading term of the bad-fiber product against its closed form.
-    ``bad_correction`` computed Q* both ways and raised ClosedFormMismatch
-    (a pipeline FAIL) unless they agree, so this reports the common value."""
-    closed = _sv_str(q2_star)
-    return CheckResult("q2_closed_form", PASS, closed, closed, True)
+def check_q2_closed_form(fibers, q2_star) -> CheckResult:
+    """Q*, the leading term at t = 1/q of ``bad_correction``'s product,
+    against its closed form prod_v d_v^(m_v - 1) * prod r_i * (log q)^m,
+    m = sum (m_v - 1) over the bad fibers, compared whole: sign, value,
+    grading and order."""
+    bad = [f for f in fibers if not f.is_good]
+    m = sum(f.m_v - 1 for f in bad)
+    closed = SpecialValue(1, math.prod(f.d_v ** (f.m_v - 1) * f.r_product() for f in bad), 1, m, m)
+    return CheckResult(
+        "q2_closed_form",
+        PASS if q2_star == closed else FAIL,
+        _sv_str(q2_star),
+        _sv_str(closed),
+        q2_star.sign == closed.sign,
+    )
 
 
 def check_tate_shioda(rho, rank, rank_source, m, ord_l) -> list[CheckResult]:
@@ -382,7 +393,7 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
     name = "good_place_lfactor"
     field = model.field
     bad = {f.place.sort_key() for f in fibers if not f.is_good}
-    fiber_factors, good = euler_factors(model, fibers, AUDIT_DEGREE, budget=field.q**AUDIT_DEGREE)
+    fiber_factors, good = euler_factors(model, fibers, AUDIT_DEGREE)
     factors = {key: f.eval(1) for key, (_, f) in fiber_factors.items()}
     for d, (t, a_v) in good.items():
         at_one = (1 - a + field.q**d for a in a_v.tolist())
@@ -408,25 +419,23 @@ def check_good_place_sanity(model, fibers) -> CheckResult:
     return CheckResult(name, PASS, details=f"{checked} good places recounted")
 
 
-def _half_expansion(inv, limits: Limits) -> bool:
-    """Whether L is expanded to half its degree and completed by the weight-2
-    functional equation: when full expansion needs places past the cap."""
-    return inv.deg_l + limits.surplus_margin > limits.place_degree_cap
+def _l_order(inv, limits: Limits) -> tuple[int, bool]:
+    """(order, half): the degree L's Euler product is expanded to, and
+    whether that is half of deg L, completed by the weight-2 functional
+    equation, which it is when full expansion to deg L + surplus needs
+    places past the degree cap."""
+    full = inv.deg_l + limits.surplus_margin
+    if full > limits.place_degree_cap:
+        return (inv.deg_l + 1) // 2, True
+    return full, False
 
 
 def compute_l(model, fibers, inv, limits: Limits, reverse: bool = False):
     """L by full expansion when the places fit the degree cap, otherwise by
     half expansion plus weight-2 functional-equation completion; ``reverse``
     reverses the order of the local factors."""
-    return l_function(
-        model,
-        fibers,
-        inv,
-        surplus=limits.surplus_margin,
-        reverse=reverse,
-        use_functional_equation=_half_expansion(inv, limits),
-        budget=limits.point_budget,
-    )
+    order, half = _l_order(inv, limits)
+    return l_function(model, fibers, inv, order, use_functional_equation=half, reverse=reverse)
 
 
 def check_l_order_independence(model, fibers, inv, limits: Limits, l_poly) -> CheckResult:
@@ -446,10 +455,8 @@ def check_l_order_independence(model, fibers, inv, limits: Limits, l_poly) -> Ch
 
 
 def l_places_depth(inv, limits: Limits) -> int:
-    """The largest place degree ``compute_l`` expands over."""
-    if _half_expansion(inv, limits):
-        return max(1, (inv.deg_l + 1) // 2)
-    return max(1, inv.deg_l + limits.surplus_margin)
+    """The largest place degree ``compute_l`` expands over (at least 1)."""
+    return max(1, _l_order(inv, limits)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +503,7 @@ def run_verification(
     while n_feasible > 0 and q**n_feasible > limits.point_budget:
         n_feasible -= 1
     if counts is None:
-        counts = surface_counts(model, fibers, n_feasible, budget=limits.point_budget)
+        counts = surface_counts(model, fibers, n_feasible)
 
     # placeholders for the failure report when the pipeline below raises
     l_poly, l_star = RatPoly([1]), SpecialValue(1, 1, 1, 0, 0)
@@ -526,13 +533,13 @@ def run_verification(
                 deeper = len(counts) + 1
                 if q**deeper > limits.point_budget:
                     break
-                counts = surface_counts(model, fibers, deeper, budget=limits.point_budget)
+                counts = surface_counts(model, fibers, deeper)
         checks.append(check_p2_dual_route(p2_counts, p2_product, counts, q))
 
         p2_star = leading_term(p2_product, q)
         rho = p2_star.order
         checks.append(check_special_value(p2_star, l_star, q2_star))
-        checks.append(check_q2_closed_form(q2_star))
+        checks.append(check_q2_closed_form(fibers, q2_star))
 
         if rank is None:
             rank, rank_source = ord_l, "inferred from ord L"

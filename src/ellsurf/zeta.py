@@ -62,7 +62,6 @@ from collections import Counter
 import numpy as np
 
 from .errors import (
-    ClosedFormMismatch,
     InconsistentCounts,
     InternalInconsistency,
     NoConsistentSign,
@@ -74,7 +73,6 @@ from .errors import (
 )
 from .exactalg import (
     RatPoly,
-    SpecialValue,
     functional_equation_complete,
     leading_term,
     newton_from_power_sums,
@@ -86,10 +84,6 @@ from .tatefiber import (
     WeierstrassModel,
     fiber_point_count,
 )
-
-DEFAULT_BUDGET = 25_000
-DEFAULT_SURPLUS = 2
-
 
 # ---------------------------------------------------------------------------
 # coded arithmetic tables for GF(p^n), prime p
@@ -519,7 +513,6 @@ def surface_counts(
     model: WeierstrassModel,
     fibers: list[FiberData],
     n_max: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple:
     """(#X(GF(q^n)) for n = 1..n_max) over the minimal regular model.
 
@@ -530,8 +523,6 @@ def surface_counts(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     q = model.field.q
-    if n_max and q**n_max > budget:
-        raise PlaceBudgetExceeded(f"q^n_max = {q**n_max} exceeds budget {budget}")
     inf_fiber = _infinity_fiber(model, fibers)
     bad_finite = [f for f in fibers if not f.place.is_infinity and not f.is_good]
 
@@ -618,7 +609,6 @@ def euler_factors(
     model: WeierstrassModel,
     fibers: list[FiberData],
     order: int,
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[dict, dict]:
     """(fiber factors, good traces) at every place of degree <= order: the
     fiber factors {Place.sort_key(): (d_v, L_v)}, L_v in the local variable
@@ -626,12 +616,7 @@ def euler_factors(
     at infinity (Tate's algorithm when it has none); the good traces
     {d: (t, a_v)}, the kernel's ``good_traces(d)`` less the roots t of
     those fibers' pi, each place with the factor 1 - a_v T + q^d T^2: built
-    once per model and sort keys of those places, then shared read-only.
-    Raises PlaceBudgetExceeded, before any kernel level is built, when
-    q^order > budget."""
-    q = model.field.q
-    if order and q**order > budget:
-        raise PlaceBudgetExceeded(f"q^order = {q**order} exceeds budget {budget}")
+    once per model and sort keys of those places, then shared read-only."""
     everywhere = [*fibers, _infinity_fiber(model, fibers)]
     own = {f.place.sort_key(): f for f in everywhere if f.d_v <= order}
     kernel = _char_sums(model)
@@ -652,7 +637,7 @@ def euler_factors(
     return {key: (f.d_v, f.l_factor) for key, f in own.items()}, good
 
 
-def _euler_series(model, fibers, order: int, budget: int, reverse: bool = False) -> list[int]:
+def _euler_series(model, fibers, order: int, reverse: bool = False) -> list[int]:
     """prod_v L_v(t^{d_v})^(-1) over ``euler_factors`` to t^order, on
     integers.  A factor of degree d with 2 d > order reaches the order only
     through its -c_1 t^d, and the product of two such terms lies past the
@@ -662,7 +647,7 @@ def _euler_series(model, fibers, order: int, budget: int, reverse: bool = False)
     2 d <= order once, raised to its count: the good traces of degree d are
     grouped by value.  ``reverse`` divides by those groups in reverse
     order."""
-    fiber_factors, good = euler_factors(model, fibers, order, budget)
+    fiber_factors, good = euler_factors(model, fibers, order)
     series = [1] + [0] * order
     groups = Counter()
     for d, f in fiber_factors.values():
@@ -692,34 +677,25 @@ def l_function(
     model: WeierstrassModel,
     fibers: list[FiberData],
     inv: SurfaceInvariants,
-    surplus: int = DEFAULT_SURPLUS,
-    reverse: bool = False,
+    order: int,
     use_functional_equation: bool = False,
-    budget: int = DEFAULT_BUDGET,
+    reverse: bool = False,
 ) -> RatPoly:
     """The L-function of the generic-fiber Jacobian as a polynomial in t.
 
-    Expands the Euler product (``_euler_series``, with ``reverse``) to degree
-    deg_l + surplus on integer coefficients (every fiber factor must lie in
-    1 + T Z[T]); the surplus coefficients must vanish.  With
-    ``use_functional_equation`` the series is only expanded to half the
-    degree and completed by the weight-2 self-duality.  When the middle
-    coefficient vanishes both signs complete it; the + completion is taken
-    and nothing checks it against point counts, so it can be the wrong one.
-    Places of degree d with q^d > budget raise PlaceBudgetExceeded before
-    any kernel work."""
+    Expands the Euler product (``_euler_series``, with ``reverse``) to
+    degree ``order`` on integer coefficients (every fiber factor must lie in
+    1 + T Z[T]); the coefficients past deg_l must vanish.  With
+    ``use_functional_equation`` the expansion is completed by the weight-2
+    self-duality.  When the middle coefficient vanishes both signs complete
+    it; the + completion is taken and nothing checks it against point
+    counts, so it can be the wrong one."""
     deg_l = inv.deg_l
-    if use_functional_equation:
-        order = (deg_l + 1) // 2
-    else:
-        order = deg_l + surplus
-    field = model.field
     if order == 0:
         return RatPoly([1])
-    series = _euler_series(model, fibers, order, budget, reverse)
+    series = _euler_series(model, fibers, order, reverse)
     if use_functional_equation:
-        partial = RatPoly(series)
-        cand = functional_equation_complete(partial, deg_l, field.q, 2)
+        cand = functional_equation_complete(RatPoly(series), deg_l, model.field.q, 2)
         if not cand.is_integral():
             raise NonPolynomialTail("completed L-polynomial is not integral")
         return cand
@@ -745,28 +721,16 @@ def bad_correction(fibers: list[FiberData], q: int):
     prod (1 - q_v^r t^{r d_v}) over the non-identity component orbits (r, _)
     of the bad fibers: each fiber's degree-2 local factor, the product over
     all its orbits, divided by (1 - q_v t^{d_v}), which the identity orbit
-    (r = 1 in every Kodaira type) cancels.
-
-    The leading term is computed two ways: from Q and from the closed form
-    prod_v d_v^(m_v - 1) * prod r_i * (log q)^m; any mismatch is an internal
-    error."""
+    (r = 1 in every Kodaira type) cancels."""
     poly = RatPoly([1])
     m = 0
-    closed = 1
     for f in fibers:
         if f.is_good:
             continue
         for r, _ in f.components[1:]:
             poly = poly * RatPoly([1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
         m += f.m_v - 1
-        closed *= f.d_v ** (f.m_v - 1) * f.r_product()
-    lead = leading_term(poly, q)
-    closed_sv = SpecialValue(1, closed, 1, m, m)
-    if lead != closed_sv:
-        raise ClosedFormMismatch(
-            f"leading term {lead!r} differs from closed form {closed_sv!r}"
-        )
-    return poly, lead, m
+    return poly, leading_term(poly, q), m
 
 
 def p2_from_product(

@@ -31,7 +31,7 @@ from ellsurf.tatefiber import (
     global_invariants,
     synthetic_fiber,
 )
-from ellsurf.verify import CONDITIONAL, PASS, Metadata, run_verification
+from ellsurf.verify import CONDITIONAL, PASS, Metadata, check_q2_closed_form, run_verification
 from ellsurf.zeta import bad_correction, lefschetz_counts, surface_counts
 
 NAMES = ["x3_plus_t_f5", "x3_plus_t_f7", "legendre_f5", "generic_i1_f5"]
@@ -100,7 +100,8 @@ def test_criterion_3_q2_closed_form(catalog_runs):
     for deg in (1, 2):
         for kod, split in ALL_TYPES:
             f = synthetic_fiber(5, deg, kod, split)
-            Q, lead, m = bad_correction([f], 5)  # raises on any mismatch
+            Q, lead, m = bad_correction([f], 5)
+            assert check_q2_closed_form([f], lead).status == PASS, (kod, split, deg)
             assert lead.log_power == m == f.m_v - 1
             # Q is the local factor over all orbits divided by the identity
             # orbit's (1 - q_v t^d_v)

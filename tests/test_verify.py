@@ -153,7 +153,28 @@ def test_order_flags_exact_squares():
 def test_q2_closed_form_synthetic_types():
     for kod, split in [("I5", "nonsplit"), ("I0*", 1), ("IV*", "nonsplit"), ("I3*", "split")]:
         fibers = [synthetic_fiber(5, d, kod, split) for d in (1, 2)]
-        assert check_q2_closed_form(bad_correction(fibers, 5)[1]).status == PASS
+        q2_star = bad_correction(fibers, 5)[1]
+        assert check_q2_closed_form(fibers, q2_star).status == PASS
+        # the closed form of the degree-1 fiber alone has half the grading
+        assert check_q2_closed_form(fibers[:1], q2_star).status == FAIL
+
+
+def test_corrupted_identity_orbit_fails_checks_not_the_pipeline():
+    """legendre_f5 with its I2 fiber at t = 0 given an identity orbit of two
+    components: Q* leaves the identity orbit out and the closed form reads
+    it, so they differ.  The report is assembled, and q2_closed_form,
+    p2_dual_route (the counts read the orbit) and the fiber's Flach-Siebel
+    check FAIL, with no pipeline FAIL."""
+    _, fibers = global_invariants(LEGENDRE)
+    corrupt = [
+        dataclasses.replace(f, components=((2, 1),) + f.components[1:])
+        if f.place.label() == "(t)" else f
+        for f in fibers
+    ]
+    rep = run_verification(LEGENDRE, META["legendre"], fibers=corrupt)
+    failed = {c.name for c in rep.checks if c.status == FAIL}
+    assert failed == {"q2_closed_form", "p2_dual_route", "flach_siebel_local[(t):I2]"}
+    assert "pipeline" not in {c.name for c in rep.checks}
 
 
 @pytest.mark.xfail(
@@ -165,7 +186,7 @@ def test_half_expanded_l_sign_matches_counts():
     # L has degree 10 and middle coefficient 0; counts to n = 8 pick sign -
     m = model(F5, [0, 0, 1, 0, 0, 4], [0] * 8 + [2])
     report = run_verification(m, limits=Limits(n_max=2))
-    counts = surface_counts(m, report.fibers, 8, budget=5**8)
+    counts = surface_counts(m, report.fibers, 8)
     assert lefschetz_counts(report.p2_product, 5, 8) == list(counts)
 
 
@@ -354,6 +375,25 @@ def test_field_over_the_point_budget_stops_before_tate(monkeypatch):
     m = model(field_make(1000003, [1, 0, 1]), 0, [0, 0, 0, 1, 0, 0, 1])
     with pytest.raises(PlaceBudgetExceeded, match="q = 1000006000009 exceeds point budget"):
         run_verification(m)
+
+
+def test_l_depth_over_the_budget_raises_before_any_level(monkeypatch):
+    """The K3 y^2 = x^3 + x + t^7 (deg L = 12) needs places of degree 14 for
+    full expansion at place cap 14, and of degree 6 for half expansion:
+    5^14 is over the default budget and 5^6 over a budget of 124, so
+    ``run_verification`` raises before any coded field is built."""
+    from ellsurf import zeta
+    from ellsurf.errors import PlaceBudgetExceeded
+
+    def no_level(*args):
+        raise AssertionError("coded_field called")
+
+    monkeypatch.setattr(zeta, "coded_field", no_level)
+    k3 = model(F5, 1, [0] * 7 + [1])
+    with pytest.raises(PlaceBudgetExceeded, match="d = 14: q\\^d = 6103515625 exceeds point budget 25000"):
+        run_verification(k3, limits=Limits(place_degree_cap=14))
+    with pytest.raises(PlaceBudgetExceeded, match="d = 6: q\\^d = 15625 exceeds point budget 124"):
+        run_verification(k3, limits=Limits(point_budget=124))
 
 
 def test_long_form_model_with_a1_a3():
