@@ -28,7 +28,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .catalog import CATALOG, DIGESTS
 from .errors import (
@@ -223,13 +223,7 @@ def report_to_dict(report: Report, cfg: Config) -> dict:
         "q": report.q,
         "field": {"p": cfg.p, "modulus": cfg.modulus},
         "model": {k: report.model_coeffs[i] for i, k in enumerate(["a1", "a2", "a3", "a4", "a6"])},
-        "flags": {
-            "n_max": limits.n_max,
-            "place_degree_cap": limits.place_degree_cap,
-            "surplus_margin": limits.surplus_margin,
-            "point_budget": limits.point_budget,
-            "threads": limits.threads,
-        },
+        "flags": asdict(limits),
         "invariants": {
             "e": inv.e,
             "chi": inv.chi,

@@ -103,11 +103,6 @@ class WeierstrassModel:
         return self.a4_short // u**4, self.a6_short // u**6
 
     @cached_property
-    def minimal_delta(self) -> Poly:
-        """Delta of ``minimal_short``: delta_short / u^12."""
-        return self.delta_short // self._delta_factored[0] ** 12
-
-    @cached_property
     def infinity_fiber(self) -> FiberData:
         """Tate's algorithm at the place at infinity, computed on first use."""
         return tate_local(self, place_infinity())
@@ -541,11 +536,6 @@ def factorization(f: Poly) -> list[tuple[Poly, int]]:
     canonical order: each squarefree part split by DDF, then EDF."""
     out = [(h, e) for g, e in _squarefree_parts(f.monic()) for h in _factor_squarefree(g)]
     return sorted(out, key=lambda he: (he[0].degree,) + he[0].key())
-
-
-def distinct_irreducible_factors(f: Poly) -> list[Poly]:
-    """Monic irreducible factors of f, each once, in canonical order."""
-    return [h for h, _ in factorization(f)]
 
 
 def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:

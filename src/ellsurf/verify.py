@@ -63,7 +63,8 @@ class CheckResult:
 class Limits:
     """The run's limits and their defaults.  ``zeta`` computes to the count
     depth and expansion order it is given; ``run_verification`` picks them
-    (``_l_order``) and alone holds them against the point budget."""
+    (``_l_order``) and alone holds them against the point budget.  The field
+    order is the order of the report's ``flags`` echo."""
 
     n_max: int | None = None
     place_degree_cap: int = 8

@@ -14,25 +14,21 @@ import pytest
 from ellsurf.catalog import CATALOG
 from ellsurf.cli import build_model, main, parse_config
 from ellsurf.exactalg import RatPoly, SpecialValue
-from ellsurf.lattice import (
-    Mat,
-    discriminant,
-    free_paired,
-    mat_det,
-    mat_inverse,
-    orthogonal_split_check,
-    two_term,
-    yun_split,
-    z_invariant,
-    z_triangle_check,
-)
+from ellsurf.lattice import Mat, free_paired, two_term, yun_split, z_invariant
 from ellsurf.tatefiber import (
     arithmetic_component_discriminant,
     global_invariants,
     synthetic_fiber,
 )
-from ellsurf.verify import CONDITIONAL, PASS, Metadata, check_q2_closed_form, run_verification
+from ellsurf.verify import (
+    CONDITIONAL,
+    PASS,
+    check_q2_closed_form,
+    run_verification,
+    tamagawa_product,
+)
 from ellsurf.zeta import bad_correction, lefschetz_counts, surface_counts
+from lattice_cases import basis_trial, orthogonal_trial, yun_trial, z_triangle_trial
 
 NAMES = ["x3_plus_t_f5", "x3_plus_t_f7", "legendre_f5", "generic_i1_f5"]
 
@@ -59,6 +55,31 @@ def catalog_runs():
 
 def _check(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+def test_catalog_expected_values_match_the_reports(catalog_runs):
+    """Every value a catalog entry lists under ``expected`` (printed by
+    ``ellsurf catalog``) is the report's: counts as a prefix, bad fibers by
+    place label, L and the predicted orders as strings."""
+    for name, entry in CATALOG.items():
+        report = catalog_runs[name][0]
+        inv = report.invariants
+        got = {
+            "e": inv.e,
+            "b2": inv.b2,
+            "deg_l": inv.deg_l,
+            "rho": report.rho,
+            "m": report.m,
+            "c_j": tamagawa_product(report.fibers),
+            "fibers": {f.place.label(): f.kodaira for f in report.fibers if not f.is_good},
+            "counts": report.counts[: len(entry.expected.get("counts", ()))],
+            "l_poly": tuple(str(c) for c in report.l_poly.coeffs),
+            "predicted_br": str(report.predicted_br),
+            "predicted_sha": str(report.predicted_sha),
+        }
+        assert entry.expected.keys() <= got.keys(), name
+        for key, want in entry.expected.items():
+            assert got[key] == want, (name, key)
 
 
 def test_criterion_1_dual_route_identity(catalog_runs):
@@ -127,131 +148,21 @@ def test_criterion_4_flach_siebel_per_fiber():
     print(f"criterion 4 PASS: per-fiber discriminant identity, {len(ALL_TYPES)} types x 2 degrees")
 
 
-def _random_unimodular(rng, n, steps=8):
-    U = Mat.identity(n)
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            c = rng.randint(-2, 2)
-            for r in range(n):
-                U.rows[r][j] += c * U.rows[r][i]
-    return U
-
-
 def test_criterion_5_lattice_property_suite():
+    """1000 seeded trials of each lattice identity (``lattice_cases``):
+    Yun's isotropic splitting, with d_lambda = -d_lambda0 * d_mixed^2 on
+    every trial, orthogonal splitting, z-invariant triangles, and basis
+    independence of the discriminant; plus hand fixtures."""
     rng = random.Random(2024)
-
-    # Yun's lemma, absolute values, 1000 trials
-    done = 0
-    while done < 1000:
-        extra = rng.randint(0, 2)
-        n = 2 + extra
-        G = [[0] * n for _ in range(n)]
-        G[0][1] = G[1][0] = 1
-        G[1][1] = rng.randint(-2, 2)
-        for i in range(extra):
-            for j in range(i + 1):
-                G[2 + i][2 + j] = G[2 + j][2 + i] = rng.randint(-3, 3)
-        if mat_det(Mat(G, n)) == 0:
-            continue
-        k = rng.randint(1, 3)
-        cols = [[k] + [0] * (n - 1)]
-        tail = []
-        if extra:
-            T = Mat([[rng.randint(-2, 2) for _ in range(extra)] for _ in range(extra)], extra)
-            if mat_det(T) == 0:
-                continue
-            tail = [[0, 0] + c for c in T.cols()]
-        S = _random_unimodular(rng, n)
-        Sinv = mat_inverse(S)
-        lam = free_paired(S.transpose().mul(Mat(G, n)).mul(S).rows)
-        _, _, _, holds_abs, _ = yun_split(
-            lam, Sinv.mul(Mat.from_cols(cols, n)), Sinv.mul(Mat.from_cols(cols + tail, n))
-        )
-        assert holds_abs
-        done += 1
+    for trial in (yun_trial, orthogonal_trial, z_triangle_trial, basis_trial):
+        for _ in range(1000):
+            trial(rng)
 
     # hyperbolic-plane hand fixture: signed identity fails, absolute holds
     U = free_paired([[0, 1], [1, 0]])
     d, d0, dm, habs, hsig = yun_split(U, Mat([[1], [0]]), Mat([[1], [0]]))
     assert habs and not hsig and d.signed_value == -1
-
-    # orthogonal splitting, 1000 trials
-    done = 0
-    while done < 1000:
-        a, b = rng.randint(1, 2), rng.randint(1, 2)
-        n = a + b
-        A = [[0] * a for _ in range(a)]
-        B = [[0] * b for _ in range(b)]
-        for M, k in ((A, a), (B, b)):
-            for i in range(k):
-                for j in range(i + 1):
-                    M[i][j] = M[j][i] = rng.randint(-3, 3)
-        G = [[0] * n for _ in range(n)]
-        for i in range(a):
-            G[i][:a] = A[i]
-        for i in range(b):
-            for j in range(b):
-                G[a + i][a + j] = B[i][j]
-        if mat_det(Mat(G, n)) == 0 or mat_det(Mat(A, a)) == 0:
-            continue
-        T = Mat([[rng.randint(-2, 2) for _ in range(a)] for _ in range(a)], a)
-        if mat_det(T) == 0:
-            continue
-        sub = Mat.from_cols([c + [0] * b for c in T.cols()], n)
-        Uu = _random_unimodular(rng, n)
-        Uinv = mat_inverse(Uu)
-        P = free_paired(Uu.transpose().mul(Mat(G, n)).mul(Uu).rows)
-        _, _, _, holds = orthogonal_split_check(P, Uinv.mul(sub))
-        assert holds
-        done += 1
-
-    # z-triangle multiplicativity, 1000 trials
-    done = 0
-    while done < 1000:
-        a, b = rng.randint(1, 2), rng.randint(1, 2)
-
-        def nonsing(k):
-            while True:
-                M = Mat([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)], k)
-                if mat_det(M):
-                    return M
-
-        A, B = nonsing(a), nonsing(b)
-        g = Mat([[rng.randint(-2, 2) for _ in range(b)] for _ in range(a)], b)
-        F = A.mul(g)
-        gB = g.mul(B)
-        F = Mat([[F.rows[i][j] - gB.rows[i][j] for j in range(b)] for i in range(a)], b)
-        Lm = Mat(
-            [A.rows[i] + F.rows[i] for i in range(a)]
-            + [[0] * a + B.rows[i] for i in range(b)],
-            a + b,
-        )
-        inj = Mat([[1 if i == j else 0 for j in range(a)] for i in range(a + b)], a)
-        surj = Mat([[1 if j == a + i else 0 for j in range(a + b)] for i in range(b)], a + b)
-        assert z_triangle_check(two_term(A), two_term(Lm), two_term(B), [inj, inj], [surj, surj])
-        done += 1
     assert z_invariant(two_term(Mat([[3]]))) == Fraction(1, 3)
-
-    # discriminant basis-independence, 1000 trials against the raw definition
-    done = 0
-    while done < 1000:
-        n = rng.randint(1, 4)
-        G = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                G[i][j] = G[j][i] = rng.randint(-3, 3)
-        gram = Mat(G, n)
-        if mat_det(gram) == 0:
-            continue
-        sv = discriminant(free_paired(G))
-        Bm = Mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], n)
-        idx = mat_det(Bm)
-        if idx == 0:
-            continue
-        val = Fraction(mat_det(Bm.transpose().mul(gram).mul(Bm)), idx * idx)
-        assert val == sv.signed_value
-        done += 1
     print("criterion 5 PASS: 4 x 1000 seeded lattice trials plus hand fixtures")
 
 

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from ellsurf.errors import DegeneratePairing, NontrivialMW, NotExact, NotIsotropic
+from ellsurf.errors import DegeneratePairing, NontrivialMW, NotIsotropic
 from ellsurf.lattice import (
     FgGroup,
     GroupComplex,
@@ -27,23 +29,10 @@ from ellsurf.lattice import (
     z_invariant,
     z_triangle_check,
 )
+from lattice_cases import random_unimodular
 
 # ---------------------------------------------------------------------------
 # oracles
-
-
-def random_unimodular(rng, n, steps=8):
-    U = Mat.identity(n)
-    for _ in range(steps):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        for r in range(n):
-            U.rows[r][j] += c * U.rows[r][i]
-    if rng.random() < 0.5 and n > 1:
-        U.rows[0], U.rows[1] = U.rows[1], U.rows[0]
-    return U
 
 
 def fraction_gauss(rows):
@@ -72,33 +61,23 @@ def fraction_gauss(rows):
 def cokernel_order_by_enumeration(A):
     """|Z^n / im(A)| for nonsingular A, by enumerating cosets.
 
-    Coset keys are the fractional parts of A^(-1) v, which is SNF-free and
-    hence independent of the code under test.
+    v and w share a coset when A^(-1) (v - w) is integral, that is when
+    adj(A) v = adj(A) w mod |det A|, adj(A) = det(A) A^(-1) read off the
+    Fraction Gauss-Jordan oracle: a key that is SNF-free and hence
+    independent of the code under test.
     """
     n = A.m
-    det = abs(mat_det(A))
+    det, ainv = fraction_gauss(A.rows)
     assert det != 0
-    _, ainv = fraction_gauss(A.rows)
-    seen = set()
-
-    def key(v):
-        out = []
-        for r in range(n):
-            x = sum(ainv[r][c] * v[c] for c in range(n))
-            out.append(x - (x.numerator // x.denominator))
-        return tuple(out)
-
-    rng_box = range(det)
-    import itertools
-
-    for v in itertools.product(rng_box, repeat=n):
-        seen.add(key(list(v)))
-    return len(seen)
+    d = abs(int(det))
+    adj = [[int(det * x) for x in row] for row in ainv]
+    keys = set()
+    for v in itertools.product(range(d), repeat=n):
+        keys.add(tuple(sum(a * x for a, x in zip(row, v)) % d for row in adj))
+    return len(keys)
 
 
 def gcd_list(xs):
-    from math import gcd
-
     g = 0
     for x in xs:
         g = gcd(g, abs(x))
@@ -107,8 +86,6 @@ def gcd_list(xs):
 
 def determinantal_divisors(M):
     """d_1, d_1*d_2, ... as gcds of k x k minors (brute force)."""
-    import itertools
-
     out = []
     for k in range(1, min(M.m, M.n) + 1):
         minors = []
@@ -295,37 +272,6 @@ def test_discriminant_i3_gram():
     assert sv.signed_value == 3 and sv.log_power == 2
 
 
-def test_discriminant_basis_independence_randomized():
-    rng = random.Random(23)
-    trials = 0
-    while trials < 1000:
-        n = rng.randint(1, 4)
-        G = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                G[i][j] = G[j][i] = rng.randint(-3, 3)
-        gram = Mat(G, n)
-        if mat_det(gram) == 0:
-            continue
-        trials += 1
-        P = free_paired(G)
-        sv = discriminant(P)
-        # change of presentation by a unimodular matrix
-        U = random_unimodular(rng, n)
-        gram2 = U.transpose().mul(gram).mul(U)
-        sv2 = discriminant(free_paired(gram2.rows))
-        assert sv2 == sv
-        # direct definition on a random finite-index independent set:
-        # det(psi(b_i,b_j)) / index^2
-        B = Mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], n)
-        idx = mat_det(B)
-        if idx == 0:
-            continue
-        Gb = B.transpose().mul(gram).mul(B)
-        val = Fraction(mat_det(Gb), idx * idx)
-        assert val == sv.signed_value
-
-
 def test_discriminant_degenerate():
     with pytest.raises(DegeneratePairing):
         discriminant(free_paired([[1, 1], [1, 1]]))
@@ -370,6 +316,8 @@ def test_z_composition_property():
 
 
 def test_z_triangle_fixtures_and_randomized():
+    """Hand fixtures; the randomized triangles are ``lattice_cases``'
+    z_triangle_trial, run by acceptance criterion 5."""
     K = two_term(Mat([[2]]))
     M = two_term(Mat([[3]]))
     L = two_term(Mat([[2, 0], [0, 3]]))
@@ -381,40 +329,9 @@ def test_z_triangle_fixtures_and_randomized():
     # K = 0: z(L) = z(M)
     K0 = GroupComplex([FgGroup(0), FgGroup(0)], [Mat([], 0)])
     M1 = two_term(Mat([[5]]))
-    inj0 = [Mat([[]], None) if False else Mat([[] for _ in range(1)], 0) for _ in range(2)]
+    inj0 = [Mat([[]], 0), Mat([[]], 0)]
     surj0 = [Mat.identity(1), Mat.identity(1)]
     assert z_triangle_check(K0, M1, M1, inj0, surj0)
-
-    rng = random.Random(37)
-    done = 0
-    while done < 1000:
-        a, b = rng.randint(1, 2), rng.randint(1, 2)
-
-        def nonsing(k):
-            while True:
-                A = Mat([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)], k)
-                if mat_det(A):
-                    return A
-
-        A, B = nonsing(a), nonsing(b)
-        g = Mat([[rng.randint(-2, 2) for _ in range(b)] for _ in range(a)], b)
-        # twist F = A g - g B keeps the middle a genuine complex extension
-        F = A.mul(g)
-        gB = g.mul(B)
-        F = Mat([[F.rows[i][j] - gB.rows[i][j] for j in range(b)] for i in range(a)], b)
-        Lm = Mat(
-            [A.rows[i] + F.rows[i] for i in range(a)]
-            + [[0] * a + B.rows[i] for i in range(b)],
-            a + b,
-        )
-        K = two_term(A)
-        M = two_term(B)
-        L = two_term(Lm)
-        inj = [Mat([[int(i == j)] for i in range(a + b) for j in []], None) for _ in []]
-        inj_m = Mat([[1 if i == j else 0 for j in range(a)] for i in range(a + b)], a)
-        surj_m = Mat([[1 if j == a + i else 0 for j in range(a + b)] for i in range(b)], a + b)
-        assert z_triangle_check(K, L, M, [inj_m, inj_m], [surj_m, surj_m])
-        done += 1
 
 
 # ---------------------------------------------------------------------------
@@ -470,48 +387,6 @@ def test_yun_guards():
         yun_split(U, Mat([[1], [0]]), Mat([[1], [0]]))
 
 
-def test_yun_randomized_1000():
-    rng = random.Random(101)
-    done = 0
-    sign_flips = 0
-    while done < 1000:
-        extra = rng.randint(0, 2)
-        n = 2 + extra
-        G = [[0] * n for _ in range(n)]
-        G[0][1] = G[1][0] = 1
-        G[1][1] = rng.randint(-2, 2)
-        for i in range(extra):
-            for j in range(i + 1):
-                G[2 + i][2 + j] = G[2 + j][2 + i] = rng.randint(-3, 3)
-        gram = Mat(G, n)
-        if mat_det(gram) == 0:
-            continue
-        k = rng.randint(1, 3)
-        gamma_cols = [[k] + [0] * (n - 1)]
-        # gamma' = gamma + random finite-index sublattice of span(e_3..e_n)
-        tail_cols = []
-        if extra:
-            T = Mat([[rng.randint(-2, 2) for _ in range(extra)] for _ in range(extra)], extra)
-            if mat_det(T) == 0:
-                continue
-            for col in T.cols():
-                tail_cols.append([0, 0] + col)
-        gamma = Mat.from_cols(gamma_cols, n)
-        gamma_prime = Mat.from_cols(gamma_cols + tail_cols, n)
-        # scramble coordinates
-        S = random_unimodular(rng, n)
-        Sinv = mat_inverse(S)
-        lam = free_paired(S.transpose().mul(gram).mul(S).rows)
-        gam_s = Sinv.mul(gamma)
-        gam_p_s = Sinv.mul(gamma_prime)
-        d, d0, dm, holds_abs, holds_signed = yun_split(lam, gam_s, gam_p_s)
-        assert holds_abs
-        if not holds_signed:
-            sign_flips += 1
-        done += 1
-    assert sign_flips > 0  # indefinite cases do flip sign
-
-
 def test_orthogonal_split_fixtures():
     N = free_paired([[2, 0], [0, 3]])
     d, ds, dq, holds = orthogonal_split_check(N, Mat([[1], [0]]))
@@ -544,46 +419,6 @@ def test_snf_runs_once_per_group(monkeypatch):
     assert len(calls) == 1
     assert (P.group.invariants(), P.group.order(), P.group.torsion_order()) == ((1, [2]), None, 2)
     assert len(calls) == 1
-
-
-def test_orthogonal_split_randomized():
-    rng = random.Random(59)
-    done = 0
-    while done < 1000:
-        a, b = rng.randint(1, 2), rng.randint(1, 2)
-        n = a + b
-
-        def sym(k):
-            M = [[0] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(i + 1):
-                    M[i][j] = M[j][i] = rng.randint(-3, 3)
-            return M
-
-        A, B = sym(a), sym(b)
-        G = [[0] * n for _ in range(n)]
-        for i in range(a):
-            for j in range(a):
-                G[i][j] = A[i][j]
-        for i in range(b):
-            for j in range(b):
-                G[a + i][a + j] = B[i][j]
-        gram = Mat(G, n)
-        if mat_det(gram) == 0:
-            continue
-        if mat_det(Mat(A, a)) == 0:
-            continue
-        # sublattice of the first block at finite index
-        T = Mat([[rng.randint(-2, 2) for _ in range(a)] for _ in range(a)], a)
-        if mat_det(T) == 0:
-            continue
-        sub = Mat.from_cols([c + [0] * b for c in T.cols()], n)
-        U = random_unimodular(rng, n)
-        Uinv = mat_inverse(U)
-        P = free_paired(U.transpose().mul(gram).mul(U).rows)
-        d, ds, dq, holds = orthogonal_split_check(P, Uinv.mul(sub))
-        assert holds
-        done += 1
 
 
 def test_mixed_discriminant_scaled_pairing():

@@ -23,7 +23,6 @@ from ellsurf.tatefiber import (
     arithmetic_component_discriminant,
     component_group_fixed_order,
     component_lattice,
-    distinct_irreducible_factors,
     factorization,
     fiber_point_count,
     global_invariants,
@@ -122,25 +121,18 @@ def _infinity_consistency(m):
     a4, a6 = short_at_infinity(m)
     a4_min, a6_min = m.minimal_short
     k = next(k for k in range(8) if a4_min.degree <= 4 * k and a6_min.degree <= 6 * k)
-    assert short_discriminant(a4, a6) == m.minimal_delta.reverse(12 * k)
+    assert short_discriminant(a4, a6) == short_discriminant(a4_min, a6_min).reverse(12 * k)
     assert a4 == a4_min.reverse(4 * k)
     assert a6 == a6_min.reverse(6 * k)
 
 
-def test_minimal_delta_is_the_discriminant_of_the_minimal_pair():
-    """minimal_delta, derived from the Delta the model keeps, against Delta
-    of minimal_short: on the non-minimal y^2 = x^3 + t^4 x + t^6 + t^7 over
-    GF(5) (u = t, so Delta is divided by t^12) and on every catalog surface
-    (u = 1, Delta itself)."""
-    from ellsurf.catalog import CATALOG
-    from ellsurf.cli import build_model, parse_config
-
+def test_minimal_short_divides_out_u_on_a_non_minimal_model():
+    """minimal_short of the non-minimal y^2 = x^3 + t^4 x + t^6 + t^7 over
+    GF(5) is (1, 1 + t) (u = t), so its Delta is delta_short / t^12, not
+    delta_short itself."""
     twin = model(F5, [0] * 4 + [1], [0] * 6 + [1, 1])
     assert twin.minimal_short == (Poly(F5, [1]), Poly(F5, [1, 1]))
-    models = [twin] + [build_model(parse_config(e.config_text))[0] for e in CATALOG.values()]
-    for m in models:
-        assert m.minimal_delta == short_discriminant(*m.minimal_short)
-    assert twin.minimal_delta != twin.delta_short
+    assert short_discriminant(*twin.minimal_short) != twin.delta_short
 
 
 def test_model_at_infinity_x3t():
@@ -397,7 +389,7 @@ def test_split_decisions_count_the_reduced_cubic(field, count):
             m = WeierstrassModel(field, [0], [0], [0], a4, a6)
         except UnsupportedModel:
             continue
-        for pi in distinct_irreducible_factors(m.minimal_delta):
+        for pi, _ in factorization(short_discriminant(*m.minimal_short)):
             if pi.degree > 2:
                 continue
             place = place_finite(pi)
@@ -464,14 +456,14 @@ def test_distinct_factor_extraction_with_p_power_multiplicity():
     t = Poly(F5, [0, 1])
     tm1 = Poly(F5, [-1, 1])
     f = (t**10) * (tm1**2) * Poly(F5, [2])
-    factors = distinct_irreducible_factors(f)
+    factors = [g for g, _ in factorization(f)]
     assert sorted(x.key() for x in factors) == sorted([t.key(), tm1.key()])
     # over GF(25): h^5 g with h = t + z, z^2 = -2 outside GF(5), so h^5 =
     # t^5 + z^5 and the p-th root step takes z^5 back to z (raw_pow by q/p)
     f25 = field_make(5, [2, 0, 1])
     h, g = Poly(f25, [[0, 1], 1]), Poly(f25, [[1, 1], 0, 1])
-    assert distinct_irreducible_factors(g) == [g]
-    factors = distinct_irreducible_factors(h**5 * g)
+    assert [x for x, _ in factorization(g)] == [g]
+    factors = [x for x, _ in factorization(h**5 * g)]
     assert factors == sorted([h, g], key=lambda x: (x.degree,) + x.key())
 
 
@@ -531,10 +523,11 @@ def test_fibers_where_p_divides_v_delta(field, a4, a6, fibers):
 
 def test_tate_reads_v_delta_from_the_factorization():
     """On the catalog and the Kodaira zoo: at infinity v(Delta) = 12k -
-    deg Delta_min is the valuation at s of minimal_delta.reverse(12k),
-    which is Delta of the pair at infinity, and the infinity fiber's Euler
+    deg Delta_min is the valuation at s of Delta_min.reverse(12k), which
+    is Delta of the pair at infinity, and the infinity fiber's Euler
     number (0 when good); at every bad finite place pi the Euler number is
-    v_pi(minimal_delta) by repeated division."""
+    v_pi(Delta_min) by repeated division, Delta_min the discriminant of
+    minimal_short."""
     from ellsurf.catalog import CATALOG
     from ellsurf.cli import build_model, parse_config
 
@@ -543,7 +536,7 @@ def test_tate_reads_v_delta_from_the_factorization():
     for m in models:
         a4, a6 = m.minimal_short
         k = next(k for k in range(8) if a4.degree <= 4 * k and a6.degree <= 6 * k)
-        delta = m.minimal_delta
+        delta = short_discriminant(a4, a6)
         reversed_delta = delta.reverse(12 * k)
         assert reversed_delta == short_discriminant(*short_at_infinity(m))
         v = next(i for i, c in enumerate(reversed_delta.coeffs) if c != m.field.zero)
@@ -562,7 +555,7 @@ def test_tate_reads_v_delta_from_the_factorization():
 def test_factoring_higher_degree():
     # t^14 - 2 over F5 (the K3 example discriminant core)
     f = Poly(F5, [-2] + [0] * 13 + [1])
-    factors = distinct_irreducible_factors(f)
+    factors = [g for g, _ in factorization(f)]
     assert sum(g.degree for g in factors) == 14
     prod = Poly(F5, [1])
     for g in factors:
@@ -593,7 +586,7 @@ def test_linear_factors_over_a_huge_field():
     f = Poly(F_BIG, [1, 0, 1])
     for c in (1, 2, 3, 5, 7, 11):
         f = f * Poly(F_BIG, [c, 1])
-    factors = distinct_irreducible_factors(f)
+    factors = [g for g, _ in factorization(f)]
     assert [g.key() for g in factors] == [((c,), (1,)) for c in (1, 2, 3, 5, 7, 11)] + [((1,), (0,), (1,))]
 
 

@@ -33,7 +33,7 @@ from ellsurf.ffield import (
 from ellsurf.oracle import affine_point_counter
 from ellsurf.tatefiber import (
     WeierstrassModel,
-    distinct_irreducible_factors,
+    factorization,
     fiber_point_count,
     global_invariants,
     short_discriminant,
@@ -245,17 +245,19 @@ def as_raw(cf, code):
 @pytest.mark.parametrize("m", [X3T, GENERIC_I1, GENERIC_I1_F25, DEG23],
                          ids=["X3T", "I1", "I1_F25", "deg23"])
 def test_good_mask_is_delta_nonzero(m):
-    """The kernel's good mask, taken from A and B alone, is minimal_delta(t)
-    != 0 at every orbit representative t of levels 1-3, Delta read by
+    """The kernel's good mask, taken from A and B alone, is Delta_min(t)
+    != 0 (Delta_min the discriminant of minimal_short) at every orbit
+    representative t of levels 1-3, Delta read by
     Poly.eval in the pure-Python model of the level's field; so each level
     holds one bad representative of full length per bad place of its
     degree."""
     kernel = _char_sums(m)
-    places = distinct_irreducible_factors(m.minimal_delta)
+    delta_min = short_discriminant(*m.minimal_short)
+    places = [pi for pi, _ in factorization(delta_min)]
     for n in (1, 2, 3):
         lv = kernel.level(n)
         F = pure_model(lv.cf)
-        delta = [as_raw(lv.cf, lv.emb[kernel.base_code(c)]) for c in m.minimal_delta.coeffs]
+        delta = [as_raw(lv.cf, lv.emb[kernel.base_code(c)]) for c in delta_min.coeffs]
         expected = [Poly(F, delta).eval(as_raw(lv.cf, t)) != F.zero for t in lv.t.tolist()]
         assert lv.good.tolist() == expected, n
         bad = int((~lv.good & (lv.lengths == n)).sum())
