@@ -14,7 +14,12 @@ The config's [limits] and [metadata] keys, and the command-line flags
 
 Commands: ``analyze`` prints the fiber table, ``verify`` the table of
 checks, ``report`` the canonical JSON report and ``catalog`` the built-in
-fixtures.
+fixtures.  The command line is ``COMMAND [FLAG VALUE | FLAG=VALUE]...``,
+read left to right by ``_parse_argv`` against the table ``_FLAGS``: a
+flag is spelled out in full (no abbreviations), a repeated flag keeps its
+last value, ``--config`` and ``--catalog`` exclude each other, and
+``catalog`` takes no flags.  A command line with the word ``-h`` or
+``--help`` prints ``USAGE`` to stdout with exit 0.
 
 Exit statuses: 0 success, 2 configuration error (config file or command
 line), 3 unsupported model, 4 at least one FAILed check or an internal
@@ -24,8 +29,6 @@ status other than 0 comes with one line on stderr.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
@@ -291,31 +294,27 @@ def report_digest(json_text: str) -> str:
 # commands
 
 
-def _load_config(args) -> Config:
-    if args.catalog:
-        if args.catalog not in CATALOG:
-            raise ParseError(f"unknown catalog entry {args.catalog!r}", None)
-        return parse_config(CATALOG[args.catalog].config_text)
-    if args.config:
+def _load_config(options: dict) -> Config:
+    catalog, path = options.get("catalog"), options.get("config")
+    if catalog:
+        if catalog not in CATALOG:
+            raise ParseError(f"unknown catalog entry {catalog!r}", None)
+        return parse_config(CATALOG[catalog].config_text)
+    if path:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read {args.config}: {exc}", None)
+            raise ParseError(f"cannot read {path}: {exc}", None)
         return parse_config(text)
     raise ParseError("need --config FILE or --catalog NAME", None)
 
 
-def _apply_flags(cfg: Config, args) -> None:
-    flags = (
-        (cfg.limits, "n_max", "nmax"),
-        (cfg.limits, "place_degree_cap", "place_cap"),
-        (cfg.metadata, "mw_rank", "assume_rank"),
-        (cfg.limits, "threads", "threads"),
-    )
-    for target, key, flag in flags:
-        value = getattr(args, flag)
-        if value is not None:
+def _apply_flags(cfg: Config, options: dict) -> None:
+    """Set each integer flag of ``_FLAGS`` on the config's limits or metadata."""
+    for key, value in options.items():
+        if key not in ("config", "catalog"):
+            target = cfg.metadata if key in _SECTIONS["metadata"] else cfg.limits
             setattr(target, key, _at_least_minimum(key, value, None))
 
 
@@ -329,16 +328,16 @@ def _fiber_table(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _run(args):
+def _run(options: dict):
     """(model, report, cfg) of the config with the flags applied."""
-    cfg = _load_config(args)
-    _apply_flags(cfg, args)
+    cfg = _load_config(options)
+    _apply_flags(cfg, options)
     model, metadata, limits = build_model(cfg)
     return model, run_verification(model, metadata, limits), cfg
 
 
-def cmd_analyze(args) -> int:
-    _, report, _ = _run(args)
+def cmd_analyze(options: dict) -> int:
+    _, report, _ = _run(options)
     inv = report.invariants
     print(f"q = {report.q}")
     print(
@@ -352,8 +351,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    _, report, _ = _run(args)
+def cmd_verify(options: dict) -> int:
+    _, report, _ = _run(options)
     for c in report.checks:
         extra = f"  [{c.details}]" if c.details else ""
         print(f"{c.status:<12} {c.name}{extra}")
@@ -364,13 +363,13 @@ def cmd_verify(args) -> int:
     return 4 if report.has_failure() else 0
 
 
-def cmd_report(args) -> int:
-    _, report, cfg = _run(args)
+def cmd_report(options: dict) -> int:
+    _, report, cfg = _run(options)
     print(report_json(report, cfg))
     return 4 if report.has_failure() else 0
 
 
-def cmd_catalog(_args) -> int:
+def cmd_catalog(_options: dict) -> int:
     for name, entry in sorted(CATALOG.items()):
         print(f"{name}: {entry.summary}")
         for k, v in sorted(entry.expected.items()):
@@ -380,45 +379,71 @@ def cmd_catalog(_args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as a one-line configuration error."""
+_COMMANDS = {"analyze": cmd_analyze, "verify": cmd_verify, "report": cmd_report,
+             "catalog": cmd_catalog}
 
-    def error(self, message):
-        raise ParseError(message, None)
+# flag -> (the key it sets, its type): ``config`` and ``catalog`` name the
+# config's source, every other key is a [limits] or [metadata] key
+# (``_apply_flags``); ``catalog`` takes no flags
+_FLAGS = {
+    "--config": ("config", str),
+    "--catalog": ("catalog", str),
+    "--nmax": ("n_max", int),
+    "--assume-rank": ("mw_rank", int),
+    "--place-cap": ("place_degree_cap", int),
+    "--threads": ("threads", int),
+}
+
+USAGE = """\
+usage: ellsurf {analyze,verify,report} (--config FILE | --catalog NAME)
+                                       [--nmax N] [--assume-rank R]
+                                       [--place-cap D] [--threads K]
+       ellsurf catalog
+       ellsurf -h | --help
+
+Exact zeta and L-function special-value checks for elliptic fibrations
+over P^1 over a finite field.  A flag's value follows as the next word or
+after "=" (--nmax 3, --nmax=3).
+"""
 
 
-@functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (about 1 ms each)."""
-    parser = _Parser(
-        prog="ellsurf",
-        description="Exact zeta and L-function special-value checks for "
-        "elliptic fibrations over P^1 over a finite field",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in [
-        ("analyze", cmd_analyze),
-        ("verify", cmd_verify),
-        ("report", cmd_report),
-    ]:
-        p = sub.add_parser(name)
-        source = p.add_mutually_exclusive_group()
-        source.add_argument("--config", help="path to a config file")
-        source.add_argument("--catalog", help="name of a built-in fixture")
-        p.add_argument("--nmax", type=int, default=None, help="count points up to GF(q^n)")
-        p.add_argument("--assume-rank", type=int, default=None, dest="assume_rank")
-        p.add_argument("--place-cap", type=int, default=None, dest="place_cap")
-        p.add_argument("--threads", type=int, default=0)
-        p.set_defaults(fn=fn)
-    pcat = sub.add_parser("catalog")
-    pcat.set_defaults(fn=cmd_catalog)
-    return parser
+def _parse_argv(argv: list) -> tuple:
+    """(command name, {key: value} of its flags) of a command line, or
+    ("help", {}) when any word is -h or --help.  A flag given twice keeps
+    its last value."""
+    if "-h" in argv or "--help" in argv:
+        return "help", {}
+    if not argv:
+        raise ParseError("missing command: analyze, verify, report or catalog", None)
+    command, rest = argv[0], iter(argv[1:])
+    if command not in _COMMANDS:
+        raise ParseError(f"unknown command {command!r}", None)
+    options = {}
+    for word in rest:
+        flag, eq, value = word.partition("=")
+        if flag not in _FLAGS or command == "catalog":
+            raise ParseError(f"{command}: unknown argument {word!r}", None)
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise ParseError(f"{flag} expects a value", None)
+        key, kind = _FLAGS[flag]
+        try:
+            options[key] = kind(value)
+        except ValueError:
+            raise ParseError(f"{flag} expects an integer, got {value!r}", None)
+    if "config" in options and "catalog" in options:
+        raise ParseError("--config and --catalog exclude each other", None)
+    return command, options
 
 
 def main(argv=None) -> int:
     try:
-        args = make_parser().parse_args(argv)
-        return args.fn(args)
+        command, options = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if command == "help":
+            print(USAGE, end="")
+            return 0
+        return _COMMANDS[command](options)
     except EllsurfError as exc:
         # exit 4: an internal inconsistency is a failed check
         prefix = {2: "configuration error", 3: "unsupported model"}.get(

@@ -7,11 +7,13 @@ with it too.
 
 All places of degree d share one model F of GF(q^d): the base field at
 d = 1, else the field modulo ``find_irreducible(field, d)``.
-``place_model`` lists them by keying each generator theta of F by its
-minimal polynomial, the product of (T - theta^(q^i)) over its Frobenius
-orbit, so each place comes with a root in F, its residue field through
-t -> theta.  ``place_lists`` holds each list to the necklace count; any
-other length is an internal error (exit 4).
+``place_model`` lists them by keying each generator theta = g^i of F by
+its minimal polynomial, read off F's discrete-log tables: its Frobenius
+orbit is the exponents i q^j, and each coefficient a sum of powers of g
+at the exponent sums of subsets of that orbit, so each place comes with a
+root in F and its log, its residue field through t -> theta.
+``place_lists`` holds each list to the necklace count; any other length is
+an internal error (exit 4).
 
 The counts read discrete-log tables of F built with F's own ``raw_mul``:
 the powers of a primitive element g, which must hit every nonzero element
@@ -46,8 +48,8 @@ def _primitive_element(kv):
 
 
 def _counter_tables(kv):
-    """(by_p, by_3p, exp, log, cubes, roots, spread): kv's discrete-log
-    tables on ints, built once per field value per process.
+    """(by_p, by_3p, exp, log, cubes, roots, spread, powers): kv's
+    discrete-log tables, built once per field value per process.
 
     An element's code sums its base-p digits (``raw_key``) times by_p =
     (p^j), its 3p-code times by_3p = ((3p)^j).  For g from
@@ -56,17 +58,20 @@ def _counter_tables(kv):
     cubes[i] = exp[3i mod (q - 1)].  The powers must hit all q - 1 nonzero
     codes, else ``InternalInconsistency``.  B + x^3 + A x summed on 3p-codes
     has digits below 3p and indexes ``roots`` unreduced: 1 at 0, 2 at an even
-    power of g, 0 at an odd one.  ``spread``: exp in ``_specializer``'s radices."""
+    power of g, 0 at an odd one.  ``spread``: exp in ``_specializer``'s radices.
+    powers[i]: the raw value of g^i, i < q - 1."""
     if kv.key in _COUNTER_TABLES:
         return _COUNTER_TABLES[kv.key]
     p, m, key, mul = kv.p, kv.q - 1, kv.raw_key, operator.mul
     g, x = _primitive_element(kv), kv.one
     by_p = [p**j for j in range(len(key(x)))]
     by_3p = [(3 * p) ** j for j in range(len(by_p))]
-    log, exp = [None] * kv.q, []
+    log, exp, powers = [None] * kv.q, [], []
     for i in range(m):
-        log[sum(map(mul, key(x), by_p))] = i
-        exp.append(sum(map(mul, key(x), by_3p)))
+        digits = key(x)
+        log[sum(map(mul, digits, by_p))] = i
+        exp.append(sum(map(mul, digits, by_3p)))
+        powers.append(x)
         x = kv.raw_mul(x, g)
     if log[0] is not None or None in log[1:]:
         raise InternalInconsistency(f"the powers of the generator of GF({kv.q}) hit "
@@ -79,14 +84,14 @@ def _counter_tables(kv):
         for square in exp[:m:2]:
             roots[square + off] = 2
     cubes = [exp[3 * i % m] for i in range(m)]
-    _COUNTER_TABLES[kv.key] = by_p, by_3p, exp, log, cubes, memoryview(roots), {}
+    _COUNTER_TABLES[kv.key] = by_p, by_3p, exp, log, cubes, memoryview(roots), {}, powers
     return _COUNTER_TABLES[kv.key]
 
 
 def _log_counter(kv):
     """(log A, None at A = 0; the 3p-code of B) -> #{y^2 = x^3 + A x + B}:
     x = 0, then one flat loop over x = g^i."""
-    _, _, exp, _, cubes, roots, _ = _counter_tables(kv)
+    _, _, exp, _, cubes, roots, *_ = _counter_tables(kv)
     m, add = len(cubes), operator.add
 
     def count(i, b) -> int:
@@ -115,7 +120,7 @@ def _specializer(kv, a: Poly, b: Poly):
     recoded in radix 2^w, w the bit length of (p - 1) times the most terms
     of a or b: no digit sum reaches 2^w, so the reads add up exactly, and
     each digit is reduced mod p once, straight into the code."""
-    by_p, by_3p, exp, log, cubes, _, spread = _counter_tables(kv)
+    by_p, by_3p, exp, log, cubes, _, spread, _ = _counter_tables(kv)
     p, m, mul = kv.p, len(cubes), operator.mul
     terms = [[(log[sum(map(mul, f.field.raw_key(c), by_p))], j)
               for j, c in enumerate(f.coeffs) if c != f.field.zero] for f in (a, b)]
@@ -157,53 +162,48 @@ def place_model(field, d: int) -> tuple:
     if key not in _PLACE_MODELS:
         F = field if d == 1 else ExtensionField(field, find_irreducible(field, d).coeffs,
                                                 check_irreducible=False)
-        by_p, _, _, log, *_ = _counter_tables(F)
-        _PLACE_MODELS[key] = F, tuple(
-            ((1, d) + tuple(map(field.raw_key, pi)), pi, theta,
-             log[sum(map(operator.mul, F.raw_key(theta), by_p))])
-            for pi, theta in _minimal_polynomials(field, F)
-        )
+        _PLACE_MODELS[key] = F, tuple(((1, d) + tuple(map(field.raw_key, pi)), pi, theta, i)
+                                      for pi, theta, i in _minimal_polynomials(field, F))
     return _PLACE_MODELS[key]
 
 
 def _minimal_polynomials(base, F) -> tuple:
-    """The (raw coefficients of pi, root) of ``place_model``, sorted: monic
-    coefficient tuples of one length sort as their places do.
+    """(raw coefficients of pi, root theta, log theta) for ``place_model``,
+    sorted: monic coefficient tuples of one length sort as their places do.
 
-    Each generator theta of F is keyed by its minimal polynomial, the
-    product of (T - theta^(q^i)) over i < d, whose coefficients lie in
-    ``base``.  theta -> theta^q is base-linear, so it is applied as the sum
-    of theta's coordinates times the q-th powers of the basis 1, x, ...,
-    x^(d-1).  Conjugates of a keyed root are skipped."""
+    At d = 1 the places are T - c, with root c.  Above, each generator
+    theta = g^i of F (g the generator of F's counter tables, m = q^d - 1) is
+    keyed by its minimal polynomial, the product of (T - g^e) over its
+    Frobenius orbit, the exponents e = i q^j mod m for j < d; an orbit with
+    fewer than d exponents lies in a proper subfield.  The coefficient of
+    T^(d - k) is (-1)^k e_k, e_k the sum over the k-subsets of the orbit
+    of g^(the subset's exponent sum); it lies in ``base``, and the sum is
+    taken on the base coordinate of each power alone.  Each orbit is keyed
+    once, at its least exponent."""
+    by_p, _, _, log, *_, powers = _counter_tables(F)
     if F.key == base.key:
-        return tuple(sorted(((base.raw_neg(c), base.one), c) for c in base.raw_values()))
-    d, q, bzero = F.degree, base.q, base.zero
-    add, mul, neg, scale = F.raw_add, F.raw_mul, F.raw_neg, base.raw_mul
-    frob_basis = [F.raw_pow(F.raw([0] * i + [1]), q) for i in range(d)]
-
-    def frob(theta):
-        out = F.zero
-        for c, xq in zip(theta, frob_basis):
-            if c != bzero:
-                out = add(out, tuple(scale(c, e) for e in xq))
-        return out
-
+        return tuple(sorted(((base.raw_neg(c), base.one), c,
+                             log[sum(map(operator.mul, base.raw_key(c), by_p))])
+                            for c in base.raw_values()))
+    d, q, m = F.degree, base.q, F.q - 1
+    add, neg = base.raw_add, base.raw_neg
+    seen = bytearray(m)
     roots = []
-    seen = set()
-    for theta in F.raw_values():
-        if theta in seen:
+    for i in range(m):
+        if seen[i]:
             continue
-        conj = [theta]
-        for _ in range(d - 1):
-            conj.append(frob(conj[-1]))
-        if len(set(conj)) < d:
-            continue  # theta lies in a proper subfield
-        seen.update(conj)
-        coeffs = [F.one]  # the product, low degree first
-        for c in conj:
-            shifted = [F.zero] + coeffs
-            coeffs = [add(s, neg(mul(c, t))) for s, t in zip(shifted, coeffs + [F.zero])]
-        roots.append((tuple(c[0] for c in coeffs), theta))
+        orbit = {i * pow(q, j, m) % m for j in range(d)}
+        for e in orbit:
+            seen[e] = 1
+        if len(orbit) < d:
+            continue  # g^i lies in a proper subfield
+        coeffs = [base.one]  # the product, high degree first
+        for k in range(1, d + 1):
+            e_k = base.zero
+            for subset in itertools.combinations(orbit, k):
+                e_k = add(e_k, powers[sum(subset) % m][0])  # its base coordinate
+            coeffs.append(neg(e_k) if k % 2 else e_k)
+        roots.append((tuple(reversed(coeffs)), powers[i], i))
     return tuple(sorted(roots))
 
 

@@ -284,20 +284,33 @@ def _transform_prime(p: int, n: int):
     return r, np.array([pow(w, e, r) for e in range(p)], dtype=np.int64)
 
 
-def _digit_transform(a, p: int, n: int, powers, r: int):
-    """The Fourier transform of a function on the additive group (Z/p)^n,
-    values mod r: along every base-p digit axis of the length-p^n array a,
-    out[k] = sum_j w^(j k) a[j] with w^e = powers[e]."""
-    j = np.arange(p)
+def _digit_transform(rows, p: int, n: int, powers, r: int):
+    """The Fourier transform of functions on the additive group (Z/p)^n,
+    values mod r, one per row of the (m, p^n) int64 array ``rows`` of
+    residues in [0, r): along every base-p digit axis, out[k] = sum_j
+    w^(j k) a[j] with w^e = powers[e].  The matrix (w^(j k)) goes in blocks
+    of at most ``_BLOCK`` entries, each applied to every row at once.  The
+    first block is built once per call: for p^2 <= ``_BLOCK`` it is the
+    whole matrix, so no axis builds one.  An axis multiplies the largest
+    entry by at most p (r - 1), so the entries are reduced mod r only
+    before an axis that could pass 2^63 otherwise, and once at the end;
+    each axis holds two arrays the size of ``rows``."""
+    m, j = len(rows), np.arange(p)
     step = max(1, _BLOCK // p)
+    first = powers[np.outer(j[:step], j) % p]
+    a, bound = rows, r - 1  # no entry of a exceeds bound
     for i in range(n):
-        a = a.reshape(p**i, p, -1)
+        if p * (r - 1) * bound >= 1 << 63:  # never at i = 0, since p r^2 < 2^63
+            a %= r
+            bound = r - 1
+        a = a.reshape(m * p**i, p, -1)
         out = np.empty_like(a)
         for k in range(0, p, step):
-            w = powers[np.outer(j[k : k + step], j) % p]
-            out[:, k : k + step] = np.matmul(w, a) % r
-        a = out
-    return a.reshape(-1)
+            w = first if k == 0 else powers[np.outer(j[k : k + step], j) % p]
+            np.matmul(w, a, out=out[:, k : k + step])
+        a, bound = out, p * (r - 1) * bound
+    a %= r
+    return a.reshape(m, -1)
 
 
 def _build_sum_tables(cf: _CodedField, classes) -> None:
@@ -305,22 +318,32 @@ def _build_sum_tables(cf: _CodedField, classes) -> None:
     every code b, for each j in ``classes``, a subset of {0, 1}.  S(a0, .)
     is the convolution over the additive group of the histogram of
     -(x^3 + a0 x) with chi, by the digit-axis transform modulo the prime
-    r > 2N + 1, lifted to (-r/2, r/2].  chi's transform is computed here,
-    so only when a table is built."""
+    r > 2N + 1, lifted to (-r/2, r/2].  One forward transform takes chi
+    and each class's histogram as stacked rows, and one inverse transform
+    the stacked products of spectra; chi's transform is computed here, so
+    only when a table is built."""
     p, n = cf.p, cf.n
     r, powers = _transform_prime(p, n)
     inverse = powers[-np.arange(p) % p]
     unscale = pow(cf.N, -1, r)
-    chi_hat = _digit_transform(cf.chi.astype(np.int64) % r, p, n, powers, r)
+    rows = np.empty((1 + len(classes), cf.N), dtype=np.int64)
+    rows[0] = cf.chi
+    rows[0] %= r
     x = np.arange(cf.N, dtype=np.int64)
-    for j in classes:
-        a0 = cf.exp[j]
-        # -(x^3 + a0 x) = (-1) x (x^2 + a0)
-        hist = np.bincount(cf.mul(cf.mul(cf.add(cf.mul(x, x), a0), x), p - 1), minlength=cf.N)
-        spec = _digit_transform(hist, p, n, powers, r) * chi_hat % r
-        S = _digit_transform(spec, p, n, inverse, r) * unscale % r
-        # |S| <= N < r/2 < 2^31, since p r^2 < 2^63
-        cf.sum_tables[j] = np.where(S > r // 2, S - r, S).astype(np.int32)
+    x2 = cf.mul(x, x)
+    for row, j in enumerate(classes, 1):
+        # -(x^3 + a0 x) = (-1) x (x^2 + a0), a0 = gen^j
+        rows[row] = np.bincount(cf.mul(cf.mul(cf.add(x2, cf.exp[j]), x), p - 1), minlength=cf.N)
+    del x, x2  # each stacked array is dropped once read, to bound the peak
+    spectra = _digit_transform(rows, p, n, powers, r)
+    del rows
+    products = spectra[1:] * spectra[0]  # each histogram's spectrum times chi's
+    del spectra
+    products %= r
+    S = _digit_transform(products, p, n, inverse, r) * unscale % r
+    # |S| <= N < r/2 < 2^31, since p r^2 < 2^63
+    for j, row in zip(classes, S):
+        cf.sum_tables[j] = np.where(row > r // 2, row - r, row).astype(np.int32)
 
 
 def _transform_sums(cf: _CodedField, A, B):

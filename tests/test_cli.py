@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from ellsurf.catalog import CATALOG, DIGESTS
 from ellsurf.cli import (
+    _FLAGS,
+    _MINIMUM,
+    USAGE,
     build_model,
     main,
     parse_config,
@@ -230,6 +233,22 @@ def test_cli_import_loads_no_hashlib():
     assert run.stdout.strip() == "[]"
 
 
+def test_cli_import_and_a_report_load_no_argparse():
+    """``import ellsurf.cli`` and one report load neither argparse nor the
+    gettext and locale it imports: the command line is read off the table
+    ``_FLAGS``."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from ellsurf.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['report', '--catalog', 'legendre_f5'])\n"
+        "print(rc, sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n"
+    )
+    run = _run_python("-c", script)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0 []"
+
+
 def test_verify_same_under_python_O():
     """No runtime check of the pipeline is an assert: -O changes nothing."""
     plain = _run_python("-m", "ellsurf.cli", *VERIFY_LEGENDRE)
@@ -420,11 +439,68 @@ def test_bad_command_line_is_a_one_line_configuration_error(capsys):
         ["verify", "--catalog", "x3_plus_t_f5", "--json"],  # `report` prints the JSON
         ["frobnicate"],
         [],
+        ["catalog", "--nmax", "3"],  # catalog takes no flags
+        ["report", "--catalog"],
+        ["report", "--catalog", "legendre_f5", "--nmax"],
+        ["report", "--cat", "legendre_f5"],  # flags are spelled out in full
     )
     for argv in bad:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_flag_value_after_an_equals_sign_is_the_spaced_form(capsys):
+    assert main(["report", "--catalog=legendre_f5", "--nmax=2"]) == 0
+    joined = capsys.readouterr()
+    assert json.loads(joined.out)["flags"]["n_max"] == 2
+    assert main(["report", "--catalog", "legendre_f5", "--nmax", "2"]) == 0
+    assert capsys.readouterr() == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["report", "--catalog", "legendre_f5", "-h"], ["catalog", "--help"]],
+)
+def test_help_prints_the_usage_to_stdout_with_exit_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == USAGE and captured.err == ""
+    assert captured.out.startswith("usage: ellsurf ")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _flag_drift(readme: str, flags: dict, minimum: dict) -> list:
+    """The rows where README's flag table (under "## Command line") and a
+    parser's flag table and minima disagree, as (flag, (key, least value))
+    pairs, "-" for a flag with no least value: [] when they agree."""
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = set()
+    for line in section.splitlines():
+        if line.startswith("| `-"):
+            flag, key, least = [cell.strip().strip("`") for cell in line.split("|")[1:4]]
+            rows.add((flag.split()[0], (key, least)))
+    parser = {(flag, (key, str(minimum.get(key, "-")))) for flag, (key, _) in flags.items()}
+    return sorted(rows ^ parser)
+
+
+def test_readme_flag_table_is_the_parsers():
+    """README lists every flag of ``cli._FLAGS`` with the key it sets and
+    its ``cli._MINIMUM``, and no other; one flag renamed on either side, or
+    a minimum changed, shows as drift.  USAGE names every flag too."""
+    readme = README.read_text(encoding="utf-8")
+    assert _flag_drift(readme, _FLAGS, _MINIMUM) == []
+    assert all(flag in USAGE for flag in _FLAGS)
+    renamed_in_readme = readme.replace("`--place-cap D`", "`--place-limit D`")
+    renamed_in_parser = {("--depth" if f == "--nmax" else f): v for f, v in _FLAGS.items()}
+    assert _flag_drift(renamed_in_readme, _FLAGS, _MINIMUM) == [
+        ("--place-cap", ("place_degree_cap", "1")),
+        ("--place-limit", ("place_degree_cap", "1")),
+    ]
+    assert _flag_drift(readme, renamed_in_parser, _MINIMUM)
+    assert _flag_drift(readme, _FLAGS, dict(_MINIMUM, mw_rank=1))
 
 
 def test_config_and_catalog_exclude_each_other(tmp_path, capsys):

@@ -372,12 +372,18 @@ def test_moebius_and_is_prime_by_definition():
         assert ffield._is_prime(n) == is_prime(n)
 
 
-@pytest.mark.parametrize("field", [F5, PrimeField(11), F25], ids=["F5", "F11", "F25"])
-def test_roots_by_minimal_polynomial_list_every_place(field):
-    """At degree d <= 2 the list holds irreducible_count(q, d) distinct
-    places in sort order, each of degree d with its sort key and a root
-    theta, pi(theta) = 0, in the shared model of its degree."""
-    for d in (1, 2):
+@pytest.mark.parametrize(
+    "field,degrees",
+    [(F5, (1, 2, 3)), (F7, (1, 2)), (PrimeField(11), (1, 2)), (F25, (1, 2))],
+    ids=["F5", "F7", "F11", "F25"],
+)
+def test_roots_by_minimal_polynomial_list_every_place(field, degrees):
+    """At each degree d the list holds irreducible_count(q, d) distinct
+    irreducible places in sort order, each of degree d with its sort key
+    and a root theta, pi(theta) = 0, in the shared model of its degree.
+    At d = 3 over GF(5) the coefficients are sums over 1-, 2- and 3-subsets
+    of a Frobenius orbit."""
+    for d in degrees:
         F, roots = place_model(field, d)
         keys = [key for key, *_ in roots]
         assert len(roots) == irreducible_count(field.q, d)
@@ -385,6 +391,6 @@ def test_roots_by_minimal_polynomial_list_every_place(field):
         for key, pi, theta, _ in roots:
             v = Place("finite", Poly(field, pi), d)
             assert v.sort_key() == key
-            assert v.degree == v.poly.degree == d
+            assert v.degree == v.poly.degree == d and poly_is_irreducible(v.poly)
             pi = v.poly if d == 1 else Poly(F, [(c,) + F.zero[1:] for c in v.poly.coeffs])
             assert pi.eval(theta) == F.zero

@@ -663,17 +663,19 @@ def test_affine_point_counter_matches_the_double_loop(name):
 @pytest.mark.parametrize("name", ["F5", "F11", "F121/F11", "F625/F25"])
 def test_counter_log_tables_against_the_field_arithmetic(name):
     """exp is a bijection onto the nonzero raw values with log as its
-    inverse, exp walks the powers of one generator, and the cubes and the
-    root counts (at every unreduced 3p-code) agree with raw_mul."""
+    inverse, exp walks the powers of one generator, the raw powers are
+    exp's values, and the cubes and the root counts (at every unreduced
+    3p-code) agree with raw_mul."""
     import itertools
 
     kv = _counter_fields()[name]
-    by_p, by_3p, exp, log, cubes, roots, _ = oracle._counter_tables(kv)
+    by_p, by_3p, exp, log, cubes, roots, _, raw_powers = oracle._counter_tables(kv)
     m, p, key, mul = kv.q - 1, kv.p, kv.raw_key, kv.raw_mul
     code = lambda x: sum(d * w for d, w in zip(key(x), by_p))
     code_3p = lambda x: sum(d * w for d, w in zip(key(x), by_3p))
     by_code_3p = {code_3p(x): x for x in kv.raw_values()}
     powers = [by_code_3p[c] for c in exp[:m]]
+    assert raw_powers == powers
     assert sorted(powers) == sorted(x for x in kv.raw_values() if x != kv.zero)
     assert exp[m:] == exp[:m] and len(log) == kv.q and log[0] is None
     g = powers[1]
