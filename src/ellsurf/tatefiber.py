@@ -12,7 +12,10 @@ by explicit square and root tests in the exact residue field.
 The surface itself is never built as a scheme: its class in every identity
 checked downstream is determined by the per-place data assembled here
 (Kodaira type, component orbits, Tamagawa number, conductor exponent, local
-Euler number, local L-factor).
+Euler number, local L-factor).  A component lattice is the integer Gram rows
+of its orbits (``component_lattice``).  The fibers at fabricated places and
+the dual-graph route to c_v that the tests check against live in
+``tests/fiber_cases.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import (
     GoodFiber,
     EulerNotTwelveDivisible,
     InconsistentFiberData,
-    IndexInfinite,
     InternalInconsistency,
     NotMinimalizable,
     UnsupportedModel,
@@ -42,7 +44,7 @@ from .ffield import (
     poly_pow_mod,
     residue_field,
 )
-from .lattice import Mat, PairedGroup, FgGroup, discriminant
+from .lattice import discriminant
 from .oracle import affine_point_counter
 
 
@@ -330,8 +332,8 @@ def _type_tables(kod: str, splitting) -> tuple:
 
 
 def make_fiber(place: Place, q: int, kod: str, splitting, a_v: int | None = None) -> FiberData:
-    """Assemble FiberData from the type tables (used by the local analysis
-    and for synthetic fiber sets in identity tests)."""
+    """Assemble FiberData from the type tables: every fiber Tate's algorithm
+    finds, and the tests' fibers at fabricated places (``tests/fiber_cases.py``)."""
     q_v = q**place.degree
     comps, c_v, f_v, e_v = _type_tables(kod, splitting)
     if kod == "I0":
@@ -356,19 +358,6 @@ def make_fiber(place: Place, q: int, kod: str, splitting, a_v: int | None = None
         d_v=place.degree,
         q_v=q_v,
     )
-
-
-def synthetic_fiber(q: int, degree: int, kod: str, splitting=None, field=None) -> FiberData:
-    """A FiberData at a fabricated place, for identity tests that need a
-    specific Kodaira type without a witnessing model."""
-    from .ffield import PrimeField, find_irreducible
-
-    field = field or PrimeField(q)
-    if degree == 1:
-        place = place_finite(Poly(field, [0, 1]))
-    else:
-        place = place_finite(find_irreducible(field, degree))
-    return make_fiber(place, q, kod, splitting)
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +648,11 @@ def global_invariants(model: WeierstrassModel, fibers: list[FiberData] | None = 
 # component lattices and fiber point counts
 
 
-def component_lattice(f: FiberData) -> PairedGroup:
-    """Non-identity component orbits with the residue-field intersection
-    pairing (the fiber-cycle quotient is taken by dropping the identity
-    orbit, which the cycle expresses integrally in the others)."""
+def component_lattice(f: FiberData) -> list[list[int]]:
+    """Gram rows of the non-identity component orbits under the
+    residue-field intersection pairing (the fiber-cycle quotient is taken
+    by dropping the identity orbit, which the cycle expresses integrally in
+    the others)."""
     if f.is_good:
         raise GoodFiber("good fibers have trivial component lattice")
     M, mult, perm = geometric_gram(f.kodaira, f.splitting)
@@ -670,26 +660,21 @@ def component_lattice(f: FiberData) -> PairedGroup:
     if orbits[0] != [0]:
         raise InconsistentFiberData(f"{f.kodaira}: Frobenius moves the identity component")
     rest = orbits[1:]
-    gram = [
-        [sum(M[i][j] for i in oa for j in ob) for ob in rest]
-        for oa in rest
-    ]
-    return PairedGroup(FgGroup(len(rest)), Mat(gram, len(rest)), log_grade=0)
+    return [[sum(M[i][j] for i in oa for j in ob) for ob in rest] for oa in rest]
 
 
 _COMPONENT_LATTICES: dict = {}  # (kodaira, splitting, d_v) -> (base Gram, discriminant)
 
 
-def component_lattice_base_gram(f: FiberData) -> Mat:
-    """Orbit Gram scaled to base-field intersection numbers (factor d_v).
-    It depends on the fiber only through its Kodaira type, splitting and
-    d_v, and is built with its discriminant once per those per process:
-    the Mat is shared, read, not changed."""
+def component_lattice_base_gram(f: FiberData) -> list[list[int]]:
+    """Orbit Gram rows scaled to base-field intersection numbers (factor
+    d_v).  They depend on the fiber only through its Kodaira type,
+    splitting and d_v, and are built with their discriminant once per
+    those per process: the rows are shared, read, not changed."""
     key = (f.kodaira, f.splitting, f.d_v)
     if key not in _COMPONENT_LATTICES:
-        P = component_lattice(f)
-        gram = Mat([[f.d_v * x for x in row] for row in P.pairing.rows], P.pairing.n)
-        _COMPONENT_LATTICES[key] = gram, discriminant(PairedGroup(P.group, gram, log_grade=1))
+        gram = [[f.d_v * x for x in row] for row in component_lattice(f)]
+        _COMPONENT_LATTICES[key] = gram, discriminant(gram, 1)
     return _COMPONENT_LATTICES[key][0]
 
 
@@ -699,38 +684,6 @@ def arithmetic_component_discriminant(f: FiberData):
     log q_v = d_v log q.  Kept with ``component_lattice_base_gram``."""
     component_lattice_base_gram(f)
     return _COMPONENT_LATTICES[f.kodaira, f.splitting, f.d_v][1]
-
-
-def component_group_fixed_order(f: FiberData) -> int:
-    """Order of the Frobenius-fixed subgroup of the geometric component
-    group, computed from the dual graph: an independent route to c_v."""
-    from .lattice import lattice_index, preimage_kernel
-
-    if f.is_good:
-        return 1
-    M, mult, perm = geometric_gram(f.kodaira, f.splitting)
-    g = len(mult) - 1
-    if g == 0:
-        return 1
-    # geometric non-identity Gram and the induced permutation
-    idx = [i for i in range(len(mult)) if i != 0]
-    pos = {node: k for k, node in enumerate(idx)}
-    gram = Mat([[M[i][j] for j in idx] for i in idx], g)
-    pmat = Mat.zero(g, g)
-    for node in idx:
-        image = perm[node]
-        if image == 0:
-            raise InconsistentFiberData(f"{f.kodaira}: Frobenius moves the identity component")
-        pmat.rows[pos[image]][pos[node]] = 1
-    shifted = Mat([[pmat.rows[i][j] - (1 if i == j else 0) for j in range(g)] for i in range(g)], g)
-    K = preimage_kernel(shifted, gram)
-    iK = lattice_index(K)
-    iG = lattice_index(gram)
-    if iK is None or iG is None:
-        raise IndexInfinite(f"{f.kodaira}: component lattice of lower rank")
-    if iG % iK:
-        raise InconsistentFiberData(f"{f.kodaira}: fixed index {iK} does not divide {iG}")
-    return iG // iK
 
 
 def fiber_point_count(f: FiberData, m: int) -> int:

@@ -280,7 +280,7 @@ def check_flach_siebel_aggregate(c_j, q2_star, agg_value, agg_power) -> CheckRes
 
 
 def build_ns(inv, fibers, metadata):
-    """Neron-Severi paired group, or None with a reason."""
+    """Neron-Severi Gram rows, or None with a reason."""
     if metadata.mw_rank is None or metadata.mw_torsion_order is None:
         return None, "Mordell-Weil data not declared"
     try:
@@ -298,8 +298,8 @@ def check_ns_discriminant(ns, ns_reason, agg_value, agg_power) -> tuple[CheckRes
     name = "ns_discriminant_product"
     if ns is None:
         return CheckResult(name, SKIPPED, details=ns_reason), None
-    sv, (pos, neg, zero) = discriminant_and_signature(ns)
-    rho_ns = ns.group.n_gens
+    sv, (pos, neg, zero) = discriminant_and_signature(ns, 1)
+    rho_ns = len(ns)
     rhs_value, rhs_power = agg_value, 2 + agg_power
     ok = sv.value == rhs_value and sv.log_power == rhs_power
     sig_ok = (pos, zero) == (1, 0) and neg == rho_ns - 1

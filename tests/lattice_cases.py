@@ -8,7 +8,7 @@ prefix)."""
 
 from fractions import Fraction
 
-from ellsurf.lattice import (
+from lattice_lemmas import (
     Mat,
     discriminant,
     free_paired,

@@ -14,12 +14,7 @@ import pytest
 from ellsurf.catalog import CATALOG
 from ellsurf.cli import build_model, main, parse_config
 from ellsurf.exactalg import RatPoly, SpecialValue
-from ellsurf.lattice import Mat, free_paired, two_term, yun_split, z_invariant
-from ellsurf.tatefiber import (
-    arithmetic_component_discriminant,
-    global_invariants,
-    synthetic_fiber,
-)
+from ellsurf.tatefiber import arithmetic_component_discriminant, global_invariants
 from ellsurf.verify import (
     CONDITIONAL,
     PASS,
@@ -28,7 +23,9 @@ from ellsurf.verify import (
     tamagawa_product,
 )
 from ellsurf.zeta import bad_correction, lefschetz_counts, surface_counts
+from fiber_cases import synthetic_fiber
 from lattice_cases import basis_trial, orthogonal_trial, yun_trial, z_triangle_trial
+from lattice_lemmas import Mat, free_paired, two_term, yun_split, z_invariant
 
 NAMES = ["x3_plus_t_f5", "x3_plus_t_f7", "legendre_f5", "generic_i1_f5"]
 
@@ -141,7 +138,7 @@ def test_criterion_4_flach_siebel_per_fiber():
     for deg in (1, 2):
         for kod, split in ALL_TYPES:
             f = synthetic_fiber(5, deg, kod, split)
-            sv = arithmetic_component_discriminant(f)  # SNF on the dual graph
+            sv = arithmetic_component_discriminant(f)  # elimination of the orbit Gram rows
             c_v = f.c_v  # Tamagawa table, the independent route
             assert sv.value == Fraction(c_v * f.d_v ** (f.m_v - 1) * f.r_product())
             assert sv.log_power == f.m_v - 1, (kod, split)

@@ -5,31 +5,30 @@ from math import gcd
 
 import pytest
 
+from ellsurf import lattice
 from ellsurf.errors import DegeneratePairing, NontrivialMW, NotIsotropic
-from ellsurf.lattice import (
+from ellsurf.lattice import ns_lattice_build, symmetric_elimination
+from lattice_cases import random_unimodular
+from lattice_lemmas import (
     FgGroup,
     GroupComplex,
     Mat,
     PairedGroup,
     discriminant,
-    discriminant_and_signature,
     free_paired,
     kernel_basis,
     mat_det,
     mat_inverse,
     mixed_discriminant,
-    ns_lattice_build,
     orthogonal_split_check,
     preimage_kernel,
     snf,
     subgroup_quotient,
-    symmetric_elimination,
     two_term,
     yun_split,
     z_invariant,
     z_triangle_check,
 )
-from lattice_cases import random_unimodular
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -160,7 +159,7 @@ def test_det_and_inverse_match_fraction_gauss_oracle():
         sym_det = fraction_gauss(sym)[0]
         symmetric["singular"] += sym_det == 0
         symmetric["rational"] += den > 1
-        got_sym = symmetric_elimination(Mat(sym, n))[0]
+        got_sym = symmetric_elimination(sym)[0]
         assert got_sym == sym_det
         integral = all(Fraction(x).denominator == 1 for r in sym for x in r)
         assert type(got_sym) is (int if integral else Fraction)
@@ -224,10 +223,10 @@ def test_signature_by_inertia_oracle():
         zero_diagonal += all(M.rows[k][k] == 0 for k in range(n))
         h = blocks.count("h")
         expected = (blocks.count("+") + h, blocks.count("-") + h, blocks.count("0"))
-        assert symmetric_elimination(M) == (det, expected)
+        assert symmetric_elimination(M.rows) == (det, expected)
     assert zero_diagonal > 0
-    assert symmetric_elimination(Mat([[0, 1], [1, 0]])) == (-1, (1, 1, 0))
-    assert symmetric_elimination(Mat.zero(3, 3)) == (0, (0, 0, 3))
+    assert symmetric_elimination([[0, 1], [1, 0]]) == (-1, (1, 1, 0))
+    assert symmetric_elimination(Mat.zero(3, 3).rows) == (0, (0, 0, 3))
 
 
 def test_kernel_and_preimage():
@@ -275,6 +274,8 @@ def test_discriminant_i3_gram():
 def test_discriminant_degenerate():
     with pytest.raises(DegeneratePairing):
         discriminant(free_paired([[1, 1], [1, 1]]))
+    with pytest.raises(DegeneratePairing):
+        lattice.discriminant([[1, 1], [1, 1]], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +406,7 @@ def test_snf_runs_once_per_group(monkeypatch):
     """A group's Smith data is computed once: the discriminant of a group
     with relations (free basis, then torsion order) and every invariant
     asked after it share one ``snf`` of the relations."""
-    import ellsurf.lattice as lattice
+    import lattice_lemmas
 
     calls = []
 
@@ -413,7 +414,7 @@ def test_snf_runs_once_per_group(monkeypatch):
         calls.append(M)
         return snf(M)
 
-    monkeypatch.setattr(lattice, "snf", counting)
+    monkeypatch.setattr(lattice_lemmas, "snf", counting)
     P = PairedGroup(FgGroup(2, Mat([[0], [2]])), Mat([[5, 0], [0, 0]]))
     assert discriminant(P).signed_value == Fraction(5, 4)
     assert len(calls) == 1
@@ -433,22 +434,18 @@ def test_mixed_discriminant_scaled_pairing():
 
 
 def test_ns_lattice_rank10_unimodular():
-    e8 = Mat([[-x for x in row] for row in _e8_gram()], 8)
-    neg_e8 = Mat([[-abs(v) if i == j else v for j, v in enumerate(row)] for i, row in enumerate(e8.rows)], 8)
-    # -E8: negate the Cartan matrix (diag -2, adjacency +1 already IS -E8)
-    block = Mat(_e8_gram(), 8)
-    ns = ns_lattice_build(1, [block], 0, 1)
-    assert ns.group.n_gens == 10
-    sv, signature = discriminant_and_signature(ns)
+    # -E8: the Cartan matrix negated (diag -2, adjacency +1)
+    ns = ns_lattice_build(1, [_e8_gram()], 0, 1)
+    assert len(ns) == 10
+    sv, signature = lattice.discriminant_and_signature(ns, 1)
     assert abs(sv.signed_value) == 1 and sv.log_power == 10
     assert signature == (1, 9, 0)
 
 
 def test_ns_lattice_single_i3_block():
-    block = Mat([[-2, 1], [1, -2]], 2)
-    ns = ns_lattice_build(1, [block], 0, 1)
-    assert ns.group.n_gens == 4
-    sv, signature = discriminant_and_signature(ns)
+    ns = ns_lattice_build(1, [[[-2, 1], [1, -2]]], 0, 1)
+    assert len(ns) == 4
+    sv, signature = lattice.discriminant_and_signature(ns, 1)
     assert abs(sv.signed_value) == 3
     assert signature == (1, 3, 0)
 

@@ -21,7 +21,6 @@ from ellsurf.oracle import affine_point_counter
 from ellsurf.tatefiber import (
     WeierstrassModel,
     arithmetic_component_discriminant,
-    component_group_fixed_order,
     component_lattice,
     factorization,
     fiber_point_count,
@@ -30,24 +29,21 @@ from ellsurf.tatefiber import (
     make_fiber,
     short_at_infinity,
     short_discriminant,
-    synthetic_fiber,
     tate_local,
 )
+from fiber_cases import (
+    F5,
+    LEGENDRE as LEGENDRE_F5,
+    X3T as X3T_F5,
+    component_group_fixed_order,
+    model,
+    synthetic_fiber,
+)
 
-F5 = PrimeField(5)
 F7 = PrimeField(7)
 F25 = field_make(5, [2, 0, 1])
 
 T = [0, 1]  # the polynomial t
-
-
-def model(field, a4, a6, a1=0, a2=0, a3=0):
-    mk = lambda c: c if isinstance(c, list) else [c]
-    return WeierstrassModel(field, mk(a1), mk(a2), mk(a3), mk(a4), mk(a6))
-
-
-X3T_F5 = model(F5, 0, T)
-LEGENDRE_F5 = WeierstrassModel(F5, [0], [-1, -1], [0], [0, 1], [0])  # y2=x(x-1)(x-t)
 
 
 def place_t(field):
@@ -286,38 +282,38 @@ def test_higher_degree_place():
 
 def test_component_lattice_split_i3():
     fd = synthetic_fiber(5, 1, "I3", "split")
-    P = component_lattice(fd)
-    assert P.group.n_gens == 2
-    assert P.pairing.rows == [[-2, 1], [1, -2]]
-    sv = discriminant(P)
+    gram = component_lattice(fd)
+    assert len(gram) == 2
+    assert gram == [[-2, 1], [1, -2]]
+    sv = discriminant(gram, 0)
     assert abs(sv.signed_value) == 3
 
 
 def test_component_lattice_type_ii_trivial():
     fd = synthetic_fiber(5, 1, "II")
-    P = component_lattice(fd)
-    assert P.group.n_gens == 0
-    assert discriminant(P).signed_value == 1
+    gram = component_lattice(fd)
+    assert len(gram) == 0
+    assert discriminant(gram, 0).signed_value == 1
 
 
 def test_component_lattice_ii_star_unimodular():
     fd = synthetic_fiber(5, 1, "II*")
-    P = component_lattice(fd)
-    assert P.group.n_gens == 8
-    assert abs(discriminant(P).signed_value) == 1
+    gram = component_lattice(fd)
+    assert len(gram) == 8
+    assert abs(discriminant(gram, 0).signed_value) == 1
 
 
 def test_component_lattice_nonsplit_iv_star():
     fd = synthetic_fiber(5, 1, "IV*", "nonsplit")
-    P = component_lattice(fd)
-    assert P.group.n_gens == 4
-    assert abs(discriminant(P).signed_value) == 4  # c_v * prod r_i = 1 * 4
+    gram = component_lattice(fd)
+    assert len(gram) == 4
+    assert abs(discriminant(gram, 0).signed_value) == 4  # c_v * prod r_i = 1 * 4
 
 
 def test_component_lattice_nonsplit_i4():
     fd = synthetic_fiber(5, 1, "I4", "nonsplit")
-    P = component_lattice(fd)
-    assert abs(discriminant(P).signed_value) == 4  # c_v=2 times prod r_i=2
+    gram = component_lattice(fd)
+    assert abs(discriminant(gram, 0).signed_value) == 4  # c_v=2 times prod r_i=2
 
 
 def test_component_lattice_good_fiber_raises():

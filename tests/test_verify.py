@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from ellsurf.exactalg import RatPoly, SpecialValue, leading_term
-from ellsurf.ffield import PrimeField
 from ellsurf.tatefiber import (
     WeierstrassModel,
     bad_fibers,
     global_invariants,
-    synthetic_fiber,
 )
 from ellsurf.verify import (
     CONDITIONAL,
@@ -28,18 +26,7 @@ from ellsurf.verify import (
     tamagawa_product,
 )
 from ellsurf.zeta import bad_correction, lefschetz_counts, surface_counts
-
-F5 = PrimeField(5)
-
-
-def model(field, a4, a6, a1=0, a2=0, a3=0):
-    mk = lambda c: c if isinstance(c, list) else [c]
-    return WeierstrassModel(field, mk(a1), mk(a2), mk(a3), mk(a4), mk(a6))
-
-
-X3T = model(F5, 0, [0, 1])
-LEGENDRE = WeierstrassModel(F5, [0], [-1, -1], [0], [0, 1], [0])
-GENERIC_I1 = model(F5, [0, 1], [0, 1])
+from fiber_cases import F5, GENERIC_I1, LEGENDRE, X3T, model, synthetic_fiber
 
 META = {
     "x3t": Metadata(0, 1),
@@ -430,7 +417,7 @@ def test_a_report_reads_the_euler_data_and_eliminates_ns_once(monkeypatch, tmp_p
     good_traces, cleared = zeta._CharSums.good_traces, lattice._cleared
     monkeypatch.setattr(zeta._CharSums, "good_traces",
                         lambda self, d: degrees.append(d) or good_traces(self, d))
-    monkeypatch.setattr(lattice, "_cleared", lambda M: sizes.append(M.m) or cleared(M))
+    monkeypatch.setattr(lattice, "_cleared", lambda rows: sizes.append(len(rows)) or cleared(rows))
     if source == "sweep_f7":
         (tmp_path / "s.cfg").write_text(SWEEP_F7)
         argv = ["report", "--config", str(tmp_path / "s.cfg")]

@@ -32,12 +32,10 @@ from ellsurf.ffield import (
 )
 from ellsurf.oracle import affine_point_counter
 from ellsurf.tatefiber import (
-    WeierstrassModel,
     factorization,
     fiber_point_count,
     global_invariants,
     short_discriminant,
-    synthetic_fiber,
     tate_local,
 )
 from ellsurf.verify import FAIL, PASS, Limits, check_q2_closed_form
@@ -50,21 +48,11 @@ from ellsurf.zeta import (
     p2_from_product,
     surface_counts,
 )
+from fiber_cases import F5, GENERIC_I1, LEGENDRE, X3T, model, synthetic_fiber
 
-F5 = PrimeField(5)
 F7 = PrimeField(7)
 SURPLUS = Limits().surplus_margin  # full expansion of L to deg_l + SURPLUS
 F25 = field_make(5, [2, 0, 1])
-
-
-def model(field, a4, a6, a1=0, a2=0, a3=0):
-    mk = lambda c: c if isinstance(c, list) else [c]
-    return WeierstrassModel(field, mk(a1), mk(a2), mk(a3), mk(a4), mk(a6))
-
-
-X3T = model(F5, 0, [0, 1])
-LEGENDRE = WeierstrassModel(F5, [0], [-1, -1], [0], [0, 1], [0])
-GENERIC_I1 = model(F5, [0, 1], [0, 1])
 GENERIC_I1_F25 = model(F25, [0, 1], [0, 1])
 
 P2_X3T = RatPoly([math.comb(10, j) * (-5) ** j for j in range(11)])  # (1-5t)^10
