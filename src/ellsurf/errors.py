@@ -89,22 +89,6 @@ class DegeneratePairing(EllsurfError):
     pass
 
 
-class InfiniteHomology(EllsurfError):
-    pass
-
-
-class NotExact(EllsurfError):
-    pass
-
-
-class NotIsotropic(EllsurfError):
-    pass
-
-
-class IndexInfinite(EllsurfError):
-    pass
-
-
 class NontrivialMW(EllsurfError):
     pass
 

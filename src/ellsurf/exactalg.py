@@ -1,13 +1,15 @@
 """Exact rational polynomial algebra and special values.
 
-Polynomials live in Q[t] where t stands for q^(-s).  Nothing is ever
+Polynomials live in Q[t] where t stands for q^(-s): they are ``ffield.Poly``
+over ``QQ``, the coefficient context of Q, and ``power_sums`` and
+``is_integral`` read them as polynomials over Q.  Nothing is ever
 evaluated in floating point: special values at s = 1 (t = 1/q) are elements
 of the graded group Q^x * (log q)^k, with log q kept as a formal symbol.
 Per-place logarithms collapse through log q_v = d_v * log q, so a single
 grading integer suffices.
 
-Coefficients are ints, and Fractions only where not integral; a float is
-a TypeError.  The vanishing order at t = 1/q is computed by synthetic
+Coefficients are ints, and Fractions only where not integral, after every
+sum and product; a float is a TypeError.  The vanishing order at t = 1/q is computed by synthetic
 division by (1 - q*t), on ints for an integral polynomial; each division
 accounts for one factor (s - 1) * log q of the leading term, which is why
 order and log-power advance together.  Every polynomial the verifier reads
@@ -25,6 +27,7 @@ from .errors import (
     InconsistentPowerSums,
     NoConsistentSign,
 )
+from .ffield import Poly
 
 
 def _exact(c):
@@ -37,125 +40,54 @@ def _exact(c):
     return int(c.numerator) if c.denominator == 1 else c
 
 
-class RatPoly:
-    """Polynomial over Q, coefficient index = degree in t; each coefficient
-    an int when integral, else a Fraction."""
+class _Rationals:
+    """The coefficient context of Q for ``ffield.Poly``: raw values are ints,
+    and Fractions only where not integral, so sums and products come out as
+    ints when integral and a float is a TypeError."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [_exact(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls([1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == RatPoly([other])
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return RatPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = RatPoly.one()
-        b = self
-        while n:
-            if n & 1:
-                result = result * b
-            b = b * b
-            n >>= 1
-        return result
+    zero, one = 0, 1
+    raw = staticmethod(_exact)
 
     @staticmethod
-    def _coerce(x):
-        if isinstance(x, RatPoly):
-            return x
-        return RatPoly([x])
+    def raw_add(a, b):
+        return _exact(a + b)
 
-    def eval(self, x):
-        acc = 0
-        x = _exact(x)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    @staticmethod
+    def raw_mul(a, b):
+        return _exact(a * b)
 
-    def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+    @staticmethod
+    def poly_mul(a, b) -> list:
+        """Schoolbook product of nonzero trimmed raw lists."""
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        return [_exact(c) for c in out]
 
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
 
-    def power_sums(self, m: int) -> list:
-        """First m power sums of the inverse roots, via -t P'/P = sum s_k t^k.
+QQ = _Rationals()
 
-        Requires constant term 1.
-        """
-        if self.coeff(0) != 1:
-            raise ValueError("power sums need constant term 1")
-        s = []
-        for k in range(1, m + 1):
-            acc = -k * self.coeff(k)
-            for j in range(1, k):
-                acc -= self.coeff(j) * s[k - j - 1]
-            s.append(acc)
-        return s
 
-    def __repr__(self):
-        if self.is_zero():
-            return "RatPoly(0)"
-        return "RatPoly(" + ", ".join(str(c) for c in self.coeffs) + ")"
+def is_integral(f: Poly) -> bool:
+    """Whether f over Q lies in Z[t]: every coefficient an int."""
+    return all(type(c) is int for c in f.coeffs)
+
+
+def power_sums(f: Poly, m: int) -> list:
+    """First m power sums of the inverse roots of f over Q, via
+    -t f'/f = sum s_k t^k.  Requires constant term 1."""
+    if f.coeff(0) != 1:
+        raise ValueError("power sums need constant term 1")
+    s = []
+    for k in range(1, m + 1):
+        acc = -k * f.coeff(k)
+        for j in range(1, k):
+            acc -= f.coeff(j) * s[k - j - 1]
+        s.append(acc)
+    return s
 
 
 @dataclass(frozen=True)
@@ -197,7 +129,7 @@ class SpecialValue:
         return f"SV({s}{self.num}/{self.den} * log^{self.log_power}, ord {self.order})"
 
 
-def newton_from_power_sums(sums, degree: int) -> RatPoly:
+def newton_from_power_sums(sums, degree: int) -> Poly:
     """Reconstruct P(t) = prod (1 - a_i t) from power sums s_k = sum a_i^k.
 
     ``sums`` may be longer than ``degree``; surplus entries are checked for
@@ -214,7 +146,7 @@ def newton_from_power_sums(sums, degree: int) -> RatPoly:
         for j in range(1, k):
             acc += coeffs[j] * sums[k - j - 1]
         coeffs.append(_exact(Fraction(-acc, k)))
-    poly = RatPoly(coeffs)
+    poly = Poly(QQ, coeffs)
     # surplus consistency: the recurrence must continue to hold
     for k in range(degree + 1, len(sums) + 1):
         acc = sums[k - 1]
@@ -226,14 +158,14 @@ def newton_from_power_sums(sums, degree: int) -> RatPoly:
 
 
 def functional_equation_complete(
-    partial: RatPoly, degree: int, q: int, weight: int, sign: int | None = None
-) -> RatPoly:
-    """Fill the upper half of a self-dual polynomial.
+    partial: Poly, degree: int, q: int, sign: int | None = None
+) -> Poly:
+    """Fill the upper half of a polynomial self-dual in weight 2.
 
-    Self-duality: P(t) = sign * (q^(weight/2) t)^degree * P(1/(q^weight t)),
-    i.e. coefficientwise a_{n-j} = sign * q^(weight*(n-2j)/2) * a_j.  Known
-    low coefficients must cover j <= ceil(n/2).  With ``sign`` unset both
-    signs are tried and the consistent one returned.
+    Self-duality: P(t) = sign * (q t)^degree * P(1/(q^2 t)), i.e.
+    coefficientwise a_{n-j} = sign * q^(n-2j) * a_j.  Known low
+    coefficients must cover j <= ceil(n/2).  With ``sign`` unset both signs
+    are tried and the consistent one returned.
     """
     n = degree
     if n == 0:
@@ -243,23 +175,18 @@ def functional_equation_complete(
     half = (n + 1) // 2
     given_up_to = max(half, min(partial.degree, n))
 
-    def attempt(eps: int) -> RatPoly | None:
+    def attempt(eps: int) -> Poly | None:
         out: list = [None] * (n + 1)
         for j in range(given_up_to + 1):
             out[j] = partial.coeff(j)
         for j in range(given_up_to + 1):
-            e2 = weight * (n - 2 * j)
-            if e2 % 2:
-                if out[j] != 0:
-                    return None
-                continue
-            e = e2 // 2
+            e = n - 2 * j
             val = eps * (q**e if e >= 0 else Fraction(1, q**-e)) * out[j]
             if out[n - j] is None:
                 out[n - j] = val
             elif out[n - j] != val:
                 return None
-        return RatPoly([0 if c is None else c for c in out])
+        return Poly(QQ, [0 if c is None else c for c in out])
 
     if sign is not None:
         got = attempt(sign)
@@ -275,7 +202,7 @@ def functional_equation_complete(
     raise NoConsistentSign("neither functional-equation sign is consistent")
 
 
-def poly_order_at(poly: RatPoly, q: int):
+def poly_order_at(poly: Poly, q: int):
     """(order of vanishing at t=1/q, cofactor with cofactor(1/q) != 0).
 
     f = (1 - q t) g is divided by synthetic division from the constant term
@@ -290,11 +217,11 @@ def poly_order_at(poly: RatPoly, q: int):
             acc = c + q * acc
             g.append(acc)
         if acc:
-            return order, RatPoly(cs)
+            return order, Poly(QQ, cs)
         cs, order = g[:-1], order + 1
 
 
-def leading_term(f: RatPoly, q: int) -> SpecialValue:
+def leading_term(f: Poly, q: int) -> SpecialValue:
     """Leading term of f at t = 1/q as sign * rational * (log q)^k.
 
     Writes f = (1 - q t)^k * g with g(1/q) != 0; the value is g(1/q), the

@@ -1,4 +1,4 @@
-"""Finite fields, polynomials over them, and places of the projective line.
+"""Finite fields, the one polynomial class, and places of the projective line.
 
 Fields are represented as context objects: ``PrimeField(p)`` for GF(p) and
 ``ExtensionField(base, modulus)`` for quotients base[x]/(modulus).  Each
@@ -9,9 +9,11 @@ extension base), with ``raw_add``, ``raw_neg``, ``raw_mul``, ``raw_inv``,
 ``poly_divmod`` (on coefficient lists, plain ints over GF(p)); ``zero``
 and ``one`` are raw values too.  ``raw_key`` flattens a raw value to its
 base-p digits, on which addition is digit-wise mod p.  ``Poly`` holds raw
-coefficients.  Everything is exact and immutable; contexts can be shared
-freely.  A context's ``key``, (p,) or (base key, modulus), is its value;
-per-process caches of field-only data are keyed by it.
+coefficients over any such context, and over ``exactalg.QQ``, the context
+of Q, which has only ``raw``, ``raw_add``, ``raw_mul``, ``poly_mul``,
+``zero`` and ``one``.  Everything is exact and immutable; contexts can be
+shared freely.  A context's ``key``, (p,) or (base key, modulus), is its
+value; per-process caches of field-only data are keyed by it.
 
 A place of P^1 over GF(q) is either the point at infinity or a monic
 irreducible polynomial in the coordinate t.
@@ -284,14 +286,16 @@ def field_make(p: int, modulus=None):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a finite field
+# polynomials over a coefficient context
 
 
 class Poly:
-    """Dense polynomial over a finite field on raw coefficients, low degree
-    first, trailing zeros trimmed.  The constructor takes raw values, ints
-    and coefficient vectors: whatever the field's ``raw`` reads, which
-    returns a raw value unchanged."""
+    """Dense polynomial over a coefficient context (a finite field, or
+    ``exactalg.QQ``) on raw coefficients, low degree first, trailing zeros
+    trimmed.  The constructor takes raw values, ints and coefficient
+    vectors: whatever the context's ``raw`` reads, which returns a raw value
+    unchanged.  Over Q only the ring operations, ``coeff`` and ``eval``
+    apply: Q has no ``raw_neg``, ``raw_inv`` or ``raw_key``."""
 
     __slots__ = ("field", "coeffs")
 
@@ -385,8 +389,12 @@ class Poly:
         inv = f.raw_inv(self.coeffs[-1])
         return Poly._of_raw(f, [f.raw_mul(c, inv) for c in self.coeffs])
 
+    def coeff(self, i: int):
+        """The raw coefficient of t^i, zero past the degree."""
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
+
     def eval(self, x):
-        """The raw value at a raw value x of the field, by Horner."""
+        """The raw value at a raw value x of the context, by Horner."""
         f = self.field
         add, mul = f.raw_add, f.raw_mul
         acc = f.zero
@@ -513,21 +521,13 @@ def irreducible_count(q: int, d: int) -> int:
 
 
 def residue_field(field, place: Place):
-    """k(v) as a field context, together with the reduction map from Poly(t)
-    to raw values of k(v)."""
+    """k(v) as a field context: ``field`` itself at a place of degree 1,
+    else field[t]/(pi)."""
     if place.is_infinity:
         raise ValueError("infinity has no finite-place residue construction here")
     if place.degree == 1:
-        # pi = t - c; reduction is evaluation at c
-        c = field.raw_neg(place.poly.coeffs[0])
-        return field, (lambda f: f.eval(c))
-    kv = ExtensionField(field, place.poly.coeffs, check_irreducible=False)
-
-    def red(f: Poly) -> tuple:
-        r = (f % place.poly).coeffs
-        return r + kv.zero[len(r):]
-
-    return kv, red
+        return field
+    return ExtensionField(field, place.poly.coeffs, check_irreducible=False)
 
 
 def find_irreducible(field, degree: int) -> Poly:

@@ -34,7 +34,7 @@ from .errors import (
     NotMinimalizable,
     UnsupportedModel,
 )
-from .exactalg import RatPoly
+from .exactalg import QQ, power_sums
 from .ffield import (
     Place,
     Poly,
@@ -312,7 +312,7 @@ class FiberData:
     f_v: int
     e_v: int
     a_v: int | None
-    l_factor: RatPoly  # in the local variable T = q_v^(-s)
+    l_factor: Poly  # over Q, in the local variable T = q_v^(-s)
     d_v: int
     q_v: int
 
@@ -339,11 +339,11 @@ def make_fiber(place: Place, q: int, kod: str, splitting, a_v: int | None = None
     if kod == "I0":
         if a_v is None:
             raise ValueError("good fibers need a Frobenius trace")
-        l_factor = RatPoly([1, -a_v, q_v])
+        l_factor = Poly(QQ, [1, -a_v, q_v])
     elif is_multiplicative(kod):
-        l_factor = RatPoly([1, -1]) if splitting == "split" else RatPoly([1, 1])
+        l_factor = Poly(QQ, [1, -1] if splitting == "split" else [1, 1])
     else:
-        l_factor = RatPoly([1])
+        l_factor = Poly(QQ, [1])
     return FiberData(
         place=place,
         kodaira=kod,
@@ -407,7 +407,7 @@ def _tate_at_prime(field, a: Poly, b: Poly, vD: int, pi: Poly, place: Place) -> 
     other reaches II* with v(Delta) >= 12 and raises InconsistentFiberData.
     v(a), v(b) (capped at 4 and 6) and the residues are pi-adic digits."""
     q = field.q
-    kv, _ = residue_field(field, place)
+    kv = residue_field(field, place)
     zero, mul, add = kv.zero, kv.raw_mul, kv.raw_add
     res = (lambda cs: cs[0] if cs else zero) if kv is field else kv.raw
     lift = lambda e: Poly(field, [e] if kv is field else e)
@@ -691,7 +691,7 @@ def fiber_point_count(f: FiberData, m: int) -> int:
     of the residue field."""
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    total = 1 - int(f.l_factor.power_sums(m)[-1])
+    total = 1 - int(power_sums(f.l_factor, m)[-1])
     qm = f.q_v**m
     for r, _ in f.components:
         if m % r == 0:

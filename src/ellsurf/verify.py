@@ -23,7 +23,8 @@ from .errors import (
     NontrivialMW,
     PlaceBudgetExceeded,
 )
-from .exactalg import RatPoly, SpecialValue, leading_term
+from .exactalg import QQ, SpecialValue, leading_term
+from .ffield import Poly
 from .lattice import discriminant_and_signature, ns_lattice_build
 from .oracle import place_lists, recount
 from .tatefiber import (
@@ -87,9 +88,9 @@ class Report:
     invariants: SurfaceInvariants
     fibers: list
     counts: tuple | None
-    p2_counts: RatPoly | None
-    p2_product: RatPoly
-    l_poly: RatPoly
+    p2_counts: Poly | None
+    p2_product: Poly
+    l_poly: Poly
     q2_star: SpecialValue | None
     p2_star: SpecialValue
     l_star: SpecialValue
@@ -507,8 +508,8 @@ def run_verification(
         counts = surface_counts(model, fibers, n_feasible)
 
     # placeholders for the failure report when the pipeline below raises
-    l_poly, l_star = RatPoly([1]), SpecialValue(1, 1, 1, 0, 0)
-    p2_product, p2_star = RatPoly([1]), SpecialValue(1, 1, 1, 0, 0)
+    l_poly, l_star = Poly(QQ, [1]), SpecialValue(1, 1, 1, 0, 0)
+    p2_product, p2_star = Poly(QQ, [1]), SpecialValue(1, 1, 1, 0, 0)
     rho, q2_star, p2_counts = 0, None, None
     rank = metadata.mw_rank
     rank_source = "declared" if rank is not None else "unknown"

@@ -72,12 +72,14 @@ from .errors import (
     TruncationInsufficient,
 )
 from .exactalg import (
-    RatPoly,
+    QQ,
     functional_equation_complete,
+    is_integral,
     leading_term,
     newton_from_power_sums,
+    power_sums,
 )
-from .ffield import _is_prime, factorize
+from .ffield import Poly, _is_prime, factorize
 from .tatefiber import (
     FiberData,
     SurfaceInvariants,
@@ -566,7 +568,7 @@ def surface_counts(
 # P2 from counts
 
 
-def p2_from_counts(counts: tuple, inv: SurfaceInvariants, q: int) -> RatPoly:
+def p2_from_counts(counts: tuple, inv: SurfaceInvariants, q: int) -> Poly:
     """Reconstruct P2 from point counts via Newton identities and the
     weight-2 functional equation; every supplied count is re-verified."""
     b2 = inv.b2
@@ -580,12 +582,12 @@ def p2_from_counts(counts: tuple, inv: SurfaceInvariants, q: int) -> RatPoly:
     candidates = []
     for sign in (1, -1):
         try:
-            cand = functional_equation_complete(partial, b2, q, 2, sign)
+            cand = functional_equation_complete(partial, b2, q, sign)
         except NoConsistentSign:
             continue
-        if not cand.is_integral():
+        if not is_integral(cand):
             continue
-        if cand.power_sums(len(sums)) == sums:
+        if power_sums(cand, len(sums)) == sums:
             candidates.append(cand)
     uniq = []
     for c in candidates:
@@ -602,9 +604,9 @@ def p2_from_counts(counts: tuple, inv: SurfaceInvariants, q: int) -> RatPoly:
     raise InconsistentCounts("no functional-equation sign reproduces the counts")
 
 
-def lefschetz_counts(p2: RatPoly, q: int, n_max: int) -> list[int]:
+def lefschetz_counts(p2: Poly, q: int, n_max: int) -> list[int]:
     """Predicted #X(GF(q^n)) from a degree-2 polynomial: 1 + q^(2n) + s_n."""
-    sums = p2.power_sums(n_max)
+    sums = power_sums(p2, n_max)
     return [int(1 + q ** (2 * k) + sums[k - 1]) for k in range(1, n_max + 1)]
 
 
@@ -703,7 +705,7 @@ def l_function(
     order: int,
     use_functional_equation: bool = False,
     reverse: bool = False,
-) -> RatPoly:
+) -> Poly:
     """The L-function of the generic-fiber Jacobian as a polynomial in t.
 
     Expands the Euler product (``_euler_series``, with ``reverse``) to
@@ -715,11 +717,11 @@ def l_function(
     counts, so it can be the wrong one."""
     deg_l = inv.deg_l
     if order == 0:
-        return RatPoly([1])
+        return Poly(QQ, [1])
     series = _euler_series(model, fibers, order, reverse)
     if use_functional_equation:
-        cand = functional_equation_complete(RatPoly(series), deg_l, model.field.q, 2)
-        if not cand.is_integral():
+        cand = functional_equation_complete(Poly(QQ, series), deg_l, model.field.q)
+        if not is_integral(cand):
             raise NonPolynomialTail("completed L-polynomial is not integral")
         return cand
     for k in range(deg_l + 1, order + 1):
@@ -727,7 +729,7 @@ def l_function(
             raise NonPolynomialTail(
                 f"series coefficient t^{k} = {series[k]} does not vanish"
             )
-    out = RatPoly(series[: deg_l + 1])
+    out = Poly(QQ, series[: deg_l + 1])
     if out.degree != deg_l:
         raise TruncationInsufficient(
             f"L-polynomial degree {out.degree} below conductor prediction {deg_l}"
@@ -745,25 +747,25 @@ def bad_correction(fibers: list[FiberData], q: int):
     of the bad fibers: each fiber's degree-2 local factor, the product over
     all its orbits, divided by (1 - q_v t^{d_v}), which the identity orbit
     (r = 1 in every Kodaira type) cancels."""
-    poly = RatPoly([1])
+    poly = Poly(QQ, [1])
     m = 0
     for f in fibers:
         if f.is_good:
             continue
         for r, _ in f.components[1:]:
-            poly = poly * RatPoly([1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
+            poly = poly * Poly(QQ, [1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
         m += f.m_v - 1
     return poly, leading_term(poly, q), m
 
 
 def p2_from_product(
-    l_poly: RatPoly,
-    correction: RatPoly,
+    l_poly: Poly,
+    correction: Poly,
     inv: SurfaceInvariants,
     q: int,
-) -> RatPoly:
+) -> Poly:
     """P2 as the product (1 - qt)^2 * L * Q in Z[t], which must have degree b2."""
-    poly = RatPoly([1, -q]) ** 2 * l_poly * correction
+    poly = Poly(QQ, [1, -q]) ** 2 * l_poly * correction
     if poly.degree != inv.b2:
         raise NonPolynomial(f"product has degree {poly.degree}, expected {inv.b2}")
     return poly

@@ -3,10 +3,10 @@ surfaces over GF(5), fibers at fabricated places, and c_v from the dual
 graph (``component_group_fixed_order``), the independent route to the
 Tamagawa table.  pytest does not collect this module (no ``test_`` prefix)."""
 
-from ellsurf.errors import InconsistentFiberData, IndexInfinite
+from ellsurf.errors import InconsistentFiberData
 from ellsurf.ffield import Poly, PrimeField, find_irreducible, place_finite
 from ellsurf.tatefiber import FiberData, WeierstrassModel, geometric_gram, make_fiber
-from lattice_lemmas import Mat, lattice_index, preimage_kernel
+from lattice_lemmas import IndexInfinite, Mat, lattice_index, preimage_kernel
 
 F5 = PrimeField(5)
 

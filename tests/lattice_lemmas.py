@@ -20,11 +20,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from ellsurf.errors import (
-    DegeneratePairing, IndexInfinite, InfiniteHomology, InternalInconsistency, NotExact, NotIsotropic
-)
+from ellsurf.errors import DegeneratePairing, EllsurfError, InternalInconsistency
 from ellsurf.exactalg import SpecialValue
 from ellsurf.lattice import _bareiss_step, _cleared, symmetric_elimination
+
+
+# errors that only these lemmas raise
+class InfiniteHomology(EllsurfError):
+    pass
+
+
+class NotExact(EllsurfError):
+    pass
+
+
+class NotIsotropic(EllsurfError):
+    pass
+
+
+class IndexInfinite(EllsurfError):
+    pass
 
 
 class Mat:

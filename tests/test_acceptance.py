@@ -13,7 +13,8 @@ import pytest
 
 from ellsurf.catalog import CATALOG
 from ellsurf.cli import build_model, main, parse_config
-from ellsurf.exactalg import RatPoly, SpecialValue
+from ellsurf.exactalg import QQ, SpecialValue
+from ellsurf.ffield import Poly
 from ellsurf.tatefiber import arithmetic_component_discriminant, global_invariants
 from ellsurf.verify import (
     CONDITIONAL,
@@ -124,10 +125,10 @@ def test_criterion_3_q2_closed_form(catalog_runs):
             # Q is the local factor over all orbits divided by the identity
             # orbit's (1 - q_v t^d_v)
             assert f.components[0] == (1, 1), (kod, split)
-            orbits = RatPoly([1])
+            orbits = Poly(QQ, [1])
             for r, _ in f.components:
-                orbits = orbits * RatPoly([1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
-            assert Q * RatPoly([1] + [0] * (f.d_v - 1) + [-f.q_v]) == orbits, (kod, split, deg)
+                orbits = orbits * Poly(QQ, [1] + [0] * (r * f.d_v - 1) + [-(f.q_v**r)])
+            assert Q * Poly(QQ, [1] + [0] * (f.d_v - 1) + [-f.q_v]) == orbits, (kod, split, deg)
             assert all(type(c) is int for c in Q.coeffs)
             expected = f.d_v ** (f.m_v - 1) * f.r_product()
             assert lead.value == expected, (kod, split, deg)
@@ -219,13 +220,13 @@ def test_criterion_9_mutation_sensitivity(catalog_runs):
                 (r + (1 if i == 1 else 0), mu) for i, (r, mu) in enumerate(target.components)
             ),
         ),
-        "l_factor": dataclasses.replace(target, l_factor=report.l_poly.__class__([1, -1])),
+        "l_factor": dataclasses.replace(target, l_factor=Poly(QQ, [1, -1])),
     }
     for label, mutant in mutations.items():
         assert detects(others + [mutant]), f"mutation of {label} went unnoticed"
     # a_v: corrupt a good-place trace seen by the L-function (the place must
     # live in the model's own field context)
-    from ellsurf.ffield import Poly, place_finite
+    from ellsurf.ffield import place_finite
     from ellsurf.tatefiber import make_fiber
 
     fq = model.field

@@ -6,11 +6,12 @@ from math import gcd
 import pytest
 
 from ellsurf import lattice
-from ellsurf.errors import DegeneratePairing, NontrivialMW, NotIsotropic
+from ellsurf.errors import DegeneratePairing, NontrivialMW
 from ellsurf.lattice import ns_lattice_build, symmetric_elimination
 from lattice_cases import random_unimodular
 from lattice_lemmas import (
     FgGroup,
+    NotIsotropic,
     GroupComplex,
     Mat,
     PairedGroup,

@@ -6,8 +6,10 @@ the --threads workers) set before ``import ellsurf.cli``, so no cache that
 another test filled can hide a call.  Dunder methods aside, a function that
 no job calls fails the test unless ``ALLOWED`` names it with the reason it
 stays; an entry that a job does call fails it too.  Code that only tests
-call lives under tests/ (``lattice_lemmas.py``, ``fiber_cases.py``)."""
+call lives under tests/ (``lattice_lemmas.py``, ``fiber_cases.py``), and so
+does an error class that no other module under src/ellsurf names."""
 
+import ast
 import contextlib
 import inspect
 import io
@@ -25,9 +27,6 @@ COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 
 ALLOWED = {
     "cli.report_digest": "called by the digest tests and scripts/freeze_catalog.py",
-    "ffield.Poly.eval": "a test helper: only residue_field's reduction map calls it",
-    "ffield.residue_field.<locals>.<lambda>": "residue_field's reduction map, read by tests",
-    "ffield.residue_field.<locals>.red": "residue_field's reduction map, read by tests",
 }
 
 CONFIGS = {
@@ -110,6 +109,22 @@ def test_every_src_function_is_reached(tmp_path):
         unreached.update(name for key, name in _functions(code, path.stem) if key not in reached)
     assert unreached - set(ALLOWED) == set(), "called by no job: move it to tests/, or allow it"
     assert set(ALLOWED) - unreached == set(), "allowed but called: drop the entry"
+
+
+def test_every_error_class_is_named_in_src():
+    """Each class of errors.py is named, past its import, by another module
+    under src/ellsurf, which raises or catches it."""
+    classes = {node.name for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef)}
+    named = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    assert classes - named == set(), "named by no other src module: move it to tests/"
 
 
 if __name__ == "__main__":

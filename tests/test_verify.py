@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ellsurf.exactalg import RatPoly, SpecialValue, leading_term
+from ellsurf.exactalg import QQ, SpecialValue, leading_term
+from ellsurf.ffield import Poly
 from ellsurf.tatefiber import (
     WeierstrassModel,
     bad_fibers,
@@ -82,7 +83,7 @@ def test_legendre_report(legendre_report):
 def test_generic_i1_report(generic_report):
     rep = generic_report
     assert not rep.has_failure()
-    assert rep.l_poly == RatPoly([1, -5])
+    assert rep.l_poly == Poly(QQ, [1, -5])
     assert rep.l_star.order == 1
     assert rep.rank == 1
     assert by_name(rep, "tate_shioda").status == CONDITIONAL
@@ -220,7 +221,7 @@ def test_mutation_m_v(x3t_parts):
 def test_mutation_a_v(x3t_parts):
     """Perturb a good-place trace by injecting a corrupted good fiber that
     the L-function lookup will consume."""
-    from ellsurf.ffield import Poly, place_finite
+    from ellsurf.ffield import place_finite
     from ellsurf.tatefiber import make_fiber
 
     inv, fibers, counts = x3t_parts
@@ -236,7 +237,7 @@ def test_mutation_a_v(x3t_parts):
 def test_mutation_a_v_at_a_degree_2_place(x3t_parts):
     """A wrong trace at the good degree-2 place t^2 + 2, which the audit
     recounts in its shared GF(25) model: the audit FAILs at that place."""
-    from ellsurf.ffield import Poly, place_finite
+    from ellsurf.ffield import place_finite
     from ellsurf.tatefiber import make_fiber
 
     inv, fibers, counts = x3t_parts
@@ -300,7 +301,7 @@ def test_good_place_audit_checks_the_kernel_place_set(monkeypatch, change):
 def test_mutation_l_factor(x3t_parts):
     inv, fibers, counts = x3t_parts
     mut = [
-        dataclasses.replace(f, l_factor=RatPoly([1, -1])) if f.kodaira == "II" else f
+        dataclasses.replace(f, l_factor=Poly(QQ, [1, -1])) if f.kodaira == "II" else f
         for f in fibers
     ]
     assert _rerun_with(mut, counts)
@@ -438,7 +439,7 @@ def test_true_perturbed_and_true_fibers_on_one_model_match_fresh_models(x3t_part
     place, then with its own fibers again, all made on one model, equal
     those made on a fresh model each time: the model's Euler data follows
     the fibers it is given."""
-    from ellsurf.ffield import Poly, place_finite
+    from ellsurf.ffield import place_finite
     from ellsurf.tatefiber import make_fiber
     from ellsurf.verify import compute_l
 
